@@ -59,6 +59,8 @@ def dense_tsls_vcov(y, Xe, d, Z, se_type="hc1", cluster=None):
     n, k = D.shape
     xtx_inv = np.linalg.pinv(D.T @ D)
     df = n - k
+    if se_type == "classical":
+        return xtx_inv * (e @ e / df)
     if se_type in ("hc0", "hc1"):
         meat = sum(e[i] ** 2 * np.outer(D[i], D[i]) for i in range(n))
         scale = n / df if se_type == "hc1" else 1.0

@@ -9,9 +9,10 @@ from ivhet import (
     estimate_beta_ai,
     estimate_beta_iv,
     estimate_beta_late_saturated,
+    tsls,
 )
 
-from oracles import cell_weights_by_hand, wald_by_hand
+from oracles import cell_weights_by_hand, dense_tsls, dense_tsls_vcov, wald_by_hand
 
 
 def random_saturated_dataset(rng, n_cells=None, n=None, cluster=False):
@@ -31,6 +32,41 @@ def random_saturated_dataset(rng, n_cells=None, n=None, cluster=False):
     y = effect[cell] * d + rng.normal(size=n) + 0.3 * cell
     cl = rng.integers(0, max(4, n // 25), size=n) if cluster else None
     return Dataset(y=y, d=d, z=z, x=cell.astype(float), cluster=cl)
+
+
+PIN_KINDS = ("cells", "degenerate", "single")
+
+
+def pinning_cells(kind, seed):
+    """Small clustered saturated designs for pinning estimates and SEs.
+
+    "cells" draws 2-7 cells, "degenerate" leaves cell 3 a single control
+    row so min_arm_size=2 excludes it while its rows stay in the data,
+    and "single" has one cell.
+    """
+    rng = np.random.default_rng(seed)
+    n_cells = {"cells": int(rng.integers(2, 8)), "degenerate": 4,
+               "single": 1}[kind]
+    ds = random_saturated_dataset(rng, n_cells=n_cells, n=60 * n_cells,
+                                  cluster=True)
+    if kind == "degenerate":
+        ctrl = np.flatnonzero((ds.x[:, 0] == 3.0) & (ds.z == 0))
+        keep = np.ones(ds.n, dtype=bool)
+        keep[ctrl[1:]] = False
+        ds = ds.subset(keep)
+    ct = build_cells(ds, min_arm_size=2)
+    assert ct.degenerate[3] if kind == "degenerate" else not ct.degenerate.any()
+    return ct
+
+
+def retained_arrays(ct):
+    """y, d, z, explicit cell dummies and cluster labels of the retained rows."""
+    ds = ct.source
+    rows = ct.retained[ct.assignments]
+    cells = np.flatnonzero(ct.retained)
+    dummies = (ct.assignments[rows][:, None] == cells[None, :]).astype(float)
+    return (ds.y[rows], ds.d[rows].astype(float), ds.z[rows].astype(float),
+            dummies, ds.cluster[rows])
 
 
 def test_hand_fixture_estimates(hand_ct):
@@ -141,6 +177,35 @@ def test_zero_aggregate_first_stage_raises():
     ct = build_cells(Dataset(y=y, d=d, z=z, x=x), min_arm_size=1)
     with pytest.raises(IdentificationError):
         estimate_beta_late_saturated(ct)
+    with pytest.raises(IdentificationError):
+        estimate_beta_iv(ct)
+    # squared first stages do not cancel, so the interacted IV is defined
+    assert np.isfinite(estimate_beta_ai(ct).estimate)
+
+
+@pytest.mark.parametrize("se_type", ["classical", "hc0", "hc1", "cluster"])
+@pytest.mark.parametrize("kind", PIN_KINDS)
+@pytest.mark.parametrize("seed", range(2))
+def test_iv_se_matches_dense_dummy_tsls(seed, kind, se_type):
+    """beta_iv and beta_ai, estimate and SE, equal 2SLS on the explicit
+    cell-dummy design and the pinv oracle to 1e-10 relative."""
+    ct = pinning_cells(kind, 3000 + seed)
+    y, d, z, dummies, cl = retained_arrays(ct)
+    cluster = cl if se_type == "cluster" else None
+    for fn, inst in ((estimate_beta_iv, z[:, None]),
+                     (estimate_beta_ai, dummies * z[:, None])):
+        rep = fn(ct, se_type=se_type)
+        fit = tsls(y, dummies, d, inst, se_type=se_type, cluster=cluster)
+        beta = fit.coefficients[fit.endog_index]
+        se = np.sqrt(fit.vcov[fit.endog_index, fit.endog_index])
+        beta_o = dense_tsls(y, dummies, d, inst)[0][-1]
+        se_o = np.sqrt(dense_tsls_vcov(y, dummies, d, inst, se_type,
+                                       cluster)[-1, -1])
+        for want, want_se in ((beta, se), (beta_o, se_o)):
+            assert abs(rep.estimate - want) <= 1e-10 * abs(want), fn.__name__
+            assert abs(rep.se - want_se) <= 1e-10 * want_se, fn.__name__
+        assert rep.se_type == se_type
+        assert rep.n_used == len(y)
 
 
 def test_cluster_se_differs_but_estimate_matches():

@@ -8,7 +8,12 @@ from ivhet.estimators import estimate_beta_ai
 from ivhet.many_iv import _just_identified_iv, _loo_fitted, jive, many_tsls, ujive
 
 from oracles import loo_fitted_refit
-from test_estimators import random_saturated_dataset
+from test_estimators import (
+    PIN_KINDS,
+    pinning_cells,
+    random_saturated_dataset,
+    retained_arrays,
+)
 
 
 def _arrays(ds):
@@ -60,6 +65,45 @@ def test_ujive_matches_drop_one_construction(seed):
     beta = np.linalg.solve(Q.T @ X, Q.T @ y)
     fit = ujive(ct)
     assert abs(fit.estimate - beta[-1]) < 1e-8
+
+
+def drop_one_jackknife(ct, which, se_type):
+    """jive or ujive from literal drop-one refits and a dense sandwich."""
+    y, d, z, dummies, cl = retained_arrays(ct)
+    w = np.column_stack([dummies, dummies * z[:, None]])
+    inst = loo_fitted_refit(d, w)
+    if which == "ujive":
+        inst = inst - loo_fitted_refit(d, dummies)
+    X = np.column_stack([dummies, d])
+    Q = np.column_stack([dummies, inst])
+    bread = np.linalg.inv(Q.T @ X)
+    beta = bread @ (Q.T @ y)
+    scores = Q * (y - X @ beta)[:, None]
+    n, k = X.shape
+    if se_type == "cluster":
+        sums = [scores[cl == lab].sum(axis=0) for lab in np.unique(cl)]
+        g = len(sums)
+        meat = sum(np.outer(s, s) for s in sums)
+        meat *= (g / (g - 1.0)) * ((n - 1.0) / (n - k))
+    else:
+        meat = scores.T @ scores * (n / (n - k) if se_type == "hc1" else 1.0)
+    vcov = bread @ meat @ bread.T
+    return beta[-1], np.sqrt(vcov[-1, -1])
+
+
+@pytest.mark.parametrize("se_type", ["hc0", "hc1", "cluster"])
+@pytest.mark.parametrize("kind", PIN_KINDS)
+@pytest.mark.parametrize("seed", range(2))
+def test_jackknife_se_matches_drop_one_construction(seed, kind, se_type):
+    """jive and ujive, estimate and SE, equal the drop-one construction
+    to 1e-10 relative."""
+    ct = pinning_cells(kind, 3100 + seed)
+    for fn in (jive, ujive):
+        beta, se = drop_one_jackknife(ct, fn.__name__, se_type)
+        fit = fn(ct, se_type=se_type)
+        assert abs(fit.estimate - beta) <= 1e-10 * abs(beta), fn.__name__
+        assert abs(fit.se - se) <= 1e-10 * se, fn.__name__
+        assert fit.se_type == se_type
 
 
 def test_jive_se_matches_hand_sandwich():
