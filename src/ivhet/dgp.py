@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from .data_model import Dataset
 from .errors import ConfigError, DomainError
-from .estimators import WeightTable
+from .estimators import WeightTable, _normalize
 
 CTYPES = ("complier", "always", "never", "defier")
 _D1 = {"complier": 1, "always": 1, "never": 0, "defier": 0}
@@ -249,18 +249,9 @@ def brute_force_weights(lt: LatentTable) -> WeightTable:
     var = q * (1.0 - q)
     degenerate = pi == 0.0
     mask = ~degenerate
-
-    def norm(raw):
-        out = np.full(j_n, np.nan)
-        tot = raw[mask].sum()
-        if tot == 0 or not np.isfinite(tot):
-            return out, False
-        out[mask] = raw[mask] / tot
-        return out, True
-
-    w_late, late_ok = norm(p * pi)
-    w_iv, iv_ok = norm(p * pi * var)
-    w_ai, ai_ok = norm(p * pi * pi * var)
+    w_late, late_ok = _normalize(p * pi, mask)
+    w_iv, iv_ok = _normalize(p * pi * var, mask)
+    w_ai, ai_ok = _normalize(p * pi * pi * var, mask)
     return WeightTable(
         w_late=w_late, w_iv=w_iv, w_ai=w_ai, tau=tau, degenerate=degenerate,
         late_defined=late_ok, iv_defined=iv_ok, ai_defined=ai_ok,

@@ -10,6 +10,11 @@ ratios tau_j:
 
 with Var(Z | cell) = q_j (1 - q_j). The identities are algebraic, not
 asymptotic, and the tests hold them to 1e-8.
+
+Because of this, no estimator here builds a cell-dummy design: the two
+2SLS estimands (and the jackknife estimators in many_iv) are closed forms
+in per-cell counts and means plus O(n) residual sums. The dense QR/2SLS
+path in regression serves linear-control mode and the tests.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import CellTable
-from .errors import IdentificationError
-from .regression import tsls
+from .errors import DomainError, IdentificationError
+from .regression import PIVOT_RTOL, _check_se_args
 from .tables import json_safe
 
 
@@ -121,60 +126,93 @@ def _retained_rows(ct: CellTable) -> np.ndarray:
     return ct.retained[ct.assignments]
 
 
-def _cell_dummies(assignments: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
-    return (assignments[:, None] == cell_ids[None, :]).astype(np.float64)
-
-
 def _resolve_se(ct: CellTable, se_type: str | None) -> str:
     if se_type is not None:
         return se_type
     return "cluster" if ct.source.cluster is not None else "hc1"
 
 
-def _subset(ct: CellTable):
+def _cell_means(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Each row's mean of v over the rows that share its cell index a."""
+    counts = np.maximum(np.bincount(a), 1)   # excluded cells have no rows
+    return (np.bincount(a, weights=v) / counts)[a]
+
+
+def _centered_iv(ct: CellTable, g: np.ndarray, se_type: str):
+    """(beta, se) of Y on D and cell intercepts over the retained rows,
+    instrumented by the cell intercepts and g (one value per retained row).
+
+    Partialling out the intercepts centers g within cells, so
+    beta = sum g y / sum g d with structural residual
+    e = y - ybar_cell - beta (d - dbar_cell), and the SE is the 2SLS
+    sandwich element for beta with J + 1 parameters in the df factors.
+    """
     ds = ct.source
     rows = _retained_rows(ct)
-    cell_ids = np.flatnonzero(ct.retained)
     a = ct.assignments[rows]
-    dummies = _cell_dummies(a, cell_ids)
-    cluster = None if ds.cluster is None else ds.cluster[rows]
-    return ds.y[rows], ds.d[rows].astype(float), ds.z[rows].astype(float), \
-        dummies, cluster, int(rows.sum()), len(cell_ids)
+    m = len(a)
+    k = int(ct.retained.sum()) + 1
+    cluster = _check_se_args(
+        se_type, None if ds.cluster is None else ds.cluster[rows], m)
+    y = ds.y[rows]
+    d = ds.d[rows].astype(np.float64)
+    g = g - _cell_means(g, a)
+    dc = d - _cell_means(d, a)
+    gd = float(g @ dc)
+    if abs(gd) <= PIVOT_RTOL * np.linalg.norm(g) * np.linalg.norm(dc):
+        raise IdentificationError(
+            "instrument is uncorrelated with the treatment within cells "
+            "(zero first stage)"
+        )
+    beta = float(g @ y) / gd
+    e = y - _cell_means(y, a) - beta * dc
+    df = m - k
+    if se_type != "hc0" and df <= 0:
+        raise DomainError(f"no residual degrees of freedom for {se_type} se")
+    if se_type == "classical":
+        meat = float(e @ e) / df * float(g @ g)
+    elif se_type == "cluster":
+        _, inverse = np.unique(cluster, return_inverse=True)
+        n_groups = int(inverse.max()) + 1
+        if n_groups < 2:
+            raise DomainError("cluster se needs at least 2 clusters")
+        sums = np.bincount(inverse, weights=g * e)
+        meat = float(sums @ sums) * (n_groups / (n_groups - 1.0)) * ((m - 1.0) / df)
+    else:
+        meat = float(np.sum((g * e) ** 2))
+        if se_type == "hc1":
+            meat *= m / df
+    return beta, float(np.sqrt(meat)) / abs(gd)
+
+
+def _iv_report(ct: CellTable, estimand: str, g: np.ndarray, se: str,
+               metadata: dict) -> EstimateReport:
+    beta, se_value = _centered_iv(ct, g, se)
+    return EstimateReport(
+        estimand=estimand, estimate=beta, se=se_value, se_type=se,
+        n_used=len(g), cells_used=int(ct.retained.sum()), metadata=metadata,
+    )
 
 
 def estimate_beta_iv(ct: CellTable, se_type: str | None = None) -> EstimateReport:
     """Linear IV: 2SLS of Y on cell dummies and D, instrumented by Z."""
-    se = _resolve_se(ct, se_type)
-    y, d, z, dummies, cluster, n_used, j_used = _subset(ct)
-    fit = tsls(y, dummies, d, z, se_type=se, cluster=cluster)
-    idx = fit.endog_index
-    return EstimateReport(
-        estimand="beta_iv",
-        estimate=float(fit.coefficients[idx]),
-        se=float(np.sqrt(fit.vcov[idx, idx])),
-        se_type=se,
-        n_used=n_used,
-        cells_used=j_used,
-        metadata={"estimator": "2sls", "instruments": 1},
-    )
+    rows = _retained_rows(ct)
+    z = ct.source.z[rows].astype(np.float64)
+    return _iv_report(ct, "beta_iv", z, _resolve_se(ct, se_type),
+                      {"estimator": "2sls", "instruments": 1})
 
 
 def estimate_beta_ai(ct: CellTable, se_type: str | None = None) -> EstimateReport:
-    """Interacted IV: instruments are Z times each retained cell dummy."""
-    se = _resolve_se(ct, se_type)
-    y, d, z, dummies, cluster, n_used, j_used = _subset(ct)
-    inst = dummies * z[:, None]
-    fit = tsls(y, dummies, d, inst, se_type=se, cluster=cluster)
-    idx = fit.endog_index
-    return EstimateReport(
-        estimand="beta_ai",
-        estimate=float(fit.coefficients[idx]),
-        se=float(np.sqrt(fit.vcov[idx, idx])),
-        se_type=se,
-        n_used=n_used,
-        cells_used=j_used,
-        metadata={"estimator": "2sls_interacted", "instruments": j_used},
-    )
+    """Interacted IV: instruments are Z times each retained cell dummy.
+
+    The projected treatment is the cell-arm mean of D, which within a cell
+    is pi_j Z plus the cell's intercept, so the instrument is pi_j Z.
+    """
+    rows = _retained_rows(ct)
+    g = ct.pi_j[ct.assignments[rows]] * ct.source.z[rows]
+    return _iv_report(ct, "beta_ai", g, _resolve_se(ct, se_type),
+                      {"estimator": "2sls_interacted",
+                       "instruments": int(ct.retained.sum())})
 
 
 def estimate_beta_late_saturated(ct: CellTable, se_type: str | None = None) -> EstimateReport:

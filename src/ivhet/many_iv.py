@@ -5,8 +5,13 @@ and when J grows with the sample the interacted two stage least squares
 estimator picks up a bias proportional to the number of instruments. The
 two jackknife estimators remove the own-observation term that causes it:
 each unit's constructed instrument is a first stage prediction computed
-as if that unit had been left out, using the standard leverage identity
-for leave-one-out fits rather than J separate regressions.
+as if that unit had been left out. In a saturated design the first stage
+fit is the cell-arm mean of D, with leverage 1/n_{j,z}, so the
+leave-one-out fit is the arm mean without the unit, and the
+covariates-only leave-one-out fit is the cell mean without it. Every
+estimate here is then a closed form in cell sums and O(n) residual sums;
+the dense leverage-identity fit _loo_fitted remains as the reference the
+tests compare against.
 
 jive leaves the unit out of the full first stage (covariates and
 instrument interactions together). ujive additionally subtracts the
@@ -17,15 +22,13 @@ to a term of order 1/n when the covariates are just an intercept.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .cells import CellTable
-from .errors import DomainError, IdentificationError, LeverageError
-from .estimators import _resolve_se, _subset, estimate_beta_ai
+from .errors import DomainError, LeverageError
+from .estimators import _centered_iv, _resolve_se, _retained_rows, estimate_beta_ai
 from .regression import hat_diagonals, ols
 
 _LEVERAGE_CAP = 1.0 - 1e-8
@@ -57,11 +60,7 @@ class ManyIVFit:
         }
 
 
-def _loo_fitted(target: np.ndarray, design: np.ndarray, what: str):
-    """Leave-one-out fitted values via the leverage identity."""
-    fit = ols(target, design, se_type="hc0")
-    h = hat_diagonals(design)
-    hmax = float(h.max())
+def _check_leverage(hmax: float, what: str) -> float:
     if hmax > _LEVERAGE_CAP:
         raise LeverageError(
             f"a leverage value in the {what} regression is {hmax:.6f}; "
@@ -69,95 +68,78 @@ def _loo_fitted(target: np.ndarray, design: np.ndarray, what: str):
             "predictions are undefined there. Raise min_arm_size when "
             "building the cells."
         )
+    return hmax
+
+
+# dense reference for the closed-form leave-one-out means used below
+def _loo_fitted(target: np.ndarray, design: np.ndarray, what: str):
+    """Leave-one-out fitted values via the leverage identity."""
+    fit = ols(target, design, se_type="hc0")
+    h = hat_diagonals(design)
+    hmax = _check_leverage(float(h.max()), what)
     return (fit.fitted - h * target) / (1.0 - h), hmax
 
 
-def _just_identified_iv(y, X, Q, se_type, cluster):
-    """IV fit with exactly as many instruments as regressors.
+def _leverage_max(ct: CellTable) -> float:
+    """Largest hat value of the saturated first stage [dummies, dummies Z].
 
-    beta solves (Q'X) b = Q'y; the covariance is the usual sandwich with
-    bread (Q'X)^{-1} and meat built from the instrument-times-residual
-    scores (optionally summed within clusters).
+    Its fitted values are cell-arm means, so a row's leverage is one over
+    its arm's size.
     """
-    n, k = X.shape
-    if Q.shape != X.shape:
-        raise DomainError("instrument block must match the regressor block")
-    a = Q.T @ X
-    try:
-        with warnings.catch_warnings():
-            # singularity is detected from the factor below and raised
-            # as IdentificationError; scipy's warning would be noise
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise IdentificationError(
-            "instrument cross-moment matrix is singular"
-        ) from exc
-    if not np.all(np.isfinite(lu[0])) or np.min(
-            np.abs(np.diag(lu[0]))) < 1e-12 * max(1.0, np.abs(a).max()):
-        raise IdentificationError("instrument cross-moment matrix is singular")
-    beta = scipy.linalg.lu_solve(lu, Q.T @ y)
-    resid = y - X @ beta
-    scores = Q * resid[:, None]
-    df = n - k
-    if se_type == "cluster":
-        _, inverse = np.unique(cluster, return_inverse=True)
-        g = inverse.max() + 1
-        if g < 2:
-            raise DomainError("cluster se needs at least 2 clusters")
-        sums = np.zeros((g, k))
-        np.add.at(sums, inverse, scores)
-        meat = sums.T @ sums
-        if df <= 0:
-            raise DomainError("no residual degrees of freedom")
-        meat *= (g / (g - 1.0)) * ((n - 1.0) / df)
-    else:
-        meat = scores.T @ scores
-        if se_type == "hc1":
-            if df <= 0:
-                raise DomainError("no residual degrees of freedom")
-            meat *= n / df
-        elif se_type != "hc0":
-            raise DomainError(
-                "just-identified IV supports hc0, hc1 and cluster ses"
-            )
-    bread = scipy.linalg.lu_solve(lu, np.eye(k))
-    vcov = bread @ meat @ bread.T
-    return beta, vcov, resid
+    mask = ct.retained
+    return 1.0 / float(min(ct.n1_j[mask].min(), ct.n0_j[mask].min()))
+
+
+def _loo_means(v: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Each row's mean of v over its group with the row itself left out."""
+    sums = np.bincount(groups, weights=v)
+    counts = np.bincount(groups)
+    return (sums[groups] - v) / (counts[groups] - 1.0)
+
+
+def _jackknife(ct: CellTable, estimator: str, se_type: str | None) -> ManyIVFit:
+    """jive or ujive as a just-identified IV with cell intercepts.
+
+    The leave-one-out first-stage fit is the mean of D over the row's cell
+    arm without the row; ujive subtracts the same mean over the row's
+    whole cell, the leave-one-out fit of the covariates-only regression.
+    """
+    se = _resolve_se(ct, se_type)
+    if se == "classical":
+        raise DomainError("jackknife IV supports hc0, hc1 and cluster ses")
+    hmax = _check_leverage(_leverage_max(ct), "first stage")
+    rows = _retained_rows(ct)
+    a = ct.assignments[rows]
+    d = ct.source.d[rows].astype(np.float64)
+    g = _loo_means(d, 2 * a + ct.source.z[rows])
+    if estimator == "ujive":
+        g -= _loo_means(d, a)
+    beta, se_value = _centered_iv(ct, g, se)
+    j_used = int(ct.retained.sum())
+    return ManyIVFit(
+        estimator=estimator, estimate=beta, se=se_value, se_type=se,
+        n_instruments=j_used, n_controls=j_used,
+        leverage_max=hmax, n_used=len(g),
+        metadata={},
+    )
 
 
 def many_tsls(ct: CellTable, se_type: str | None = None) -> ManyIVFit:
     """Interacted two stage least squares, with leverage diagnostics."""
     se = _resolve_se(ct, se_type)
     rep = estimate_beta_ai(ct, se_type=se)
-    _, d, z, dummies, _, n_used, j_used = _subset(ct)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    h = hat_diagonals(w)
     return ManyIVFit(
         estimator="tsls", estimate=rep.estimate, se=rep.se, se_type=se,
-        n_instruments=j_used, n_controls=j_used,
-        leverage_max=float(h.max()), n_used=n_used,
-        metadata={"first_stage_design_columns": 2 * j_used},
+        n_instruments=rep.cells_used, n_controls=rep.cells_used,
+        leverage_max=_leverage_max(ct), n_used=rep.n_used,
+        metadata={"first_stage_design_columns": 2 * rep.cells_used},
     )
 
 
 def jive(ct: CellTable, se_type: str | None = None) -> ManyIVFit:
     """Jackknife IV: the constructed instrument for unit i is the first
     stage prediction of D_i from a fit that leaves row i out."""
-    se = _resolve_se(ct, se_type)
-    y, d, z, dummies, cluster, n_used, j_used = _subset(ct)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    d_loo, hmax = _loo_fitted(d, w, "first stage")
-    X = np.column_stack([dummies, d])
-    Q = np.column_stack([dummies, d_loo])
-    beta, vcov, _ = _just_identified_iv(y, X, Q, se, cluster)
-    return ManyIVFit(
-        estimator="jive", estimate=float(beta[-1]),
-        se=float(np.sqrt(vcov[-1, -1])), se_type=se,
-        n_instruments=j_used, n_controls=j_used,
-        leverage_max=hmax, n_used=n_used,
-        metadata={},
-    )
+    return _jackknife(ct, "jive", se_type)
 
 
 def ujive(ct: CellTable, se_type: str | None = None) -> ManyIVFit:
@@ -167,19 +149,4 @@ def ujive(ct: CellTable, se_type: str | None = None) -> ManyIVFit:
     prediction minus the leave-one-out prediction from the covariates
     alone, so it carries only the instrument's contribution.
     """
-    se = _resolve_se(ct, se_type)
-    y, d, z, dummies, cluster, n_used, j_used = _subset(ct)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    d_loo_full, h1 = _loo_fitted(d, w, "first stage")
-    d_loo_ctrl, h2 = _loo_fitted(d, dummies, "covariate")
-    u = d_loo_full - d_loo_ctrl
-    X = np.column_stack([dummies, d])
-    Q = np.column_stack([dummies, u])
-    beta, vcov, _ = _just_identified_iv(y, X, Q, se, cluster)
-    return ManyIVFit(
-        estimator="ujive", estimate=float(beta[-1]),
-        se=float(np.sqrt(vcov[-1, -1])), se_type=se,
-        n_instruments=j_used, n_controls=j_used,
-        leverage_max=max(h1, h2), n_used=n_used,
-        metadata={},
-    )
+    return _jackknife(ct, "ujive", se_type)

@@ -1,7 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ivhet
 from ivhet import Dataset, build_cells, reference_trial
+
+
+def child_env():
+    """Environment in which a child python imports this checkout's ivhet."""
+    src = str(Path(ivhet.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from ivhet import reference_trial
 from ivhet.cli import main
 
-from conftest import two_cell_dataset, write_csv
+from conftest import child_env, two_cell_dataset, write_csv
 
 TRIAL_ARGS = ["-y", "y", "-d", "d", "-z", "z", "-x", "stratum"]
 
@@ -317,6 +317,6 @@ def test_version_flag():
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "ivhet.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "ivhet" in proc.stdout

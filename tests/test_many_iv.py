@@ -4,8 +4,8 @@ import pytest
 from ivhet.cells import build_cells
 from ivhet.data_model import Dataset
 from ivhet.errors import DomainError, IdentificationError, LeverageError
-from ivhet.estimators import estimate_beta_ai
-from ivhet.many_iv import _just_identified_iv, _loo_fitted, jive, many_tsls, ujive
+from ivhet.estimators import _centered_iv, estimate_beta_ai
+from ivhet.many_iv import _loo_fitted, _loo_means, jive, many_tsls, ujive
 
 from oracles import loo_fitted_refit
 from test_estimators import (
@@ -23,14 +23,22 @@ def _arrays(ds):
     return ds.y, ds.d.astype(float), ds.z.astype(float), dummies
 
 
-def test_loo_fitted_matches_literal_refits():
+def test_loo_means_match_loo_fitted_and_refits():
+    """Leave-one-out arm and cell means equal the leverage-identity fits
+    of the saturated designs and literal drop-one refits."""
     rng = np.random.default_rng(7)
-    X = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])
-    t = rng.normal(size=40)
-    got, hmax = _loo_fitted(t, X, "test")
-    want = loo_fitted_refit(t, X)
-    np.testing.assert_allclose(got, want, atol=1e-10)
-    assert 0.0 < hmax < 1.0
+    ds = random_saturated_dataset(rng, n_cells=3, n=120)
+    cell = ds.x[:, 0].astype(int)
+    d = ds.d.astype(float)
+    dummies = (cell[:, None] == np.arange(3)[None, :]).astype(float)
+    w = np.column_stack([dummies, dummies * ds.z[:, None]])
+    for got, design in ((_loo_means(d, 2 * cell + ds.z), w),
+                        (_loo_means(d, cell), dummies)):
+        dense, hmax = _loo_fitted(d, design, "test")
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, loo_fitted_refit(d, design),
+                                   rtol=0, atol=1e-10)
+        assert 0.0 < hmax < 1.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -206,11 +214,23 @@ def test_metadata_counts(hand_ct):
         assert d["n_used"] == 12
 
 
-def test_just_identified_helper_error_paths():
-    y = np.arange(10.0)
-    X = np.column_stack([np.ones(10), np.arange(10.0)])
-    with pytest.raises(DomainError):
-        _just_identified_iv(y, X, X[:, :1], "hc0", None)
-    Q = np.column_stack([np.ones(10), np.ones(10)])
-    with pytest.raises(IdentificationError):
-        _just_identified_iv(y, X, Q, "hc0", None)
+def test_centered_iv_error_paths(hand_ct):
+    z = hand_ct.source.z.astype(float)
+    with pytest.raises(IdentificationError, match="zero first stage"):
+        _centered_iv(hand_ct, hand_ct.source.x[:, 0], "hc0")
+    with pytest.raises(DomainError, match="unknown se_type"):
+        _centered_iv(hand_ct, z, "hc3")
+    with pytest.raises(DomainError, match="no cluster labels"):
+        _centered_iv(hand_ct, z, "cluster")
+    one = build_cells(Dataset(y=hand_ct.source.y, d=hand_ct.source.d,
+                              z=hand_ct.source.z, x=hand_ct.source.x,
+                              cluster=np.zeros(12, dtype=int)))
+    with pytest.raises(DomainError, match="at least 2 clusters"):
+        _centered_iv(one, z, "cluster")
+    for fn in (jive, ujive):
+        with pytest.raises(DomainError, match="no cluster labels"):
+            fn(hand_ct, se_type="cluster")
+        with pytest.raises(DomainError, match="hc0, hc1 and cluster"):
+            fn(hand_ct, se_type="classical")
+        with pytest.raises(DomainError, match="unknown se_type"):
+            fn(hand_ct, se_type="hc3")

@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from ivhet import DomainError, reset_binary_index, reset_linear
 
+from conftest import child_env
 from oracles import dense_ols, dense_ols_vcov
 
 
@@ -150,3 +154,10 @@ def test_report_to_dict():
     d = reset_linear(y, X).to_dict()
     assert d["test"] == "reset_linear"
     assert "p_value" in d and "powers" in d
+
+
+def test_import_does_not_load_scipy_stats():
+    # p-values come from scipy.special; scipy.stats costs most of the
+    # import time of the package
+    code = "import sys, ivhet; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
