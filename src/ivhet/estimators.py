@@ -151,7 +151,6 @@ def _centered_iv(ct: CellTable, g: np.ndarray, se_type: str):
     rows = _retained_rows(ct)
     a = ct.assignments[rows]
     m = len(a)
-    k = int(ct.retained.sum()) + 1
     cluster = _check_se_args(
         se_type, None if ds.cluster is None else ds.cluster[rows], m)
     y = ds.y[rows]
@@ -166,7 +165,7 @@ def _centered_iv(ct: CellTable, g: np.ndarray, se_type: str):
         )
     beta = float(g @ y) / gd
     e = y - _cell_means(y, a) - beta * dc
-    df = m - k
+    df = m - int(ct.retained.sum()) - 1
     if se_type != "hc0" and df <= 0:
         raise DomainError(f"no residual degrees of freedom for {se_type} se")
     if se_type == "classical":
@@ -196,8 +195,7 @@ def _iv_report(ct: CellTable, estimand: str, g: np.ndarray, se: str,
 
 def estimate_beta_iv(ct: CellTable, se_type: str | None = None) -> EstimateReport:
     """Linear IV: 2SLS of Y on cell dummies and D, instrumented by Z."""
-    rows = _retained_rows(ct)
-    z = ct.source.z[rows].astype(np.float64)
+    z = ct.source.z[_retained_rows(ct)]
     return _iv_report(ct, "beta_iv", z, _resolve_se(ct, se_type),
                       {"estimator": "2sls", "instruments": 1})
 

@@ -65,8 +65,9 @@ def retained_arrays(ct):
     rows = ct.retained[ct.assignments]
     cells = np.flatnonzero(ct.retained)
     dummies = (ct.assignments[rows][:, None] == cells[None, :]).astype(float)
+    cluster = None if ds.cluster is None else ds.cluster[rows]
     return (ds.y[rows], ds.d[rows].astype(float), ds.z[rows].astype(float),
-            dummies, ds.cluster[rows])
+            dummies, cluster)
 
 
 def test_hand_fixture_estimates(hand_ct):

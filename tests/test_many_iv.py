@@ -16,11 +16,28 @@ from test_estimators import (
 )
 
 
-def _arrays(ds):
-    cell = ds.x[:, 0]
-    keys = np.unique(cell)
-    dummies = (cell[:, None] == keys[None, :]).astype(float)
-    return ds.y, ds.d.astype(float), ds.z.astype(float), dummies
+def drop_one_jackknife(ct, which, se_type):
+    """jive or ujive from literal drop-one refits and a dense sandwich."""
+    y, d, z, dummies, cl = retained_arrays(ct)
+    w = np.column_stack([dummies, dummies * z[:, None]])
+    inst = loo_fitted_refit(d, w)
+    if which == "ujive":
+        inst = inst - loo_fitted_refit(d, dummies)
+    X = np.column_stack([dummies, d])
+    Q = np.column_stack([dummies, inst])
+    bread = np.linalg.inv(Q.T @ X)
+    beta = bread @ (Q.T @ y)
+    scores = Q * (y - X @ beta)[:, None]
+    n, k = X.shape
+    if se_type == "cluster":
+        sums = [scores[cl == lab].sum(axis=0) for lab in np.unique(cl)]
+        g = len(sums)
+        meat = sum(np.outer(s, s) for s in sums)
+        meat *= (g / (g - 1.0)) * ((n - 1.0) / (n - k))
+    else:
+        meat = scores.T @ scores * (n / (n - k) if se_type == "hc1" else 1.0)
+    vcov = bread @ meat @ bread.T
+    return beta[-1], np.sqrt(vcov[-1, -1])
 
 
 def test_loo_means_match_loo_fitted_and_refits():
@@ -48,14 +65,8 @@ def test_jive_matches_drop_one_construction(seed):
     ct = build_cells(ds, min_arm_size=2)
     if not all(ct.retained):
         pytest.skip("draw produced a thin arm")
-    y, d, z, dummies = _arrays(ds)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    d_loo = loo_fitted_refit(d, w)
-    X = np.column_stack([dummies, d])
-    Q = np.column_stack([dummies, d_loo])
-    beta = np.linalg.solve(Q.T @ X, Q.T @ y)
-    fit = jive(ct)
-    assert abs(fit.estimate - beta[-1]) < 1e-8
+    beta, _ = drop_one_jackknife(ct, "jive", "hc1")
+    assert abs(jive(ct).estimate - beta) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -65,38 +76,8 @@ def test_ujive_matches_drop_one_construction(seed):
     ct = build_cells(ds, min_arm_size=2)
     if not all(ct.retained):
         pytest.skip("draw produced a thin arm")
-    y, d, z, dummies = _arrays(ds)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    u = loo_fitted_refit(d, w) - loo_fitted_refit(d, dummies)
-    X = np.column_stack([dummies, d])
-    Q = np.column_stack([dummies, u])
-    beta = np.linalg.solve(Q.T @ X, Q.T @ y)
-    fit = ujive(ct)
-    assert abs(fit.estimate - beta[-1]) < 1e-8
-
-
-def drop_one_jackknife(ct, which, se_type):
-    """jive or ujive from literal drop-one refits and a dense sandwich."""
-    y, d, z, dummies, cl = retained_arrays(ct)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    inst = loo_fitted_refit(d, w)
-    if which == "ujive":
-        inst = inst - loo_fitted_refit(d, dummies)
-    X = np.column_stack([dummies, d])
-    Q = np.column_stack([dummies, inst])
-    bread = np.linalg.inv(Q.T @ X)
-    beta = bread @ (Q.T @ y)
-    scores = Q * (y - X @ beta)[:, None]
-    n, k = X.shape
-    if se_type == "cluster":
-        sums = [scores[cl == lab].sum(axis=0) for lab in np.unique(cl)]
-        g = len(sums)
-        meat = sum(np.outer(s, s) for s in sums)
-        meat *= (g / (g - 1.0)) * ((n - 1.0) / (n - k))
-    else:
-        meat = scores.T @ scores * (n / (n - k) if se_type == "hc1" else 1.0)
-    vcov = bread @ meat @ bread.T
-    return beta[-1], np.sqrt(vcov[-1, -1])
+    beta, _ = drop_one_jackknife(ct, "ujive", "hc1")
+    assert abs(ujive(ct).estimate - beta) < 1e-8
 
 
 @pytest.mark.parametrize("se_type", ["hc0", "hc1", "cluster"])
@@ -118,20 +99,8 @@ def test_jive_se_matches_hand_sandwich():
     rng = np.random.default_rng(42)
     ds = random_saturated_dataset(rng, n_cells=2, n=200)
     ct = build_cells(ds, min_arm_size=2)
-    y, d, z, dummies = _arrays(ds)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    d_loo = loo_fitted_refit(d, w)
-    X = np.column_stack([dummies, d])
-    Q = np.column_stack([dummies, d_loo])
-    beta = np.linalg.solve(Q.T @ X, Q.T @ y)
-    resid = y - X @ beta
-    scores = Q * resid[:, None]
-    n, k = X.shape
-    meat = scores.T @ scores * n / (n - k)
-    bread = np.linalg.inv(Q.T @ X)
-    vcov = bread @ meat @ bread.T
-    fit = jive(ct, se_type="hc1")
-    assert abs(fit.se - np.sqrt(vcov[-1, -1])) < 1e-8
+    _, se = drop_one_jackknife(ct, "jive", "hc1")
+    assert abs(jive(ct, se_type="hc1").se - se) < 1e-8
 
 
 def test_cluster_se_resolved_and_matches_hand():
@@ -140,24 +109,8 @@ def test_cluster_se_resolved_and_matches_hand():
     ct = build_cells(ds, min_arm_size=2)
     fit = ujive(ct)
     assert fit.se_type == "cluster"
-    y, d, z, dummies = _arrays(ds)
-    w = np.column_stack([dummies, dummies * z[:, None]])
-    u = loo_fitted_refit(d, w) - loo_fitted_refit(d, dummies)
-    X = np.column_stack([dummies, d])
-    Q = np.column_stack([dummies, u])
-    beta = np.linalg.solve(Q.T @ X, Q.T @ y)
-    resid = y - X @ beta
-    n, k = X.shape
-    labels = np.unique(ds.cluster)
-    meat = np.zeros((k, k))
-    for lab in labels:
-        s = (Q[ds.cluster == lab] * resid[ds.cluster == lab, None]).sum(axis=0)
-        meat += np.outer(s, s)
-    g = len(labels)
-    meat *= (g / (g - 1.0)) * ((n - 1.0) / (n - k))
-    bread = np.linalg.inv(Q.T @ X)
-    vcov = bread @ meat @ bread.T
-    assert abs(fit.se - np.sqrt(vcov[-1, -1])) < 1e-8
+    _, se = drop_one_jackknife(ct, "ujive", "cluster")
+    assert abs(fit.se - se) < 1e-8
 
 
 def test_many_tsls_equals_interacted_tsls(hand_ct):
