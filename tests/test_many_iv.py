@@ -40,7 +40,7 @@ def drop_one_jackknife(ct, which, se_type):
     return beta[-1], np.sqrt(vcov[-1, -1])
 
 
-def test_loo_means_match_loo_fitted_and_refits():
+def test_loo_fitted_matches_literal_refits():
     """Leave-one-out arm and cell means equal the leverage-identity fits
     of the saturated designs and literal drop-one refits."""
     rng = np.random.default_rng(7)
@@ -167,7 +167,7 @@ def test_metadata_counts(hand_ct):
         assert d["n_used"] == 12
 
 
-def test_centered_iv_error_paths(hand_ct):
+def test_just_identified_helper_error_paths(hand_ct):
     z = hand_ct.source.z.astype(float)
     with pytest.raises(IdentificationError, match="zero first stage"):
         _centered_iv(hand_ct, hand_ct.source.x[:, 0], "hc0")
