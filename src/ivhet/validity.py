@@ -16,11 +16,27 @@ Three families are provided:
 * mw_test: within rows whose outcome falls in A (and within a cell), the
   treated share must not fall when the instrument switches on.
 * first_stage_nonneg_test: the cell-level first stage cannot be negative.
+
+How the bootstrap is computed. Every moment averages a 0/1 indicator that
+is constant on bins: one bin per retained cell (or the whole sample), z,
+d and elementary outcome interval [c_t, c_t+1) of the partition. Each row
+gets one bin code. Arm sizes, means and variances follow from the bin
+counts. For one multiplier draw s, a moment's bootstrap value is a linear
+function of the per-bin sums of s, and the sums over any candidate
+interval are differences of prefix sums over t. The (reps, n) draws come
+from one random stream in chunks of a few MiB; each draw is reduced to its
+bin sums with a bincount. Memory is O(n + bins + moments), with no
+(n x moments) or (reps x n) array. The statistic and the p-value are those
+of the dense computation, the same (reps, n) multiplier matrix times the
+(n x moments) matrix of row contributions, which tests/oracles.py keeps as
+the reference; only the floating-point summation order differs, which
+can matter only where moments or draws tie exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +46,7 @@ from .errors import ConfigError, DomainError, UndefinedTestError
 
 _SIGMA_FLOOR = 1e-6
 _MAX_SUPPORT = 12
+_CHUNK_BYTES = 4 << 20      # cap on one chunk of bootstrap draws
 
 
 @dataclass(frozen=True)
@@ -125,73 +142,152 @@ class ValidityReport:
         }
 
 
-def _arm_stats(values: np.ndarray, idx: np.ndarray):
-    v = values[idx]
-    n = v.shape[0]
-    mean = float(v.mean())
-    var = float(v.var(ddof=1)) if n > 1 else 0.0
-    return mean, var, n
+def _check_bootstrap(reps: int, seed: int) -> None:
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
-def _max_violation_test(test_name, n_rows, moments, reps, seed, method):
-    """Shared engine: moments is a list of (idx_a, idx_b, values, label).
+class _Moments(NamedTuple):
+    """The moments every group carries, as index arrays (interval ranges
+    count elementary outcome intervals).
 
-    Each moment is the null hypothesis mean(values[idx_a]) >=
-    mean(values[idx_b]). Moments whose arms are empty are skipped and
+    Moment k compares the share of rows with D = d[k] and an outcome in
+    elementary intervals [value_lo[k], value_hi[k]) among the rows with
+    Z = z[k] and an outcome in [lo[k], hi[k]) (arm a) with the same share
+    among the rows with Z = 1 - z[k] (arm b); the null is a >= b.
+    """
+
+    z: np.ndarray
+    d: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    value_lo: np.ndarray
+    value_hi: np.ndarray
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Prefix sums over the last (interval) axis, starting from 0."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _arm_sums(prefix, mom: _Moments, z):
+    """Per group and moment: the arm's sum over all its bins, and over the
+    bins where the moment's indicator is one. prefix is (..., groups, z, d,
+    intervals + 1); the result is (..., groups, moments)."""
+    def span(d, lo, hi):
+        return prefix[..., z, d, hi] - prefix[..., z, d, lo]
+    return (span(0, mom.lo, mom.hi) + span(1, mom.lo, mom.hi),
+            span(mom.d, mom.value_lo, mom.value_hi))
+
+
+def _arm_stats(prefix, mom: _Moments, z):
+    """Size, mean and ddof=1 variance of every moment's 0/1 indicator over
+    one of its arms, in every group, from prefix sums of the bin counts."""
+    n, ones = _arm_sums(prefix, mom, z)
+    mean = ones / np.maximum(n, 1)
+    var = ones * (n - ones) / (np.maximum(n, 1) * np.maximum(n - 1, 1))
+    return n, mean, var
+
+
+def _max_violation_test(test_name, codes, n_groups, n_intervals, mom,
+                        labels, reps, seed, method):
+    """Shared engine over binned rows.
+
+    codes holds each row's bin ((g*2 + z)*2 + d)*n_intervals + t for group
+    g and elementary outcome interval t, or -1 for rows outside every
+    group. Every group carries the moments mom describes; labels name them
+    all, group-major. Moments whose arms are empty are skipped and
     counted; if nothing is left the test is undefined.
     """
-    kept = []
-    skipped = 0
-    for idx_a, idx_b, values, label in moments:
-        if idx_a.size == 0 or idx_b.size == 0:
-            skipped += 1
-            continue
-        kept.append((idx_a, idx_b, values, label))
-    if not kept:
+    _check_bootstrap(reps, seed)
+    mom = _Moments(*np.broadcast_arrays(*map(np.atleast_1d, mom)))
+    shape = (n_groups, 2, 2, n_intervals)
+    width = int(np.prod(shape)) + 1
+    shifted = codes + 1
+    counts = np.bincount(shifted, minlength=width)[1:]
+    pre = _prefix(counts.reshape(shape))
+    n_a, mean_a, var_a = _arm_stats(pre, mom, mom.z)
+    n_b, mean_b, var_b = _arm_stats(pre, mom, 1 - mom.z)
+    kept = (n_a > 0) & (n_b > 0)
+    if not kept.any():
         raise UndefinedTestError(
             f"{test_name}: every moment had an empty arm; nothing to test"
         )
-
-    m = len(kept)
-    mhat = np.empty(m)
-    contrib = np.zeros((n_rows, m))
-    labels = []
-    for k, (idx_a, idx_b, values, label) in enumerate(kept):
-        mean_a, var_a, n_a = _arm_stats(values, idx_a)
-        mean_b, var_b, n_b = _arm_stats(values, idx_b)
-        sigma = np.sqrt(var_a / n_a + var_b / n_b)
-        sigma = max(sigma, _SIGMA_FLOOR)
-        mhat[k] = (mean_a - mean_b) / sigma
-        contrib[idx_a, k] += (values[idx_a] - mean_a) / (n_a * sigma)
-        contrib[idx_b, k] -= (values[idx_b] - mean_b) / (n_b * sigma)
-        labels.append(label)
-
+    n_a, n_b = np.maximum(n_a, 1), np.maximum(n_b, 1)
+    sigma = np.maximum(np.sqrt(var_a / n_a + var_b / n_b), _SIGMA_FLOOR)
+    mhat = ((mean_a - mean_b) / sigma)[kept]
     stat = float(np.max(-mhat))
-    worst = labels[int(np.argmax(-mhat))]
+    worst = labels[int(np.flatnonzero(kept)[np.argmax(-mhat)])]
 
+    # The (reps, n) Rademacher draws come in chunks of rows from one
+    # stream. A draw reduces to its per-bin sums, then to each moment's
+    # recentered, studentized estimate; the arithmetic is per draw, so a
+    # draw's maximum does not depend on the chunk it falls in.
+    n = codes.size
+    rows = max(1, _CHUNK_BYTES // (8 * max(n, width, kept.size)))
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(reps, n_rows)) * 2.0 - 1.0
-    sims = signs @ contrib
-    t_star = np.max(-sims, axis=1)
+    t_star = np.empty(reps)
+    for start in range(0, reps, rows):
+        bits = rng.integers(0, 2, size=(min(rows, reps - start), n))
+        ones = np.stack([np.bincount(shifted, weights=draw, minlength=width)[1:]
+                         for draw in bits])
+        pre = _prefix((2.0 * ones - counts).reshape(-1, *shape))
+        tot_a, hit_a = _arm_sums(pre, mom, mom.z)
+        tot_b, hit_b = _arm_sums(pre, mom, 1 - mom.z)
+        sims = ((hit_a - mean_a * tot_a) / (n_a * sigma)
+                - (hit_b - mean_b * tot_b) / (n_b * sigma))
+        t_star[start:start + len(bits)] = np.max(-sims[:, kept], axis=1)
     p = float((1 + np.sum(t_star >= stat)) / (reps + 1))
 
     return ValidityReport(
         test=test_name, statistic=stat, p_value=p, worst_set=worst,
-        bootstrap_reps=reps, seed=seed, n_moments=m, n_skipped=skipped,
-        method=method,
+        bootstrap_reps=reps, seed=seed, n_moments=int(kept.sum()),
+        n_skipped=int(kept.size - kept.sum()), method=method,
     )
 
 
-def _cell_groups(ds: Dataset, ct: CellTable | None):
-    """(label, row-index) pairs: the retained cells, or everything at once."""
+def _groups(ds: Dataset, ct: CellTable | None):
+    """Each row's group and the group labels: the retained cells in order,
+    with -1 for rows of excluded cells, or one group "all"."""
     if ct is None:
-        return [("all", np.arange(ds.n))]
-    groups = []
-    for j in range(ct.n_cells):
-        if ct.degenerate[j]:
-            continue
-        groups.append((ct.key_label(j), np.flatnonzero(ct.assignments == j)))
-    return groups
+        return np.zeros(ds.n, dtype=np.int64), ["all"]
+    retained = np.flatnonzero(~ct.degenerate)
+    index = np.full(ct.n_cells, -1, dtype=np.int64)
+    index[retained] = np.arange(retained.size)
+    return index[ct.assignments], [ct.key_label(j) for j in retained]
+
+
+def _bin_codes(ds: Dataset, group, interval, n_intervals: int):
+    code = ((group * 2 + ds.z) * 2 + ds.d) * n_intervals + interval
+    return np.where(group >= 0, code, -1)
+
+
+def _candidate_bins(ds: Dataset, ct: CellTable | None,
+                    partition: OutcomeSetPartition | None):
+    """Rows binned over the elementary intervals [c_t, c_t+1) of the
+    partition (auto when None), extended to cover every outcome.
+
+    Returns the row codes, the number of groups and of intervals, each
+    candidate set's first and one-past-last interval, the candidate tags
+    of every group in order, and the method record of the report.
+    """
+    if partition is None:
+        partition = OutcomeSetPartition.auto(ds.y)
+    partition = partition.ensure_covers(ds.y)
+    cuts = np.asarray(partition.cut_points)
+    group, cells = _groups(ds, ct)
+    interval = np.searchsorted(cuts, ds.y, side="right") - 1
+    codes = _bin_codes(ds, group, interval, cuts.size - 1)
+    lo, hi = np.triu_indices(cuts.size, 1)
+    sets = [label for _, _, label in partition.candidates()]
+    tags = [s if c == "all" else f"{s} | {c}" for c in cells for s in sets]
+    method = {"cut_points": list(partition.cut_points),
+              "conditioning": "cells" if ct is not None else "none"}
+    return codes, len(cells), cuts.size - 1, lo, hi, tags, method
 
 
 def bp_test(
@@ -209,26 +305,16 @@ def bp_test(
         P(Y in A, D = 1 | Z = 1) - P(Y in A, D = 1 | Z = 0) >= 0
         P(Y in A, D = 0 | Z = 0) - P(Y in A, D = 0 | Z = 1) >= 0
     """
-    if partition is None:
-        partition = OutcomeSetPartition.auto(ds.y)
-    partition = partition.ensure_covers(ds.y)
-    moments = []
-    for cell_label, rows in _cell_groups(ds, ct):
-        z_row = ds.z[rows]
-        idx_z1 = rows[z_row == 1]
-        idx_z0 = rows[z_row == 0]
-        for lo, hi, set_label in partition.candidates():
-            in_a = (ds.y >= lo) & (ds.y < hi)
-            f1 = (in_a & (ds.d == 1)).astype(np.float64)
-            f0 = (in_a & (ds.d == 0)).astype(np.float64)
-            tag = set_label if cell_label == "all" else f"{set_label} | {cell_label}"
-            moments.append((idx_z1, idx_z0, f1, f"{tag}, treated"))
-            moments.append((idx_z0, idx_z1, f0, f"{tag}, untreated"))
+    codes, n_groups, n_intervals, lo, hi, tags, method = _candidate_bins(
+        ds, ct, partition)
+    # per candidate set: the treated moment (Z = 1 arm, D = 1 rows), then
+    # the untreated one (Z = 0 arm, D = 0 rows), each over whole arms
+    side = np.tile([1, 0], lo.size)
+    mom = _Moments(side, side, 0, n_intervals, np.repeat(lo, 2), np.repeat(hi, 2))
+    labels = [f"{tag}, {kind}" for tag in tags for kind in ("treated", "untreated")]
     return _max_violation_test(
-        "bp_test", ds.n, moments, reps, seed,
-        {"cut_points": list(partition.cut_points),
-         "conditioning": "cells" if ct is not None else "none"},
-    )
+        "bp_test", codes, n_groups, n_intervals, mom, labels, reps, seed,
+        method)
 
 
 def mw_test(
@@ -244,24 +330,11 @@ def mw_test(
     cell), switching the instrument on cannot lower the share of treated
     rows. Candidate sets that are empty in one arm are skipped.
     """
-    if partition is None:
-        partition = OutcomeSetPartition.auto(ds.y)
-    partition = partition.ensure_covers(ds.y)
-    d_val = ds.d.astype(np.float64)
-    moments = []
-    for cell_label, rows in _cell_groups(ds, ct):
-        z_row = ds.z[rows]
-        for lo, hi, set_label in partition.candidates():
-            in_a = (ds.y[rows] >= lo) & (ds.y[rows] < hi)
-            idx_a = rows[in_a & (z_row == 1)]
-            idx_b = rows[in_a & (z_row == 0)]
-            tag = set_label if cell_label == "all" else f"{set_label} | {cell_label}"
-            moments.append((idx_a, idx_b, d_val, tag))
+    codes, n_groups, n_intervals, lo, hi, tags, method = _candidate_bins(
+        ds, ct, partition)
     return _max_violation_test(
-        "mw_test", ds.n, moments, reps, seed,
-        {"cut_points": list(partition.cut_points),
-         "conditioning": "cells" if ct is not None else "none"},
-    )
+        "mw_test", codes, n_groups, n_intervals, _Moments(1, 1, lo, hi, lo, hi),
+        tags, reps, seed, method)
 
 
 def first_stage_nonneg_test(
@@ -271,12 +344,9 @@ def first_stage_nonneg_test(
 ) -> ValidityReport:
     """Cell-level first stages must be nonnegative under monotonicity."""
     ds = ct.source
-    d_val = ds.d.astype(np.float64)
-    moments = []
-    for cell_label, rows in _cell_groups(ds, ct):
-        z_row = ds.z[rows]
-        moments.append((rows[z_row == 1], rows[z_row == 0], d_val, cell_label))
+    group, cells = _groups(ds, ct)
     return _max_violation_test(
-        "first_stage_nonneg_test", ds.n, moments, reps, seed,
+        "first_stage_nonneg_test", _bin_codes(ds, group, 0, 1), len(cells), 1,
+        _Moments(1, 1, 0, 1, 0, 1), cells, reps, seed,
         {"conditioning": "cells"},
     )

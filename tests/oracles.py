@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ivhet.errors import UndefinedTestError
+from ivhet.validity import _SIGMA_FLOOR, OutcomeSetPartition, ValidityReport
+
 
 def dense_ols(y, X):
     """Pinv-based OLS: coefficients, fitted, residuals."""
@@ -137,3 +140,138 @@ def wald_by_hand(y, d, z):
     num = (sum(y[i] for i in z1) / len(z1) - sum(y[i] for i in z0) / len(z0))
     den = (sum(d[i] for i in z1) / len(z1) - sum(d[i] for i in z0) / len(z0))
     return num / den
+
+
+# ------------------------------------------------- dense validity bootstrap
+#
+# The validity engine as it was before it moved to per-bin multiplier sums:
+# one dense (n x moments) contribution matrix and one dense (reps x n)
+# sign matrix. The package's binned engine must reproduce it.
+
+def _arm_stats(values: np.ndarray, idx: np.ndarray):
+    v = values[idx]
+    n = v.shape[0]
+    mean = float(v.mean())
+    var = float(v.var(ddof=1)) if n > 1 else 0.0
+    return mean, var, n
+
+
+def dense_bootstrap(test_name, n_rows, moments, reps, seed):
+    """The dense engine's work: moments is a list of (idx_a, idx_b, values,
+    label).
+
+    Each moment is the null hypothesis mean(values[idx_a]) >=
+    mean(values[idx_b]). Moments whose arms are empty are skipped and
+    counted; if nothing is left the test is undefined. Returns the kept
+    labels, their studentized estimates mhat, every draw's maximum
+    violation t_star and the number skipped.
+    """
+    kept = []
+    skipped = 0
+    for idx_a, idx_b, values, label in moments:
+        if idx_a.size == 0 or idx_b.size == 0:
+            skipped += 1
+            continue
+        kept.append((idx_a, idx_b, values, label))
+    if not kept:
+        raise UndefinedTestError(
+            f"{test_name}: every moment had an empty arm; nothing to test"
+        )
+
+    m = len(kept)
+    mhat = np.empty(m)
+    contrib = np.zeros((n_rows, m))
+    labels = []
+    for k, (idx_a, idx_b, values, label) in enumerate(kept):
+        mean_a, var_a, n_a = _arm_stats(values, idx_a)
+        mean_b, var_b, n_b = _arm_stats(values, idx_b)
+        sigma = np.sqrt(var_a / n_a + var_b / n_b)
+        sigma = max(sigma, _SIGMA_FLOOR)
+        mhat[k] = (mean_a - mean_b) / sigma
+        contrib[idx_a, k] += (values[idx_a] - mean_a) / (n_a * sigma)
+        contrib[idx_b, k] -= (values[idx_b] - mean_b) / (n_b * sigma)
+        labels.append(label)
+
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(0, 2, size=(reps, n_rows)) * 2.0 - 1.0
+    sims = signs @ contrib
+    t_star = np.max(-sims, axis=1)
+    return labels, mhat, t_star, skipped
+
+
+def dense_max_violation_test(test_name, n_rows, moments, reps, seed, method):
+    """The report of the dense engine on one moment list."""
+    labels, mhat, t_star, skipped = dense_bootstrap(
+        test_name, n_rows, moments, reps, seed)
+    stat = float(np.max(-mhat))
+    worst = labels[int(np.argmax(-mhat))]
+    p = float((1 + np.sum(t_star >= stat)) / (reps + 1))
+
+    return ValidityReport(
+        test=test_name, statistic=stat, p_value=p, worst_set=worst,
+        bootstrap_reps=reps, seed=seed, n_moments=len(labels),
+        n_skipped=skipped, method=method,
+    )
+
+
+def _cell_groups(ds, ct):
+    """(label, row-index) pairs: the retained cells, or everything at once."""
+    if ct is None:
+        return [("all", np.arange(ds.n))]
+    groups = []
+    for j in range(ct.n_cells):
+        if ct.degenerate[j]:
+            continue
+        groups.append((ct.key_label(j), np.flatnonzero(ct.assignments == j)))
+    return groups
+
+
+def dense_bp_moments(ds, ct=None, partition=None):
+    """bp_test's moment list, built row by row, and its method record."""
+    if partition is None:
+        partition = OutcomeSetPartition.auto(ds.y)
+    partition = partition.ensure_covers(ds.y)
+    moments = []
+    for cell_label, rows in _cell_groups(ds, ct):
+        z_row = ds.z[rows]
+        idx_z1 = rows[z_row == 1]
+        idx_z0 = rows[z_row == 0]
+        for lo, hi, set_label in partition.candidates():
+            in_a = (ds.y >= lo) & (ds.y < hi)
+            f1 = (in_a & (ds.d == 1)).astype(np.float64)
+            f0 = (in_a & (ds.d == 0)).astype(np.float64)
+            tag = set_label if cell_label == "all" else f"{set_label} | {cell_label}"
+            moments.append((idx_z1, idx_z0, f1, f"{tag}, treated"))
+            moments.append((idx_z0, idx_z1, f0, f"{tag}, untreated"))
+    return moments, {"cut_points": list(partition.cut_points),
+                     "conditioning": "cells" if ct is not None else "none"}
+
+
+def dense_mw_moments(ds, ct=None, partition=None):
+    """mw_test's moment list, built row by row, and its method record."""
+    if partition is None:
+        partition = OutcomeSetPartition.auto(ds.y)
+    partition = partition.ensure_covers(ds.y)
+    d_val = ds.d.astype(np.float64)
+    moments = []
+    for cell_label, rows in _cell_groups(ds, ct):
+        z_row = ds.z[rows]
+        for lo, hi, set_label in partition.candidates():
+            in_a = (ds.y[rows] >= lo) & (ds.y[rows] < hi)
+            idx_a = rows[in_a & (z_row == 1)]
+            idx_b = rows[in_a & (z_row == 0)]
+            tag = set_label if cell_label == "all" else f"{set_label} | {cell_label}"
+            moments.append((idx_a, idx_b, d_val, tag))
+    return moments, {"cut_points": list(partition.cut_points),
+                     "conditioning": "cells" if ct is not None else "none"}
+
+
+def dense_first_stage_moments(ct):
+    """first_stage_nonneg_test's moment list and its method record."""
+    ds = ct.source
+    d_val = ds.d.astype(np.float64)
+    moments = []
+    for cell_label, rows in _cell_groups(ds, ct):
+        z_row = ds.z[rows]
+        moments.append((rows[z_row == 1], rows[z_row == 0], d_val, cell_label))
+    return moments, {"conditioning": "cells"}

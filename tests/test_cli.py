@@ -236,6 +236,16 @@ def test_validity_explicit_cuts(trial_csv, capsys):
     assert len(payload["results"]["tests"]) == 3
 
 
+def test_validity_bad_reps_or_seed_exit_2(trial_csv, capsys):
+    for flag, value, message in (("--reps", "0", "reps must be at least 1"),
+                                 ("--reps", "-1", "reps must be at least 1"),
+                                 ("--seed", "-1", "seed must be nonnegative")):
+        code = main(["validity", "--input", str(trial_csv), *TRIAL_ARGS,
+                     "--min-arm", "1", flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_manyiv_reports_leverage_errors(trial_csv, capsys):
     payload = run_json(capsys, [
         "manyiv", "--input", str(trial_csv), *TRIAL_ARGS,
