@@ -1,11 +1,44 @@
 """Observation-level data container, CSV ingestion, and basic validation.
 
-A Dataset is immutable once built. Ingestion is strict about the binary
-columns: the treatment and instrument must be written as "0", "1", "0.0"
-or "1.0"; any other non-empty token raises rather than coerces, because a
-silently mis-coded arm is the most expensive failure mode downstream. Rows
-with a missing or non-numeric value in any mapped column are dropped and
-counted instead.
+A Dataset is immutable once built. load_dataset reads a comma-delimited
+UTF-8 file (a leading byte-order mark is skipped) whose first record is
+the header. The dialect is the csv module's default: fields may be quoted
+with ", a doubled "" inside quotes is a literal quote, and a quoted field
+may span lines. Lines may end in LF, CRLF or CR. Header names and tokens
+are stripped of surrounding whitespace. Blank lines are skipped and not
+counted.
+
+Rules for each non-blank body row:
+
+* the treatment and instrument must be written as "0", "1", "0.0" or
+  "1.0". Any other non-empty token raises DomainError rather than being
+  coerced, because a silently mis-coded arm is the most expensive failure
+  mode downstream;
+* a row that is too short to hold every mapped column, or that has an
+  empty or non-numeric token, a non-finite value ("nan", "inf") or an
+  empty cluster label in a mapped column, is dropped and counted in
+  Dataset.dropped;
+* cluster labels are arbitrary strings, recoded to integers in order of
+  first appearance.
+
+Errors. ConfigError (CLI exit 2): a missing, unreadable or directory
+path, and a mapped column that the header lacks or names twice.
+DomainError (exit 1): bytes that are not UTF-8, named by their offset, and
+a miscoded binary token. EmptyDataError (exit 1): an empty file, or fewer
+than two usable rows.
+
+How the body is read. Lines come in chunks of _CHUNK_ROWS, and numpy's C
+tokenizer converts a chunk column by column: real columns as float64,
+binary columns as four-character strings compared with the accepted forms,
+the cluster column as strings. A chunk takes the row rules (csv.reader
+plus _parse_real and _parse_binary, one row at a time) instead when it
+holds anything the column path does not decide the same way: non-ASCII
+text, NUL, whitespace inside a line, a line longer than the csv field
+limit, a token numpy will not convert, or a binary token outside the
+accepted forms. From the first chunk holding a quote, the rest of the file
+goes through csv.reader, so a quoted newline may span chunks. Chunks are
+taken in file order, so drops, codes, errors and messages are those of
+reading row by row, as tests/oracles.py's reference loader does.
 """
 
 from __future__ import annotations
@@ -13,12 +46,18 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyDataError
 
 _BINARY_FORMS = {"0": 0, "1": 1, "0.0": 0, "1.0": 1}
+_CHUNK_ROWS = 32_768        # body lines converted per chunk
+# A chunk with any of these goes through the row rules: the quote, NUL,
+# and every ASCII character that str.strip removes (line ends aside,
+# which only ever end a line).
+_ROW_RULE_CHARS = '"\x00 \t\x0b\x0c\x1c\x1d\x1e\x1f'
 
 
 @dataclass(frozen=True)
@@ -43,8 +82,13 @@ class ColumnMap:
 
     @classmethod
     def from_json(cls, path: str) -> "ColumnMap":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ConfigError(f"column map file {path} is not JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("column map file must hold a JSON object")
         known = {"outcome", "treatment", "instrument", "covariates", "cluster"}
@@ -175,89 +219,183 @@ def _parse_real(token: str):
     return value
 
 
+def _positions(header: list[str], cmap: ColumnMap, path: str) -> dict[str, int]:
+    header = [h.strip() for h in header]
+    wanted = [cmap.outcome, cmap.treatment, cmap.instrument, *cmap.covariates]
+    if cmap.cluster is not None:
+        wanted.append(cmap.cluster)
+    positions = {}
+    for name in wanted:
+        count = header.count(name)
+        if count == 0:
+            raise ConfigError(f"column '{name}' not found in {path}")
+        if count > 1:
+            raise ConfigError(
+                f"column '{name}' appears {count} times in the header of {path}"
+            )
+        positions[name] = header.index(name)
+    return positions
+
+
+def _columnar(lines: list[str]) -> bool:
+    """Whether numpy's tokenizer reads these lines as csv.reader would."""
+    text = "".join(lines)
+    return (text.isascii() and not any(c in text for c in _ROW_RULE_CHARS)
+            and max(map(len, lines)) <= csv.field_size_limit())
+
+
+class _Columns:
+    """The mapped columns of the body, gathered chunk by chunk in file order."""
+
+    def __init__(self, positions: dict[str, int], cmap: ColumnMap):
+        self.cmap = cmap
+        self.real_pos = [positions[c] for c in (cmap.outcome, *cmap.covariates)]
+        self.binary_pos = [positions[cmap.treatment], positions[cmap.instrument]]
+        self.cluster_pos = None if cmap.cluster is None else positions[cmap.cluster]
+        self.max_pos = max(positions.values())
+        self.reals: list[np.ndarray] = []     # (kept, 1 + k): outcome, covariates
+        self.binaries: list[np.ndarray] = []  # (kept, 2) bool: treatment, instrument
+        self.codes: list[np.ndarray] = []
+        self.labels: dict[str, int] = {}
+        self.rows = 0
+        self.dropped = 0
+
+    def _append(self, rows: int, reals, binaries, labels) -> None:
+        self.rows += rows
+        self.dropped += rows - len(reals)
+        width = len(self.real_pos)
+        self.reals.append(np.asarray(reals, dtype=np.float64).reshape(-1, width))
+        self.binaries.append(np.asarray(binaries, dtype=bool).reshape(-1, 2))
+        if self.cluster_pos is not None:
+            code = self.labels.setdefault
+            self.codes.append(np.array([code(s, len(self.labels)) for s in labels],
+                                       dtype=np.int64))
+
+    def add_lines(self, lines: list[str]) -> bool:
+        """Convert a chunk of lines by column.
+
+        Returns False, having added nothing, when the chunk must take the
+        row rules instead.
+        """
+        if not _columnar(lines):
+            return False
+        # csv.reader and numpy both skip the blank lines, and only those
+        rows = len(lines) - sum(lines.count(end) for end in ("\n", "\r\n", "\r"))
+        if rows == 0:
+            return True
+        read = dict(delimiter=",", comments=None, ndmin=2)
+        try:
+            reals = np.loadtxt(lines, usecols=self.real_pos, **read)
+            # four characters hold every accepted form and expose longer tokens
+            tokens = np.loadtxt(lines, dtype="U4", usecols=self.binary_pos, **read)
+            labels = None
+            if self.cluster_pos is not None:
+                labels = np.loadtxt(lines, dtype=object, usecols=[self.cluster_pos],
+                                    **read)[:, 0]
+        except ValueError:
+            return False
+        if not np.isin(tokens, list(_BINARY_FORMS)).all():
+            return False
+        ones = np.isin(tokens, [t for t, v in _BINARY_FORMS.items() if v])
+        keep = np.isfinite(reals).all(axis=1)
+        if labels is not None:
+            keep &= labels != ""
+            labels = labels[keep]
+        self._append(rows, reals[keep], ones[keep], labels)
+        return True
+
+    def add_rows(self, rows) -> None:
+        """Apply the row rules to csv records, one at a time."""
+        cmap = self.cmap
+        raw, reals, binaries, labels = 0, [], [], []
+        for row in rows:
+            if not row:
+                continue
+            raw += 1
+            if len(row) <= self.max_pos:
+                continue
+            d = _parse_binary(row[self.binary_pos[0]], cmap.treatment)
+            z = _parse_binary(row[self.binary_pos[1]], cmap.instrument)
+            values = [_parse_real(row[p]) for p in self.real_pos]
+            label = None
+            if self.cluster_pos is not None:
+                label = row[self.cluster_pos].strip()
+                if not label:
+                    continue
+            if d is None or z is None or any(v is None for v in values):
+                continue
+            reals.append(values)
+            binaries.append((d, z))
+            labels.append(label)
+        self._append(raw, reals, binaries, labels)
+
+    def dataset(self, path: str) -> Dataset:
+        kept = self.rows - self.dropped
+        if kept == 0:
+            raise EmptyDataError(f"no usable rows in {path}")
+        if kept < 2:
+            raise EmptyDataError(f"only {kept} usable row in {path}; need at least 2")
+        reals, binaries = np.concatenate(self.reals), np.concatenate(self.binaries)
+        self.reals, self.binaries = [], []      # free the chunks before the copies
+        return Dataset(
+            y=reals[:, 0],
+            d=binaries[:, 0],
+            z=binaries[:, 1],
+            x=reals[:, 1:],
+            covariate_names=self.cmap.covariates,
+            cluster=None if self.cluster_pos is None else np.concatenate(self.codes),
+            dropped=self.dropped,
+        )
+
+
+def _read_body(fh, cols: _Columns) -> None:
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        if cols.add_lines(lines):
+            continue
+        if any('"' in line for line in lines):
+            # a quoted field may span lines and chunks: csv reads the rest
+            records = csv.reader(chain(lines, fh))
+            while chunk := list(islice(records, _CHUNK_ROWS)):
+                cols.add_rows(chunk)
+            return
+        cols.add_rows(csv.reader(lines))
+
+
+def _undecodable(path: str) -> DomainError:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return DomainError(f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                           f"at offset {exc.start} cannot be decoded")
+    return DomainError(f"{path} is not UTF-8 text")
+
+
 def load_dataset(path: str, cmap: ColumnMap) -> Dataset:
     """Read a comma-delimited UTF-8 file with a header row into a Dataset.
 
     Rows with a missing or unparseable value in any mapped column are
     dropped; the count lands in Dataset.dropped. Cluster labels may be
     arbitrary strings and are recoded to integers in order of first
-    appearance.
+    appearance. The module docstring gives the dialect and the rules.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        wanted = [cmap.outcome, cmap.treatment, cmap.instrument, *cmap.covariates]
-        if cmap.cluster is not None:
-            wanted.append(cmap.cluster)
-        for name in wanted:
-            try:
-                positions[name] = header.index(name)
-            except ValueError:
-                raise ConfigError(f"column '{name}' not found in {path}") from None
-
-        ys, ds, zs = [], [], []
-        xs: list[list[float]] = []
-        clusters: list[str] = []
-        raw_rows = 0
-        dropped = 0
-        max_pos = max(positions.values())
-        for row in reader:
-            if not row:
-                continue
-            raw_rows += 1
-            if len(row) <= max_pos:
-                dropped += 1
-                continue
-            y = _parse_real(row[positions[cmap.outcome]])
-            d = _parse_binary(row[positions[cmap.treatment]], cmap.treatment)
-            z = _parse_binary(row[positions[cmap.instrument]], cmap.instrument)
-            covs = [_parse_real(row[positions[c]]) for c in cmap.covariates]
-            label = None
-            if cmap.cluster is not None:
-                label = row[positions[cmap.cluster]].strip()
-                if not label:
-                    dropped += 1
-                    continue
-            if y is None or d is None or z is None or any(v is None for v in covs):
-                dropped += 1
-                continue
-            ys.append(y)
-            ds.append(d)
-            zs.append(z)
-            xs.append(covs)
-            if label is not None:
-                clusters.append(label)
-
-    if not ys:
-        raise EmptyDataError(f"no usable rows in {path}")
-    if len(ys) < 2:
-        raise EmptyDataError(f"only {len(ys)} usable row in {path}; need at least 2")
-
-    cluster_codes = None
-    if cmap.cluster is not None:
-        seen: dict[str, int] = {}
-        cluster_codes = np.array([seen.setdefault(c, len(seen)) for c in clusters],
-                                 dtype=np.int64)
-
-    x = np.asarray(xs, dtype=np.float64)
-    if x.size == 0:
-        x = np.empty((len(ys), 0))
-    ds_out = Dataset(
-        y=np.asarray(ys),
-        d=np.asarray(ds),
-        z=np.asarray(zs),
-        x=x,
-        covariate_names=cmap.covariates,
-        cluster=cluster_codes,
-        dropped=dropped,
-    )
-    assert ds_out.n + dropped == raw_rows
-    return ds_out
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise EmptyDataError(f"{path} is empty")
+            cols = _Columns(_positions(header, cmap, path), cmap)
+            _read_body(fh, cols)
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+    ds = cols.dataset(path)
+    assert ds.n + ds.dropped == cols.rows
+    return ds
 
 
 def validate(ds: Dataset) -> ValidationReport:

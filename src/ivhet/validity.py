@@ -118,6 +118,16 @@ class OutcomeSetPartition:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """One test's result.
+
+    statistic is the largest studentized violation over the kept moments
+    (those with both arms nonempty). worst_set is the first kept moment,
+    in label order, that attains it: moments tied exactly, as in two
+    bit-identical cells, go to the one listed first. The p-value is
+    (1 + #{draws with maximum >= statistic}) / (reps + 1): a draw whose
+    maximum equals the statistic counts as at least as extreme.
+    """
+
     test: str
     statistic: float
     p_value: float

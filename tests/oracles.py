@@ -7,9 +7,12 @@ evidence and not tautology.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from ivhet.errors import UndefinedTestError
+from ivhet.data_model import ColumnMap, Dataset
+from ivhet.errors import ConfigError, DomainError, EmptyDataError, UndefinedTestError
 from ivhet.validity import _SIGMA_FLOOR, OutcomeSetPartition, ValidityReport
 
 
@@ -275,3 +278,119 @@ def dense_first_stage_moments(ct):
         z_row = ds.z[rows]
         moments.append((rows[z_row == 1], rows[z_row == 0], d_val, cell_label))
     return moments, {"conditioning": "cells"}
+
+
+# The row-at-a-time CSV loader that ivhet.load_dataset replaced, kept
+# verbatim as the reference for the chunked columnar loader.
+
+_BINARY_FORMS = {"0": 0, "1": 1, "0.0": 0, "1.0": 1}
+
+
+def _parse_binary(token: str, column: str):
+    token = token.strip()
+    if not token:
+        return None
+    try:
+        return _BINARY_FORMS[token]
+    except KeyError:
+        raise DomainError(
+            f"column '{column}' holds '{token}'; only 0/1 (or 0.0/1.0) are accepted"
+        ) from None
+
+
+def _parse_real(token: str):
+    token = token.strip()
+    if not token:
+        return None
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    if not np.isfinite(value):
+        return None
+    return value
+
+
+def row_load_dataset(path: str, cmap: ColumnMap) -> Dataset:
+    """Read a comma-delimited UTF-8 file with a header row into a Dataset.
+
+    Rows with a missing or unparseable value in any mapped column are
+    dropped; the count lands in Dataset.dropped. Cluster labels may be
+    arbitrary strings and are recoded to integers in order of first
+    appearance.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataError(f"{path} is empty") from None
+        header = [h.strip() for h in header]
+        positions = {}
+        wanted = [cmap.outcome, cmap.treatment, cmap.instrument, *cmap.covariates]
+        if cmap.cluster is not None:
+            wanted.append(cmap.cluster)
+        for name in wanted:
+            try:
+                positions[name] = header.index(name)
+            except ValueError:
+                raise ConfigError(f"column '{name}' not found in {path}") from None
+
+        ys, ds, zs = [], [], []
+        xs: list[list[float]] = []
+        clusters: list[str] = []
+        raw_rows = 0
+        dropped = 0
+        max_pos = max(positions.values())
+        for row in reader:
+            if not row:
+                continue
+            raw_rows += 1
+            if len(row) <= max_pos:
+                dropped += 1
+                continue
+            y = _parse_real(row[positions[cmap.outcome]])
+            d = _parse_binary(row[positions[cmap.treatment]], cmap.treatment)
+            z = _parse_binary(row[positions[cmap.instrument]], cmap.instrument)
+            covs = [_parse_real(row[positions[c]]) for c in cmap.covariates]
+            label = None
+            if cmap.cluster is not None:
+                label = row[positions[cmap.cluster]].strip()
+                if not label:
+                    dropped += 1
+                    continue
+            if y is None or d is None or z is None or any(v is None for v in covs):
+                dropped += 1
+                continue
+            ys.append(y)
+            ds.append(d)
+            zs.append(z)
+            xs.append(covs)
+            if label is not None:
+                clusters.append(label)
+
+    if not ys:
+        raise EmptyDataError(f"no usable rows in {path}")
+    if len(ys) < 2:
+        raise EmptyDataError(f"only {len(ys)} usable row in {path}; need at least 2")
+
+    cluster_codes = None
+    if cmap.cluster is not None:
+        seen: dict[str, int] = {}
+        cluster_codes = np.array([seen.setdefault(c, len(seen)) for c in clusters],
+                                 dtype=np.int64)
+
+    x = np.asarray(xs, dtype=np.float64)
+    if x.size == 0:
+        x = np.empty((len(ys), 0))
+    ds_out = Dataset(
+        y=np.asarray(ys),
+        d=np.asarray(ds),
+        z=np.asarray(zs),
+        x=x,
+        covariate_names=cmap.covariates,
+        cluster=cluster_codes,
+        dropped=dropped,
+    )
+    assert ds_out.n + dropped == raw_rows
+    return ds_out

@@ -119,6 +119,25 @@ def test_bad_binary_rows_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_input_exit_codes(tmp_path, capsys):
+    roles = ["-y", "y", "-d", "d", "-z", "z"]
+    bad_bytes = tmp_path / "latin1.csv"
+    bad_bytes.write_bytes(b"y,d,z\n1,0,1\n\xff,1,0\n")
+    twice = tmp_path / "twice.csv"
+    twice.write_text("y,d,z,d\n1,0,1,1\n2,1,0,0\n")
+    cases = [
+        (["--input", str(tmp_path / "absent.csv")], 2, "No such file"),
+        (["--input", str(tmp_path)], 2, "Is a directory"),
+        (["--input", str(twice)], 2, "column 'd' appears 2 times"),
+        (["--input", str(twice), "--config", str(tmp_path / "absent.json")], 2,
+         "No such file"),
+        (["--input", str(bad_bytes)], 1, "byte 0xff at offset 12"),
+    ]
+    for argv, code, message in cases:
+        assert main(["estimate", *argv, *roles]) == code
+        assert message in capsys.readouterr().err
+
+
 def test_no_variation_exit_1(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     rows = "".join(f"{float(i)!r},1,{i % 2}\n" for i in range(10))

@@ -150,3 +150,40 @@ def test_validate_warns_constant_covariate():
     assert rep.passed
     assert any("const" in w for w in rep.warnings)
     assert not any("varies" in w for w in rep.warnings)
+
+
+def test_load_missing_or_directory_path_is_config_error(tmp_path):
+    cmap = ColumnMap("y", "d", "z")
+    with pytest.raises(ConfigError, match="cannot read .*No such file"):
+        load_dataset(str(tmp_path / "absent.csv"), cmap)
+    with pytest.raises(ConfigError, match="cannot read .*Is a directory"):
+        load_dataset(str(tmp_path), cmap)
+
+
+def test_load_undecodable_bytes_is_domain_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"y,d,z\n1,0,1\ncaf\xe9,1,0\n2,1,0\n")
+    with pytest.raises(DomainError, match=r"byte 0xe9 at offset 15 cannot be decoded"):
+        load_dataset(str(p), ColumnMap("y", "d", "z"))
+    # the offset counts the byte-order mark
+    p.write_bytes(b"\xef\xbb\xbfy,d,z\n1,0,1\n\xff,1,0\n")
+    with pytest.raises(DomainError, match=r"byte 0xff at offset 15 cannot"):
+        load_dataset(str(p), ColumnMap("y", "d", "z"))
+
+
+def test_load_duplicate_mapped_header_name_is_config_error(tmp_path):
+    path = _write(tmp_path, "y,d,z,y\n1,0,1,5\n2,1,0,6\n")
+    with pytest.raises(ConfigError, match="column 'y' appears 2 times"):
+        load_dataset(path, ColumnMap("y", "d", "z"))
+    # a repeated name that no role maps is fine
+    path = _write(tmp_path, "y,d,z,w,w\n1,0,1,5,5\n2,1,0,6,6\n")
+    assert load_dataset(path, ColumnMap("y", "d", "z")).n == 2
+
+
+def test_column_map_from_json_unreadable_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read .*No such file"):
+        ColumnMap.from_json(str(tmp_path / "absent.json"))
+    p = tmp_path / "map.json"
+    p.write_text("{outcome: y}")
+    with pytest.raises(ConfigError, match="is not JSON"):
+        ColumnMap.from_json(str(p))

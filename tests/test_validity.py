@@ -135,6 +135,28 @@ def test_defiers_rejected_by_first_stage_test():
     assert rep.worst_set == "(3)"
 
 
+def test_worst_set_tie_goes_to_first_moment_in_label_order():
+    """Two bit-identical cells carry bit-identical moments, so every
+    maximum is attained in both; worst_set names the first, in cell 0."""
+    cell = CellSpec(share=1.0, q=0.5, types=(0.4, 0.3, 0.3, 0.0),
+                    y0={"never": 0.0, "complier": 1.0, "always": 2.0},
+                    y1={"complier": 2.0, "always": 3.0})
+    one, _ = generate(DGPSpec(cells=(cell,), exclusion_shift=3.0, seed=1), 800)
+    twice = Dataset(y=np.tile(one.y, 2), d=np.tile(one.d, 2),
+                    z=np.tile(one.z, 2), x=np.repeat([0.0, 1.0], one.n))
+    ct_one, ct_twice = build_cells(one), build_cells(twice)
+    assert ct_twice.n_cells == 2
+    pairs = [(bp_test(one, ct_one, reps=99), bp_test(twice, ct_twice, reps=99)),
+             (mw_test(one, ct_one, reps=99), mw_test(twice, ct_twice, reps=99)),
+             (first_stage_nonneg_test(ct_one, reps=99),
+              first_stage_nonneg_test(ct_twice, reps=99))]
+    for single, doubled in pairs:
+        assert doubled.n_moments == 2 * single.n_moments
+        assert doubled.statistic == single.statistic
+        assert "(0)" in doubled.worst_set
+        assert doubled.worst_set == single.worst_set
+
+
 def test_mw_equals_bp_on_full_interval():
     """On the single full-range outcome set the two tests coincide: same
     statistic and identical bootstrap draws, hence the same p-value."""
