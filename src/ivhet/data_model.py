@@ -60,6 +60,17 @@ _CHUNK_ROWS = 32_768        # body lines converted per chunk
 _ROW_RULE_CHARS = '"\x00 \t\x0b\x0c\x1c\x1d\x1e\x1f'
 
 
+def _read_json(path: str, what: str):
+    """Parse a JSON file; an unreadable or malformed one is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not JSON: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ColumnMap:
     """Names of the columns that play each role."""
@@ -82,13 +93,7 @@ class ColumnMap:
 
     @classmethod
     def from_json(cls, path: str) -> "ColumnMap":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-        except ValueError as exc:
-            raise ConfigError(f"column map file {path} is not JSON: {exc}") from None
+        raw = _read_json(path, "column map file")
         if not isinstance(raw, dict):
             raise ConfigError("column map file must hold a JSON object")
         known = {"outcome", "treatment", "instrument", "covariates", "cluster"}

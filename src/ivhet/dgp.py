@@ -15,13 +15,11 @@ the same seed agree on the first 100.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from .data_model import Dataset
+from .data_model import Dataset, _read_json
 from .errors import ConfigError, DomainError
 from .estimators import WeightTable, _normalize
 
@@ -105,8 +103,7 @@ class DGPSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "DGPSpec":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _read_json(path, "DGP spec file")
         if not isinstance(raw, dict) or "cells" not in raw:
             raise ConfigError("DGP spec file must be a JSON object with a 'cells' list")
         cells = []
@@ -189,6 +186,7 @@ def generate(spec: DGPSpec, n: int, seed: int | None = None) -> tuple[Dataset, L
     m1 = np.array([c.y1 for c in spec.cells])
     s0 = np.array([c.noise0 for c in spec.cells])
     s1 = np.array([c.noise1 for c in spec.cells])
+    from scipy.special import ndtri
     e0 = ndtri(u[:, 3])
     e1 = ndtri(u[:, 4])
     y0 = m0[cell, ctype] + s0[cell, ctype] * e0

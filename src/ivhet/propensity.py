@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .data_model import Dataset
 from .errors import (
@@ -28,13 +27,14 @@ from .errors import (
     TrimError,
 )
 from .regression import ols, screen_columns
-from .special import normal_cdf, normal_log_cdf, normal_pdf
+from .special import normal_cdf, normal_log_cdf
 
 LINKS = ("logit", "probit", "linear")
 
 _MAX_ABS_COEF = 30.0
 _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times this
 _LL_RTOL = 1e-10
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,11 @@ def _probit_parts(eta: np.ndarray, z: np.ndarray):
     log_p = normal_log_cdf(eta)
     log_1mp = normal_log_cdf(-eta)
     ll = float(np.sum(z * log_p + (1.0 - z) * log_1mp))
-    phi = normal_pdf(eta)
-    # Mills ratios phi/Phi and phi/(1-Phi) via the log CDF; stable in both tails
-    mills_p = np.exp(np.log(phi, out=np.full_like(eta, -np.inf), where=phi > 0) - log_p)
-    mills_1mp = np.exp(np.log(phi, out=np.full_like(eta, -np.inf), where=phi > 0) - log_1mp)
+    # Mills ratios phi/Phi and phi/(1-Phi) in logs; log phi is taken in closed
+    # form because phi itself loses bits below 1e-308 and is 0 past |eta| ~ 38.5
+    log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
+    mills_p = np.exp(log_phi - log_p)
+    mills_1mp = np.exp(log_phi - log_1mp)
     u = z * mills_p - (1.0 - z) * mills_1mp
     w = mills_p * mills_1mp
     p = normal_cdf(eta)

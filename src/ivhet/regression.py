@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .errors import DomainError, EmptyDataError, IdentificationError, RankError
 
@@ -120,6 +119,7 @@ def _sandwich(design: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray,
 
 def _solve_ols(y: np.ndarray, Xk: np.ndarray):
     """Coefficients and (X'X)^-1 for a full-rank design via thin QR."""
+    from scipy.linalg import qr, solve_triangular
     Q, R = qr(Xk, mode="economic")
     coef = solve_triangular(R, Q.T @ y)
     rinv = solve_triangular(R, np.eye(R.shape[0]))

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.special import chdtrc, fdtrc
 
 from .errors import ConvergenceError, DomainError, SeparationError
 from .propensity import fit_binary_index
@@ -116,6 +114,8 @@ def reset_linear(
     sl = slice(X.shape[1], X.shape[1] + q)
     gamma = aug.coefficients[sl]
     vg = aug.vcov[sl, sl]
+    import scipy.linalg
+    from scipy.special import fdtrc
     try:
         stat = float(gamma @ scipy.linalg.solve(vg, gamma, assume_a="pos")) / q
     except scipy.linalg.LinAlgError:
@@ -172,6 +172,7 @@ def reset_binary_index(
     lr = 2.0 * (aug.loglik - base.loglik)
     # the warm start makes the augmented likelihood no worse; clip noise
     lr = max(lr, 0.0)
+    from scipy.special import chdtrc
     p = float(chdtrc(q, lr))
     return TestReport(
         test="reset_binary_index", statistic=lr, df=(q,), p_value=p,

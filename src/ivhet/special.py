@@ -1,165 +1,39 @@
-"""Standard normal CDF evaluated with a rational approximation.
+"""The error function family and the standard normal CDF, elementwise.
 
-The CDF is computed from the error function using W. J. Cody's rational
-Chebyshev approximations (Math. Comp. 23, 1969; the coefficients below are
-the double precision set from the SPECFUN routine CALERF). Evaluating the
-approximation directly, instead of delegating to a platform libm, keeps
-results bit-identical across platforms. Absolute error is below 1e-15 for
-the CDF, comfortably inside the 1e-12 contract asserted in the tests.
+Thin wrappers over scipy.special: normal_cdf is ``ndtr``, normal_log_cdf is
+``log_ndtr`` (accurate far into the left tail and as a tiny negative number
+in the right tail), and erf, erfc and erfcx are the scipy functions of the
+same name. The density is plain numpy. scipy.special is imported on first
+call, so importing ivhet loads no scipy module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_THRESH = 0.46875
-_SQRPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
-_LOG2 = 0.6931471805599453094
-_SQRT2 = 1.4142135623730950488
 
-_A = np.array([
-    3.16112374387056560e00, 1.13864154151050156e02,
-    3.77485237685302021e02, 3.20937758913846947e03,
-    1.85777706184603153e-1,
-])
-_B = np.array([
-    2.36012909523441209e01, 2.44024637934444173e02,
-    1.28261652607737228e03, 2.84423683343917062e03,
-])
-_C = np.array([
-    5.64188496988670089e-1, 8.88314979438837594e00,
-    6.61191906371416295e01, 2.98635138197400131e02,
-    8.81952221241769090e02, 1.71204761263407058e03,
-    2.05107837782607147e03, 1.23033935479799725e03,
-    2.15311535474403846e-8,
-])
-_D = np.array([
-    1.57449261107098347e01, 1.17693950891312499e02,
-    5.37181101862009858e02, 1.62138957456669019e03,
-    3.29079923573345963e03, 4.36261909014324716e03,
-    3.43936767414372164e03, 1.23033935480374942e03,
-])
-_P = np.array([
-    3.05326634961232344e-1, 3.60344899949804439e-1,
-    1.25781726111229246e-1, 1.60837851487422766e-2,
-    6.58749161529837803e-4, 1.63153871373020978e-2,
-])
-_Q = np.array([
-    2.56852019228982242e00, 1.87295284992346047e00,
-    5.27905102951428412e-1, 6.05183413124413191e-2,
-    2.33520497626869185e-3,
-])
-
-
-def _erf_small(x: np.ndarray) -> np.ndarray:
-    # |x| <= 0.46875
-    ysq = x * x
-    xnum = _A[4] * ysq
-    xden = ysq
-    for i in range(3):
-        xnum = (xnum + _A[i]) * ysq
-        xden = (xden + _B[i]) * ysq
-    return x * (xnum + _A[3]) / (xden + _B[3])
-
-
-def _erfcx_mid(y: np.ndarray) -> np.ndarray:
-    # exp(y^2) * erfc(y) for 0.46875 <= y <= 4
-    xnum = _C[8] * y
-    xden = y
-    for i in range(7):
-        xnum = (xnum + _C[i]) * y
-        xden = (xden + _D[i]) * y
-    return (xnum + _C[7]) / (xden + _D[7])
-
-
-def _erfcx_large(y: np.ndarray) -> np.ndarray:
-    # exp(y^2) * erfc(y) for y > 4
-    with np.errstate(divide="ignore", over="ignore"):
-        ysq = 1.0 / (y * y)
-    xnum = _P[5] * ysq
-    xden = ysq
-    for i in range(4):
-        xnum = (xnum + _P[i]) * ysq
-        xden = (xden + _Q[i]) * ysq
-    res = ysq * (xnum + _P[4]) / (xden + _Q[4])
-    return (_SQRPI - res) / y
-
-
-def _exp_nyy(y: np.ndarray) -> np.ndarray:
-    # exp(-y*y) split as in CALERF to limit argument reduction error
-    ysq = np.trunc(y * 16.0) / 16.0
-    dely = (y - ysq) * (y + ysq)
-    with np.errstate(under="ignore"):
-        return np.exp(-ysq * ysq) * np.exp(-dely)
+def erf(x) -> np.ndarray:
+    """Error function, elementwise."""
+    import scipy.special
+    return scipy.special.erf(np.asarray(x, dtype=np.float64))
 
 
 def erfc(x) -> np.ndarray:
     """Complementary error function, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.abs(x)
-    out = np.empty_like(y)
-
-    small = y <= _THRESH
-    mid = (y > _THRESH) & (y <= 4.0)
-    large = y > 4.0
-    if small.any():
-        out[small] = 1.0 - _erf_small(y[small])
-    if mid.any():
-        ym = y[mid]
-        out[mid] = _exp_nyy(ym) * _erfcx_mid(ym)
-    if large.any():
-        yl = y[large]
-        out[large] = _exp_nyy(yl) * _erfcx_large(yl)
-        # past ~26.5 the unscaled value underflows to zero
-        out[large] = np.where(yl > 26.543, 0.0, out[large])
-
-    neg = x < 0
-    out[neg] = 2.0 - out[neg]
-    return out
+    import scipy.special
+    return scipy.special.erfc(np.asarray(x, dtype=np.float64))
 
 
 def erfcx(x) -> np.ndarray:
     """Scaled complementary error function exp(x^2) erfc(x), elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.abs(x)
-    out = np.empty_like(y)
-
-    small = y <= _THRESH
-    mid = (y > _THRESH) & (y <= 4.0)
-    large = y > 4.0
-    if small.any():
-        ys = y[small]
-        out[small] = np.exp(ys * ys) * (1.0 - _erf_small(ys))
-    if mid.any():
-        out[mid] = _erfcx_mid(y[mid])
-    if large.any():
-        out[large] = _erfcx_large(y[large])
-
-    neg = x < 0
-    if neg.any():
-        with np.errstate(over="ignore"):
-            out[neg] = 2.0 * np.exp(y[neg] * y[neg]) - out[neg]
-    return out
-
-
-def erf(x) -> np.ndarray:
-    """Error function, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.abs(x)
-    out = np.empty_like(y)
-    small = y <= _THRESH
-    rest = ~small
-    if small.any():
-        out[small] = _erf_small(x[small])
-    if rest.any():
-        out[rest] = np.sign(x[rest]) * (1.0 - erfc(y[rest]))
-    return out
+    import scipy.special
+    return scipy.special.erfcx(np.asarray(x, dtype=np.float64))
 
 
 def normal_cdf(x) -> np.ndarray:
     """Standard normal CDF Phi(x), elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * erfc(-x / _SQRT2)
+    import scipy.special
+    return scipy.special.ndtr(np.asarray(x, dtype=np.float64))
 
 
 def normal_pdf(x) -> np.ndarray:
@@ -169,20 +43,6 @@ def normal_pdf(x) -> np.ndarray:
 
 
 def normal_log_cdf(x) -> np.ndarray:
-    """log Phi(x), elementwise, stable far into the left tail.
-
-    For x >= -1 the plain logarithm of the CDF is accurate. Further left,
-    log Phi(x) = -x^2/2 - log 2 + log erfcx(-x/sqrt(2)) avoids underflow
-    down to the double precision limit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    hi = x >= -1.0
-    lo = ~hi
-    if hi.any():
-        # 1 - Phi(x) is small here, so log1p keeps full relative accuracy
-        out[hi] = np.log1p(-0.5 * erfc(x[hi] / _SQRT2))
-    if lo.any():
-        t = -x[lo] / _SQRT2
-        out[lo] = -t * t - _LOG2 + np.log(erfcx(t))
-    return out
+    """log Phi(x), elementwise, stable in both tails."""
+    import scipy.special
+    return scipy.special.log_ndtr(np.asarray(x, dtype=np.float64))

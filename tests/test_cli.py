@@ -265,6 +265,22 @@ def test_validity_bad_reps_or_seed_exit_2(trial_csv, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_saturated_commands_do_not_load_scipy(trial_csv):
+    data = ["--input", str(trial_csv), *TRIAL_ARGS, "--json"]
+    runs = [["weights", *data, "--min-arm", "1"],
+            ["estimate", *data, "--min-arm", "1"],
+            ["manyiv", *data],
+            ["validity", *data, "--min-arm", "1", "--reps", "99"]]
+    code = (f"import sys\nfrom ivhet.cli import main\n"
+            f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"command"') == len(runs)
+
+
 def test_manyiv_reports_leverage_errors(trial_csv, capsys):
     payload = run_json(capsys, [
         "manyiv", "--input", str(trial_csv), *TRIAL_ARGS,
@@ -336,6 +352,18 @@ def test_simulate_reproducible_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_simulate_unreadable_spec_exit_2(tmp_path, capsys):
+    not_json = tmp_path / "spec.txt"
+    not_json.write_text("cells: []\n")
+    cases = [(tmp_path / "absent.json", "No such file"),
+             (not_json, "is not JSON")]
+    for spec, message in cases:
+        assert main(["simulate", "--spec", str(spec), "--n", "10",
+                     "--data", str(tmp_path / "draw.csv")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "draw.csv").exists()
 
 
 def test_version_flag():

@@ -169,6 +169,20 @@ def test_spec_json_missing_key(tmp_path):
         DGPSpec.from_json(str(p))
 
 
+def test_spec_json_unreadable_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read .*No such file"):
+        DGPSpec.from_json(str(tmp_path / "absent.json"))
+    with pytest.raises(ConfigError, match="cannot read .*Is a directory"):
+        DGPSpec.from_json(str(tmp_path))
+    p = tmp_path / "spec.json"
+    p.write_text("{cells: []}")
+    with pytest.raises(ConfigError, match="DGP spec file .* is not JSON"):
+        DGPSpec.from_json(str(p))
+    p.write_bytes(b'{"cells": [\xff]}')
+    with pytest.raises(ConfigError, match="is not JSON"):
+        DGPSpec.from_json(str(p))
+
+
 def test_reference_trial_structure():
     ds = reference_trial()
     assert ds.n == 58

@@ -3,6 +3,7 @@ import pytest
 
 from ivhet import (
     Dataset,
+    DomainError,
     IdentificationError,
     build_cells,
     decompose_weights,
@@ -221,6 +222,30 @@ def test_cluster_se_differs_but_estimate_matches():
     assert b.se_type == "influence"
     assert abs(a.estimate - b.estimate) < 1e-12
     assert a.se != b.se
+
+
+def test_saturated_cluster_se_factor_pinned():
+    """The saturated Wald ratio scales its cluster SE by g/(g-1) only: with
+    singleton clusters it is the influence SE times sqrt(m/(m-1)). With one
+    cluster it applies no factor and returns the unscaled cluster sum,
+    which is zero up to rounding since the influence values sum to zero,
+    while the closed-form 2SLS estimators raise."""
+    rng = np.random.default_rng(43)
+    ds = random_saturated_dataset(rng, n_cells=3)
+    m = ds.n
+    plain = estimate_beta_late_saturated(build_cells(ds, min_arm_size=1))
+    assert plain.se_type == "influence"
+    cts = [build_cells(Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x, cluster=labels),
+                       min_arm_size=1)
+           for labels in (np.arange(m), np.zeros(m, dtype=int))]
+    for ct, want in zip(cts, (plain.se * np.sqrt(m / (m - 1.0)), 0.0)):
+        rep = estimate_beta_late_saturated(ct)
+        assert rep.se_type == "cluster"
+        assert rep.estimate == plain.estimate
+        assert abs(rep.se - want) <= 1e-12 * plain.se
+    for fn in (estimate_beta_iv, estimate_beta_ai):
+        with pytest.raises(DomainError, match="at least 2 clusters"):
+            fn(cts[1], se_type="cluster")
 
 
 def test_influence_se_close_to_delta_wald_single_cell():

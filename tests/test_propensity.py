@@ -97,6 +97,27 @@ def test_score_matches_central_differences(link):
         assert np.abs(g - g_fd).max() / denom < 1e-5
 
 
+def test_probit_parts_in_the_tails():
+    # z = 1 makes the score phi/Phi, z = 0 makes it -phi/(1-Phi). Past
+    # |eta| ~ 38.5 phi itself underflows, yet the ratio on the far side is
+    # about |eta|. Subnormal ratios carry too few bits for a relative check.
+    eta = np.array([-40.0, -38.0, -20.0, -8.0, 8.0, 20.0, 38.0, 40.0])
+    log_phi = scipy.stats.norm.logpdf(eta)
+    ref_p = np.exp(log_phi - scipy.stats.norm.logcdf(eta))
+    ref_1mp = np.exp(log_phi - scipy.stats.norm.logcdf(-eta))
+    for z in (np.ones_like(eta), np.zeros_like(eta)):
+        ll, u, w, _ = _probit_parts(eta, z)
+        assert np.isfinite(ll)
+        assert np.isfinite(u).all() and np.isfinite(w).all()
+    mills_p = _probit_parts(eta, np.ones_like(eta))[1]
+    mills_1mp = -_probit_parts(eta, np.zeros_like(eta))[1]
+    tiny = np.finfo(float).tiny
+    for got, ref in ((mills_p, ref_p), (mills_1mp, ref_1mp)):
+        ok = ref >= tiny
+        assert ok.sum() == 6
+        np.testing.assert_allclose(got[ok], ref[ok], rtol=1e-12, atol=0)
+
+
 def test_probit_phat_matches_cdf():
     z, X = _sample(5, n=800)
     fit = fit_binary_index(z, X, link="probit")
@@ -232,6 +253,25 @@ def test_ipw_cluster_delta_se():
     rep = ipw_late(dsc, pf)
     assert rep.se_type == "cluster"
     assert rep.se > 0
+
+
+def test_ipw_cluster_delta_se_factor_pinned():
+    """The delta SE with clusters scales by g/max(g-1, 1): singleton
+    clusters give the plain delta SE times sqrt(n/(n-1)); one cluster
+    applies no factor and returns the unscaled cluster sum, zero up to
+    rounding since the influence values sum to zero."""
+    ds, _ = _saturated_instance(18, n=800)
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+    plain = ipw_late(ds, pf)
+    assert plain.se_type == "delta"
+    n = plain.n_used
+    for labels, want in ((np.arange(ds.n), plain.se * np.sqrt(n / (n - 1.0))),
+                         (np.zeros(ds.n, dtype=int), 0.0)):
+        dsc = Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x, cluster=labels)
+        rep = ipw_late(dsc, pf)
+        assert rep.se_type == "cluster"
+        assert rep.estimate == plain.estimate
+        assert abs(rep.se - want) <= 1e-12 * plain.se
 
 
 def test_warm_start_converges_fast():

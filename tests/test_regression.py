@@ -65,6 +65,13 @@ def test_singleton_clusters_equal_hc1():
     np.testing.assert_allclose(v_cl, v_hc1, rtol=1e-12)
 
 
+def test_one_cluster_raises():
+    rng = np.random.default_rng(15)
+    y, X = _random_instance(rng, n=40)
+    with pytest.raises(DomainError, match="at least 2 clusters"):
+        ols(y, X, se_type="cluster", cluster=np.zeros(40, dtype=int))
+
+
 def test_collinear_columns_dropped_in_design_order():
     rng = np.random.default_rng(14)
     n = 30

@@ -161,3 +161,12 @@ def test_import_does_not_load_scipy_stats():
     # import time of the package
     code = "import sys, ivhet; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported inside the functions that use it, so the saturated
+    # commands start without paying for it
+    code = ("import sys, ivhet, ivhet.cli\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
