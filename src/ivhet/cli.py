@@ -27,6 +27,7 @@ from .data_model import ColumnMap, Dataset, load_dataset, validate
 from .dgp import DGPSpec, brute_force_late, brute_force_weights, generate
 from .errors import ConfigError, DataError, DomainError, LeverageError
 from .estimators import (
+    EstimateReport,
     decompose_weights,
     estimate_beta_ai,
     estimate_beta_iv,
@@ -34,7 +35,7 @@ from .estimators import (
 )
 from .many_iv import jive, many_tsls, ujive
 from .propensity import fit_binary_index, ipw_late
-from .regression import tsls
+from .regression import _resolve_se, tsls
 from .spec_tests import reset_binary_index, reset_linear
 from .tables import fmt3, fmtp, format_table, json_safe
 from .validity import (
@@ -217,7 +218,6 @@ def _estimate_rows(reports) -> str:
 
 def _cmd_estimate(args) -> int:
     ds, cmap, warnings = _load(args)
-    se_type = args.se
     results: dict = {}
     reports = []
     if _want_saturated(args, ds, "estimate"):
@@ -225,9 +225,9 @@ def _cmd_estimate(args) -> int:
                          min_arm_size=args.min_arm)
         warnings.extend(ct.warnings)
         reports = [
-            estimate_beta_late_saturated(ct, se_type=se_type),
-            estimate_beta_iv(ct, se_type=se_type),
-            estimate_beta_ai(ct, se_type=se_type),
+            estimate_beta_late_saturated(ct, se_type=args.se),
+            estimate_beta_iv(ct, se_type=args.se),
+            estimate_beta_ai(ct, se_type=args.se),
         ]
         results["mode"] = "saturated"
         if args.link:
@@ -238,14 +238,12 @@ def _cmd_estimate(args) -> int:
     else:
         results["mode"] = "linear"
         X = _design_with_intercept(ds)
-        se = se_type or ("cluster" if ds.cluster is not None else "hc1")
         fit = tsls(ds.y, X, ds.d.astype(float), ds.z.astype(float),
-                   se_type=se, cluster=ds.cluster)
+                   se_type=_resolve_se(args.se, ds.cluster), cluster=ds.cluster)
         idx = fit.endog_index
-        from .estimators import EstimateReport
         reports.append(EstimateReport(
             estimand="beta_iv", estimate=float(fit.coefficients[idx]),
-            se=float(np.sqrt(fit.vcov[idx, idx])), se_type=se,
+            se=float(np.sqrt(fit.vcov[idx, idx])), se_type=fit.se_type,
             n_used=ds.n, cells_used=0,
             metadata={"estimator": "2sls_linear"},
         ))
@@ -296,8 +294,8 @@ def _cmd_reset(args) -> int:
     powers = _parse_powers(args.powers)
     if equation == "outcome":
         X = _design_with_intercept(ds)
-        se = args.se or ("cluster" if ds.cluster is not None else "hc1")
-        rep = reset_linear(ds.y, X, powers=powers, se_type=se,
+        rep = reset_linear(ds.y, X, powers=powers,
+                           se_type=_resolve_se(args.se, ds.cluster),
                            cluster=ds.cluster)
     else:
         link = args.link or "logit"

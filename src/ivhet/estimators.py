@@ -26,7 +26,7 @@ import numpy as np
 
 from .cells import CellTable
 from .errors import DomainError, IdentificationError
-from .regression import PIVOT_RTOL, _check_se_args
+from .regression import PIVOT_RTOL, _check_se_args, _influence_se, _meat, _resolve_se
 from .tables import json_safe
 
 
@@ -126,12 +126,6 @@ def _retained_rows(ct: CellTable) -> np.ndarray:
     return ct.retained[ct.assignments]
 
 
-def _resolve_se(ct: CellTable, se_type: str | None) -> str:
-    if se_type is not None:
-        return se_type
-    return "cluster" if ct.source.cluster is not None else "hc1"
-
-
 def _cell_means(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Each row's mean of v over the rows that share its cell index a."""
     counts = np.maximum(np.bincount(a), 1)   # excluded cells have no rows
@@ -166,22 +160,14 @@ def _centered_iv(ct: CellTable, g: np.ndarray, se_type: str):
     beta = float(g @ y) / gd
     e = y - _cell_means(y, a) - beta * dc
     df = m - int(ct.retained.sum()) - 1
-    if se_type != "hc0" and df <= 0:
-        raise DomainError(f"no residual degrees of freedom for {se_type} se")
     if se_type == "classical":
-        meat = float(e @ e) / df * float(g @ g)
-    elif se_type == "cluster":
-        _, inverse = np.unique(cluster, return_inverse=True)
-        n_groups = int(inverse.max()) + 1
-        if n_groups < 2:
-            raise DomainError("cluster se needs at least 2 clusters")
-        sums = np.bincount(inverse, weights=g * e)
-        meat = float(sums @ sums) * (n_groups / (n_groups - 1.0)) * ((m - 1.0) / df)
+        if df <= 0:
+            raise DomainError("no residual degrees of freedom for classical se")
+        var = float(e @ e) / df * float(g @ g)
     else:
-        meat = float(np.sum((g * e) ** 2))
-        if se_type == "hc1":
-            meat *= m / df
-    return beta, float(np.sqrt(meat)) / abs(gd)
+        meat, factor = _meat((g * e)[:, None], se_type, cluster, df)
+        var = factor * float(meat[0, 0])
+    return beta, float(np.sqrt(var)) / abs(gd)
 
 
 def _iv_report(ct: CellTable, estimand: str, g: np.ndarray, se: str,
@@ -196,7 +182,7 @@ def _iv_report(ct: CellTable, estimand: str, g: np.ndarray, se: str,
 def estimate_beta_iv(ct: CellTable, se_type: str | None = None) -> EstimateReport:
     """Linear IV: 2SLS of Y on cell dummies and D, instrumented by Z."""
     z = ct.source.z[_retained_rows(ct)]
-    return _iv_report(ct, "beta_iv", z, _resolve_se(ct, se_type),
+    return _iv_report(ct, "beta_iv", z, _resolve_se(se_type, ct.source.cluster),
                       {"estimator": "2sls", "instruments": 1})
 
 
@@ -208,7 +194,7 @@ def estimate_beta_ai(ct: CellTable, se_type: str | None = None) -> EstimateRepor
     """
     rows = _retained_rows(ct)
     g = ct.pi_j[ct.assignments[rows]] * ct.source.z[rows]
-    return _iv_report(ct, "beta_ai", g, _resolve_se(ct, se_type),
+    return _iv_report(ct, "beta_ai", g, _resolve_se(se_type, ct.source.cluster),
                       {"estimator": "2sls_interacted",
                        "instruments": int(ct.retained.sum())})
 
@@ -219,10 +205,15 @@ def estimate_beta_late_saturated(ct: CellTable, se_type: str | None = None) -> E
     The point estimate is sum_j p_j (ybar_1j - ybar_0j) over
     sum_j p_j (dbar_1j - dbar_0j). The standard error comes from the
     influence function of this ratio, treating cell shares and instrument
-    arm shares as estimated; with cluster labels present, influence
-    contributions are summed within clusters first.
+    arm shares as estimated. A cluster se sums the influence values within
+    clusters first; any other se type gives the plain influence SE.
     """
-    se = _resolve_se(ct, se_type)
+    se = _resolve_se(se_type, ct.source.cluster)
+    ds = ct.source
+    rows = _retained_rows(ct)
+    m = int(rows.sum())
+    cluster = _check_se_args(
+        se, None if ds.cluster is None else ds.cluster[rows], m)
     mask = ct.retained
     num = float(np.sum(ct.p_j[mask] * ct.dy_j[mask]))
     den = float(np.sum(ct.p_j[mask] * ct.pi_j[mask]))
@@ -230,13 +221,10 @@ def estimate_beta_late_saturated(ct: CellTable, se_type: str | None = None) -> E
         raise IdentificationError("aggregate first stage is exactly zero")
     beta = num / den
 
-    ds = ct.source
-    rows = _retained_rows(ct)
     a = ct.assignments[rows]
     y = ds.y[rows]
     d = ds.d[rows].astype(float)
-    z = ds.z[rows]
-    m = int(rows.sum())
+    z = ds.z[rows].astype(float)
 
     # rescale shares to the retained subsample so the moments average to
     # the estimate over exactly the rows used
@@ -252,29 +240,15 @@ def estimate_beta_late_saturated(ct: CellTable, se_type: str | None = None) -> E
     dy = ct.dy_j[a]
     dd = ct.pi_j[a]
 
-    zf = z.astype(float)
-    psi_num = zf * (y - my1) / q - (1 - zf) * (y - my0) / (1 - q) + dy - num_s
-    psi_den = zf * (d - md1) / q - (1 - zf) * (d - md0) / (1 - q) + dd - den_s
+    psi_num = z * (y - my1) / q - (1 - z) * (y - my0) / (1 - q) + dy - num_s
+    psi_den = z * (d - md1) / q - (1 - z) * (d - md0) / (1 - q) + dd - den_s
     infl = (psi_num - beta * psi_den) / den_s
-
-    if se == "cluster":
-        labels = ds.cluster[rows]
-        _, inverse = np.unique(labels, return_inverse=True)
-        g = inverse.max() + 1
-        sums = np.bincount(inverse, weights=infl)
-        var = float(np.sum(sums ** 2)) / m ** 2
-        if g > 1:
-            var *= g / (g - 1.0)
-        se_label = "cluster"
-    else:
-        var = float(np.sum(infl ** 2)) / m ** 2
-        se_label = "influence"
 
     return EstimateReport(
         estimand="beta_late_saturated",
         estimate=beta,
-        se=float(np.sqrt(var)),
-        se_type=se_label,
+        se=_influence_se(infl, cluster if se == "cluster" else None),
+        se_type=se if se == "cluster" else "influence",
         n_used=m,
         cells_used=int(mask.sum()),
         metadata={"estimator": "saturated_wald_ratio"},

@@ -28,8 +28,8 @@ import numpy as np
 
 from .cells import CellTable
 from .errors import DomainError, LeverageError
-from .estimators import _centered_iv, _resolve_se, _retained_rows, estimate_beta_ai
-from .regression import hat_diagonals, ols
+from .estimators import _centered_iv, _retained_rows, estimate_beta_ai
+from .regression import _resolve_se, hat_diagonals, ols
 
 _LEVERAGE_CAP = 1.0 - 1e-8
 
@@ -104,7 +104,7 @@ def _jackknife(ct: CellTable, estimator: str, se_type: str | None) -> ManyIVFit:
     arm without the row; ujive subtracts the same mean over the row's
     whole cell, the leave-one-out fit of the covariates-only regression.
     """
-    se = _resolve_se(ct, se_type)
+    se = _resolve_se(se_type, ct.source.cluster)
     if se == "classical":
         raise DomainError("jackknife IV supports hc0, hc1 and cluster ses")
     hmax = _check_leverage(_leverage_max(ct), "first stage")
@@ -126,10 +126,9 @@ def _jackknife(ct: CellTable, estimator: str, se_type: str | None) -> ManyIVFit:
 
 def many_tsls(ct: CellTable, se_type: str | None = None) -> ManyIVFit:
     """Interacted two stage least squares, with leverage diagnostics."""
-    se = _resolve_se(ct, se_type)
-    rep = estimate_beta_ai(ct, se_type=se)
+    rep = estimate_beta_ai(ct, se_type=se_type)
     return ManyIVFit(
-        estimator="tsls", estimate=rep.estimate, se=rep.se, se_type=se,
+        estimator="tsls", estimate=rep.estimate, se=rep.se, se_type=rep.se_type,
         n_instruments=rep.cells_used, n_controls=rep.cells_used,
         leverage_max=_leverage_max(ct), n_used=rep.n_used,
         metadata={"first_stage_design_columns": 2 * rep.cells_used},

@@ -26,7 +26,7 @@ from .errors import (
     SeparationError,
     TrimError,
 )
-from .regression import ols, screen_columns
+from .regression import _influence_se, ols, screen_columns
 from .special import normal_cdf, normal_log_cdf
 
 LINKS = ("logit", "probit", "linear")
@@ -285,18 +285,10 @@ def ipw_late(
         psi_num = w1 * (y - my1) / (s1 / n) - w0 * (y - my0) / (s0 / n)
         psi_den = w1 * (d - md1) / (s1 / n) - w0 * (d - md0) / (s0 / n)
         infl = (psi_num - est * psi_den) / den
-        if ds.cluster is not None:
-            cl = ds.cluster[keep]
-            _, codes = np.unique(cl, return_inverse=True)
-            g = codes.max() + 1
-            sums = np.bincount(codes, weights=infl, minlength=g)
-            var = float(np.sum(sums**2)) / n**2 * (g / max(g - 1, 1))
-            se_type = "cluster"
-        else:
-            var = float(np.sum(infl**2)) / n**2
-            se_type = "delta"
-        return IPWReport(est, float(np.sqrt(var)), se_type, n_used, n_trimmed,
-                         pf.link, (lo, hi), meta)
+        cluster = None if ds.cluster is None else ds.cluster[keep]
+        return IPWReport(est, _influence_se(infl, cluster),
+                         "delta" if cluster is None else "cluster", n_used,
+                         n_trimmed, pf.link, (lo, hi), meta)
 
     if se != "bootstrap":
         raise DomainError("se must be 'delta' or 'bootstrap'")

@@ -7,6 +7,10 @@ remains. Dropped columns keep a zero coefficient and a zero row/column in
 the covariance, and their indices are reported, so nothing disappears
 silently. The screen prefers earlier columns on ties, which makes results
 independent of how a caller happens to have ordered redundant columns.
+
+_meat is the one place in the package that computes a robust or cluster
+meat and its small-sample factor (MacKinnon, Nielsen & Webb 2023; Cameron
+& Miller 2015); every standard error but the classical one goes through it.
 """
 
 from __future__ import annotations
@@ -84,37 +88,49 @@ def _check_se_args(se_type: str, cluster, n: int):
     return cluster
 
 
+def _resolve_se(se_type: str | None, cluster) -> str:
+    """The requested se type, else cluster when labels are present, else hc1."""
+    if se_type is not None:
+        return se_type
+    return "cluster" if cluster is not None else "hc1"
+
+
+def _meat(scores: np.ndarray, se_type: str, cluster, df: int):
+    """(meat, factor) from (n, k) scores, summed within labels for cluster.
+
+    The factor is 1 for hc0, n/df for hc1 and G/(G-1)*(n-1)/df for cluster.
+    """
+    n = scores.shape[0]
+    if se_type != "hc0" and df <= 0:
+        raise DomainError(f"no residual degrees of freedom for {se_type} se")
+    if se_type != "cluster":
+        return scores.T @ scores, (1.0 if se_type == "hc0" else n / df)
+    labels, codes = np.unique(cluster, return_inverse=True)
+    g = len(labels)
+    if g < 2:
+        raise DomainError("cluster se needs at least 2 clusters")
+    sums = np.column_stack([np.bincount(codes, weights=s, minlength=g) for s in scores.T])
+    return sums.T @ sums, (g / (g - 1.0)) * ((n - 1.0) / df)
+
+
+def _influence_se(infl: np.ndarray, cluster) -> float:
+    """SE of the mean of influence values, summed within clusters when
+    labels are given; df = n - 1 makes the cluster factor exactly G/(G-1)."""
+    n = len(infl)
+    meat, factor = _meat(infl[:, None], "hc0" if cluster is None else "cluster",
+                         cluster, n - 1)
+    return float(np.sqrt(factor * float(meat[0, 0]))) / n
+
+
 def _sandwich(design: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray,
               se_type: str, cluster, df_resid: int) -> np.ndarray:
     """Covariance of the coefficients for the kept columns."""
-    n, k = design.shape
     if se_type == "classical":
         if df_resid <= 0:
             raise DomainError("no residual degrees of freedom for classical se")
-        sigma2 = float(resid @ resid) / df_resid
-        return sigma2 * xtx_inv
-    if se_type in ("hc0", "hc1"):
-        scores = design * resid[:, None]
-        meat = scores.T @ scores
-        scale = 1.0
-        if se_type == "hc1":
-            if df_resid <= 0:
-                raise DomainError("no residual degrees of freedom for hc1 se")
-            scale = n / df_resid
-        return scale * xtx_inv @ meat @ xtx_inv
-    # cluster
-    if df_resid <= 0:
-        raise DomainError("no residual degrees of freedom for cluster se")
-    scores = design * resid[:, None]
-    _, inverse = np.unique(cluster, return_inverse=True)
-    g = inverse.max() + 1
-    if g < 2:
-        raise DomainError("cluster se needs at least 2 clusters")
-    sums = np.zeros((g, k))
-    np.add.at(sums, inverse, scores)
-    meat = sums.T @ sums
-    correction = (g / (g - 1.0)) * ((n - 1.0) / df_resid)
-    return correction * xtx_inv @ meat @ xtx_inv
+        return float(resid @ resid) / df_resid * xtx_inv
+    meat, factor = _meat(design * resid[:, None], se_type, cluster, df_resid)
+    return factor * xtx_inv @ meat @ xtx_inv
 
 
 def _solve_ols(y: np.ndarray, Xk: np.ndarray):

@@ -68,3 +68,31 @@ def write_csv(path, ds, names=("y", "d", "z")):
                 row.append(str(int(ds.cluster[i])))
             fh.write(",".join(row) + "\n")
     return path
+
+
+def gapped_cluster_subset(ds, n_groups, rng, share=0.8):
+    """A random subset of ds whose cluster codes have gaps.
+
+    The full sample is labelled 0..2G-1; the kept rows carry the G even
+    codes, each at least once, and the dropped rows the odd ones, the way a
+    subset of loaded data leaves holes in its codes. n_groups=None gives
+    every kept row its own label.
+    """
+    keep = rng.random(ds.n) < share
+    m = int(keep.sum())
+    g = m if n_groups is None else n_groups
+    codes = np.empty(ds.n, dtype=np.int64)
+    codes[keep] = 2 * rng.permutation(np.arange(m) % g)
+    codes[~keep] = 2 * rng.integers(0, g, size=ds.n - m) + 1
+    full = Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x,
+                   covariate_names=ds.covariate_names, cluster=codes)
+    return full.subset(keep)
+
+
+def label_loop_cluster_se(infl, labels):
+    """sqrt(G/(G-1) * sum over labels of (label sum of infl)^2) / n, label
+    by label in Python."""
+    groups = sorted(set(labels.tolist()))
+    total = sum(float(infl[labels == lab].sum()) ** 2 for lab in groups)
+    g = len(groups)
+    return np.sqrt(g / (g - 1) * total) / len(infl)

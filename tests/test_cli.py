@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from ivhet import reference_trial
-from ivhet.cli import main
+from ivhet import Dataset, reference_trial
+from ivhet.cli import build_parser, main
 
 from conftest import child_env, two_cell_dataset, write_csv
 
@@ -377,3 +378,97 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "ivhet" in proc.stdout
+
+
+def _cluster_csvs(tmp_path):
+    """One discrete-cell sample written three ways: without a cluster
+    column, with ten cluster labels, and with a single label."""
+    rng = np.random.default_rng(23)
+    n = 240
+    cell = rng.integers(0, 3, size=n)
+    z = (rng.random(n) < 0.5).astype(int)
+    d = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
+    y = 1.5 * d + 0.3 * cell + rng.normal(size=n)
+    labels = {"none": None, "several": np.arange(n) % 10,
+              "one": np.zeros(n, dtype=int)}
+    return {kind: write_csv(tmp_path / f"{kind}.csv",
+                            Dataset(y=y, d=d, z=z, x=cell.astype(float),
+                                    covariate_names=("cell",), cluster=cl))
+            for kind, cl in labels.items()}
+
+
+def _se_choices(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]._option_string_actions["--se"].choices
+
+
+def test_saturated_cluster_se_without_labels_exit_1(tmp_path):
+    """A cluster se on data without labels is a typed error, not a crash."""
+    csv = _cluster_csvs(tmp_path)["none"]
+    roles = ["--input", str(csv), "-y", "y", "-d", "d", "-z", "z", "-x", "cell"]
+    for argv in (["estimate", *roles, "--saturated", "yes", "--se", "cluster"],
+                 ["weights", *roles, "--se", "cluster"]):
+        proc = subprocess.run([sys.executable, "-m", "ivhet.cli", *argv],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(
+            "error: cluster se requested but no cluster labels given"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# (argv after the data flags, estimand -> se_type it reports for se, labels)
+_SE_RUNS = {
+    "estimate_saturated": (["estimate", "--saturated", "yes"], lambda se, cl: {
+        "beta_late_saturated": "cluster" if se == "cluster" else "influence",
+        "beta_iv": se, "beta_ai": se}),
+    "estimate_saturated_ipw": (
+        ["estimate", "--saturated", "yes", "--link", "logit"], lambda se, cl: {
+            "beta_late_saturated": "cluster" if se == "cluster" else "influence",
+            "beta_iv": se, "beta_ai": se,
+            "beta_late_ipw": "cluster" if cl else "delta"}),
+    "estimate_linear": (["estimate", "--saturated", "no"], lambda se, cl: {
+        "beta_iv": se, "beta_late_ipw": "cluster" if cl else "delta"}),
+    "weights": (["weights"], lambda se, cl: {
+        "beta_late_saturated": "cluster" if se == "cluster" else "influence",
+        "beta_iv": se, "beta_ai": se}),
+    "manyiv": (["manyiv"], lambda se, cl: {"tsls": se, "jive": se, "ujive": se}),
+    "reset": (["reset"], lambda se, cl: {"reset_linear": se}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_SE_RUNS))
+def test_se_flag_contract(run, tmp_path, capsys):
+    """Every --se choice, and the default, on data without a cluster
+    column, with several clusters and with one: exit 0 reporting the
+    requested se type, or exit 1 with a typed error. main never raises."""
+    head, expected = _SE_RUNS[run]
+    for kind, csv in _cluster_csvs(tmp_path).items():
+        cols = ["-y", "y", "-d", "d", "-z", "z", "-x", "cell"]
+        if kind != "none":
+            cols += ["--cluster", "cl"]
+        for choice in (None, *_se_choices(head[0])):
+            argv = [head[0], "--input", str(csv), *cols, *head[1:], "--json"]
+            if choice is not None:
+                argv += ["--se", choice]
+            se = choice or ("hc1" if kind == "none" else "cluster")
+            want = expected(se, kind != "none")
+            if se == "cluster" and kind == "none":
+                error = "cluster se requested but no cluster labels given"
+            elif kind == "one" and (se == "cluster" or "beta_late_ipw" in want):
+                error = "cluster se needs at least 2 clusters"
+            else:
+                error = None
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if error is not None:
+                assert (code, err) == (1, f"error: {error}\n"), argv
+                continue
+            assert code == 0, (argv, err)
+            results = json.loads(out)["results"]
+            if head[0] == "reset":
+                got = {results["test"]["test"]: results["test"]["se_type"]}
+            else:
+                got = {e.get("estimand", e.get("estimator")): e["se_type"]
+                       for e in results["estimates"]}
+            assert got == want, argv

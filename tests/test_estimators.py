@@ -13,6 +13,7 @@ from ivhet import (
     tsls,
 )
 
+from conftest import gapped_cluster_subset, label_loop_cluster_se
 from oracles import cell_weights_by_hand, dense_tsls, dense_tsls_vcov, wald_by_hand
 
 
@@ -227,9 +228,7 @@ def test_cluster_se_differs_but_estimate_matches():
 def test_saturated_cluster_se_factor_pinned():
     """The saturated Wald ratio scales its cluster SE by g/(g-1) only: with
     singleton clusters it is the influence SE times sqrt(m/(m-1)). With one
-    cluster it applies no factor and returns the unscaled cluster sum,
-    which is zero up to rounding since the influence values sum to zero,
-    while the closed-form 2SLS estimators raise."""
+    cluster it raises, as the closed-form 2SLS estimators do."""
     rng = np.random.default_rng(43)
     ds = random_saturated_dataset(rng, n_cells=3)
     m = ds.n
@@ -238,14 +237,71 @@ def test_saturated_cluster_se_factor_pinned():
     cts = [build_cells(Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x, cluster=labels),
                        min_arm_size=1)
            for labels in (np.arange(m), np.zeros(m, dtype=int))]
-    for ct, want in zip(cts, (plain.se * np.sqrt(m / (m - 1.0)), 0.0)):
-        rep = estimate_beta_late_saturated(ct)
-        assert rep.se_type == "cluster"
-        assert rep.estimate == plain.estimate
-        assert abs(rep.se - want) <= 1e-12 * plain.se
+    rep = estimate_beta_late_saturated(cts[0])
+    assert rep.se_type == "cluster"
+    assert rep.estimate == plain.estimate
+    assert abs(rep.se - plain.se * np.sqrt(m / (m - 1.0))) <= 1e-12 * plain.se
+    with pytest.raises(DomainError, match="at least 2 clusters"):
+        estimate_beta_late_saturated(cts[1])
     for fn in (estimate_beta_iv, estimate_beta_ai):
         with pytest.raises(DomainError, match="at least 2 clusters"):
             fn(cts[1], se_type="cluster")
+
+
+def _saturated_influence(ds):
+    """Influence values of the saturated Wald ratio, cell by cell."""
+    cell, y, d, z = ds.x[:, 0], ds.y, ds.d.astype(float), ds.z.astype(float)
+    m = ds.n
+    parts = {}
+    for c in np.unique(cell):
+        r = cell == c
+        one, zero = r & (z == 1), r & (z == 0)
+        parts[c] = (r.sum() / m, one.sum() / r.sum(), y[one].mean(), y[zero].mean(),
+                    d[one].mean(), d[zero].mean())
+    num = sum(p * (my1 - my0) for p, _, my1, my0, _, _ in parts.values())
+    den = sum(p * (md1 - md0) for p, _, _, _, md1, md0 in parts.values())
+    infl = np.empty(m)
+    for i in range(m):
+        _, q, my1, my0, md1, md0 = parts[cell[i]]
+        psi_num = (z[i] * (y[i] - my1) / q - (1 - z[i]) * (y[i] - my0) / (1 - q)
+                   + my1 - my0 - num)
+        psi_den = (z[i] * (d[i] - md1) / q - (1 - z[i]) * (d[i] - md0) / (1 - q)
+                   + md1 - md0 - den)
+        infl[i] = (psi_num - num / den * psi_den) / den
+    return infl
+
+
+@pytest.mark.parametrize("n_groups", [2, 7, None])
+def test_saturated_cluster_se_matches_label_loop(n_groups):
+    """The cluster SE is the per-label sum of influence values times
+    g/(g-1), with labels whose codes have gaps after subsetting."""
+    rng = np.random.default_rng(53)
+    ds = gapped_cluster_subset(random_saturated_dataset(rng, n_cells=4), n_groups, rng)
+    assert len(np.unique(ds.cluster)) == (ds.n if n_groups is None else n_groups)
+    ct = build_cells(ds, min_arm_size=1)
+    assert ct.retained.all()
+    rep = estimate_beta_late_saturated(ct)
+    assert rep.se_type == "cluster"
+    want = label_loop_cluster_se(_saturated_influence(ds), ds.cluster)
+    assert abs(rep.se - want) <= 1e-12 * want
+
+
+def test_saturated_se_type_validated():
+    """Cluster without labels and unknown types raise as the 2SLS
+    estimators do; hc0, hc1 and classical give the influence SE."""
+    rng = np.random.default_rng(59)
+    ct = build_cells(random_saturated_dataset(rng, n_cells=3), min_arm_size=1)
+    for fn in (estimate_beta_late_saturated, estimate_beta_iv):
+        with pytest.raises(DomainError,
+                           match="cluster se requested but no cluster labels given"):
+            fn(ct, se_type="cluster")
+        with pytest.raises(DomainError, match="unknown se_type 'bogus'"):
+            fn(ct, se_type="bogus")
+    plain = estimate_beta_late_saturated(ct)
+    assert plain.se_type == "influence"
+    for se_type in ("hc0", "hc1", "classical"):
+        rep = estimate_beta_late_saturated(ct, se_type=se_type)
+        assert (rep.se_type, rep.se, rep.estimate) == ("influence", plain.se, plain.estimate)
 
 
 def test_influence_se_close_to_delta_wald_single_cell():

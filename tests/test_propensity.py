@@ -18,6 +18,8 @@ from ivhet import (
 )
 from ivhet.propensity import _logit_parts, _probit_parts
 
+from conftest import gapped_cluster_subset, label_loop_cluster_se
+
 
 def _sample(seed=0, n=2000, beta=(-0.3, 0.8)):
     rng = np.random.default_rng(seed)
@@ -256,22 +258,44 @@ def test_ipw_cluster_delta_se():
 
 
 def test_ipw_cluster_delta_se_factor_pinned():
-    """The delta SE with clusters scales by g/max(g-1, 1): singleton
-    clusters give the plain delta SE times sqrt(n/(n-1)); one cluster
-    applies no factor and returns the unscaled cluster sum, zero up to
-    rounding since the influence values sum to zero."""
+    """The delta SE with clusters scales by g/(g-1): singleton clusters
+    give the plain delta SE times sqrt(n/(n-1)); one cluster raises."""
     ds, _ = _saturated_instance(18, n=800)
     pf = fit_binary_index(ds.z, ds.x, link="logit")
     plain = ipw_late(ds, pf)
     assert plain.se_type == "delta"
     n = plain.n_used
-    for labels, want in ((np.arange(ds.n), plain.se * np.sqrt(n / (n - 1.0))),
-                         (np.zeros(ds.n, dtype=int), 0.0)):
-        dsc = Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x, cluster=labels)
-        rep = ipw_late(dsc, pf)
-        assert rep.se_type == "cluster"
-        assert rep.estimate == plain.estimate
-        assert abs(rep.se - want) <= 1e-12 * plain.se
+    dsc = Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x, cluster=np.arange(ds.n))
+    rep = ipw_late(dsc, pf)
+    assert rep.se_type == "cluster"
+    assert rep.estimate == plain.estimate
+    assert abs(rep.se - plain.se * np.sqrt(n / (n - 1.0))) <= 1e-12 * plain.se
+    one = Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x, cluster=np.zeros(ds.n, dtype=int))
+    with pytest.raises(DomainError, match="at least 2 clusters"):
+        ipw_late(one, pf)
+
+
+@pytest.mark.parametrize("n_groups", [2, 7, None])
+def test_ipw_cluster_delta_se_matches_label_loop(n_groups):
+    """The cluster delta SE is the per-label sum of influence values times
+    g/(g-1), with labels whose codes have gaps after subsetting."""
+    full, _ = _saturated_instance(19, n=700)
+    ds = gapped_cluster_subset(full, n_groups, np.random.default_rng(61))
+    assert len(np.unique(ds.cluster)) == (ds.n if n_groups is None else n_groups)
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+    rep = ipw_late(ds, pf, trim=(0.0, 1.0))
+    assert rep.se_type == "cluster"
+    y, d, z, phat = ds.y, ds.d.astype(float), ds.z.astype(float), pf.phat
+    w1, w0 = z / phat, (1 - z) / (1 - phat)
+    my1, my0 = np.sum(w1 * y) / w1.sum(), np.sum(w0 * y) / w0.sum()
+    md1, md0 = np.sum(w1 * d) / w1.sum(), np.sum(w0 * d) / w0.sum()
+    est = (my1 - my0) / (md1 - md0)
+    n = ds.n
+    psi_num = w1 * (y - my1) / (w1.sum() / n) - w0 * (y - my0) / (w0.sum() / n)
+    psi_den = w1 * (d - md1) / (w1.sum() / n) - w0 * (d - md0) / (w0.sum() / n)
+    infl = (psi_num - est * psi_den) / (md1 - md0)
+    want = label_loop_cluster_se(infl, ds.cluster)
+    assert abs(rep.se - want) <= 1e-12 * want
 
 
 def test_warm_start_converges_fast():

@@ -10,7 +10,7 @@ from ivhet import (
     ols,
     tsls,
 )
-from ivhet.regression import screen_columns
+from ivhet.regression import _meat, screen_columns
 
 from oracles import (
     dense_hat,
@@ -70,6 +70,68 @@ def test_one_cluster_raises():
     y, X = _random_instance(rng, n=40)
     with pytest.raises(DomainError, match="at least 2 clusters"):
         ols(y, X, se_type="cluster", cluster=np.zeros(40, dtype=int))
+
+
+_BIG = np.iinfo(np.int64).max
+
+
+def _meat_reference(scores, se_type, labels, df):
+    """The meat and factor written out: a Python loop over the labels."""
+    n = scores.shape[0]
+    if se_type != "cluster":
+        meat = sum(np.outer(row, row) for row in scores)
+        return meat, (1.0 if se_type == "hc0" else n / df)
+    groups = sorted(set(labels.tolist()))
+    sums = [scores[labels == lab].sum(axis=0) for lab in groups]
+    g = len(groups)
+    return sum(np.outer(s, s) for s in sums), g / (g - 1) * (n - 1) / df
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("se_type, labels", [
+    ("hc0", None),
+    ("hc1", None),
+    ("cluster", np.arange(12) // 3),                                 # 4 labels
+    ("cluster", np.array([0, 5, 5, 90, 0, 90, 7, 7, 7, 5, 0, 90])),  # gapped
+    ("cluster", np.array([-3, -3, -1, 4, -1, 4, -3, 4, 2, 2, -1, 2])),   # negative
+    ("cluster", np.array([_BIG, -_BIG - 1, 0] * 4)),                 # int64 extremes
+    ("cluster", np.arange(12) * 1000),                               # singletons
+    ("cluster", np.array([1, 1, 1, 1, 1, 2, 3, 3, 4, 5, 6, 6])),     # some singletons
+])
+def test_meat_matches_explicit_formula(se_type, labels, k):
+    rng = np.random.default_rng(70 + k)
+    scores = rng.normal(size=(12, k))
+    df = 12 - k
+    meat, factor = _meat(scores, se_type, labels, df)
+    meat_ref, factor_ref = _meat_reference(scores, se_type, labels, df)
+    assert meat.shape == (k, k)
+    np.testing.assert_allclose(meat, meat_ref, rtol=1e-13, atol=1e-13)
+    assert abs(factor - factor_ref) <= 1e-15 * factor_ref
+
+
+def test_meat_errors():
+    scores = np.ones((6, 2))
+    with pytest.raises(DomainError, match="at least 2 clusters"):
+        _meat(scores, "cluster", np.full(6, 41), 4)
+    with pytest.raises(DomainError, match="at least 2 clusters"):
+        _meat(scores[:0], "cluster", np.zeros(0, dtype=int), 4)
+    for se_type, labels in (("hc1", None), ("cluster", np.arange(6))):
+        for df in (0, -1):
+            with pytest.raises(DomainError,
+                               match=f"no residual degrees of freedom for {se_type} se"):
+                _meat(scores, se_type, labels, df)
+    meat, factor = _meat(scores, "hc0", None, 0)    # hc0 needs no df
+    assert factor == 1.0
+    np.testing.assert_array_equal(meat, np.full((2, 2), 6.0))
+
+
+def test_meat_influence_factor_is_exact():
+    """With df = n - 1 the cluster factor is exactly g/(g-1)."""
+    for n in (2, 7, 100, 12345):
+        for g in {2, min(3, n), n}:
+            labels = np.arange(n) % g
+            _, factor = _meat(np.ones((n, 1)), "cluster", labels, n - 1)
+            assert factor == g / (g - 1.0)
 
 
 def test_collinear_columns_dropped_in_design_order():
