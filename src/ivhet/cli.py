@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -216,6 +217,13 @@ def _estimate_rows(reports) -> str:
     return format_table(headers, rows)
 
 
+def _ipw_late(args, ds, pf):
+    """The IPW LATE, with a cluster SE only when --se resolves to cluster."""
+    if ds.cluster is not None and _resolve_se(args.se, ds.cluster) != "cluster":
+        ds = replace(ds, cluster=None)
+    return ipw_late(ds, pf, trim=_parse_trim(args.trim))
+
+
 def _cmd_estimate(args) -> int:
     ds, cmap, warnings = _load(args)
     results: dict = {}
@@ -234,7 +242,7 @@ def _cmd_estimate(args) -> int:
             cell_ids = np.arange(ct.n_cells)
             dummies = (ct.assignments[:, None] == cell_ids[None, :]).astype(float)
             pf = fit_binary_index(ds.z, dummies, link=args.link)
-            reports.append(ipw_late(ds, pf, trim=_parse_trim(args.trim)))
+            reports.append(_ipw_late(args, ds, pf))
     else:
         results["mode"] = "linear"
         X = _design_with_intercept(ds)
@@ -249,7 +257,7 @@ def _cmd_estimate(args) -> int:
         ))
         link = args.link or "logit"
         pf = fit_binary_index(ds.z, ds.x, link=link)
-        reports.append(ipw_late(ds, pf, trim=_parse_trim(args.trim)))
+        reports.append(_ipw_late(args, ds, pf))
     results["estimates"] = [rep.to_dict() for rep in reports]
     payload = _payload("estimate", args, cmap, warnings, results)
     text = _estimate_rows(reports)

@@ -1,15 +1,17 @@
 """Binary index models for the instrument propensity, and the IPW LATE.
 
-fit_binary_index runs a damped Newton iteration expressed as iteratively
-reweighted least squares, solving each step as a lstsq problem on the
-square-root-weighted design rather than forming normal equations. The
-probit score and information use Mills ratios computed from the stable
-log-CDF, so extreme indexes do not produce 0/0.
+fit_binary_index runs a damped Newton iteration (iteratively reweighted
+least squares) that solves each step from the k x k information matrix
+X'WX; the design is rank-screened first, so this Gram is well posed and
+costs O(n k^2) per step. The probit score and information use Mills
+ratios computed from the stable log-CDF, so extreme indexes do not
+produce 0/0.
 
 ipw_late is the Hajek (self-normalized) version of the abadie-style
 kappa estimand: each of the four arm means E[y|z], E[d|z] is a weighted
 mean with weights 1/phat or 1/(1-phat), and the estimate is the ratio of
-the reweighted contrasts.
+the reweighted contrasts. Its bootstrap refits each resample through the
+same Newton loop with the resample's multiplicities as row weights.
 """
 
 from __future__ import annotations
@@ -26,14 +28,17 @@ from .errors import (
     SeparationError,
     TrimError,
 )
-from .regression import _influence_se, ols, screen_columns
+from .regression import _influence_se, screen_columns
 from .special import normal_cdf, normal_log_cdf
+from .validity import _check_bootstrap
 
 LINKS = ("logit", "probit", "linear")
 
 _MAX_ABS_COEF = 30.0
 _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times this
 _LL_RTOL = 1e-10
+# residual norm ratio, far above PIVOT_RTOL, past which the Gram decides rank
+_RANK_GATE = 1e-6
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -55,19 +60,23 @@ class PropensityFit:
         return self.phat.shape[0]
 
 
-def _logit_parts(eta: np.ndarray, z: np.ndarray):
+def _wsum(v: np.ndarray, m) -> float:
+    return float(np.sum(v)) if m is None else float(m @ v)
+
+
+def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None):
     # log p = -log(1 + e^-eta), log 1-p = -log(1 + e^eta)
     p = 1.0 / (1.0 + np.exp(-eta))
-    ll = float(np.sum(z * eta - np.logaddexp(0.0, eta)))
+    ll = _wsum(z * eta - np.logaddexp(0.0, eta), m)
     u = z - p
     w = p * (1.0 - p)
     return ll, u, w, p
 
 
-def _probit_parts(eta: np.ndarray, z: np.ndarray):
+def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
     log_p = normal_log_cdf(eta)
     log_1mp = normal_log_cdf(-eta)
-    ll = float(np.sum(z * log_p + (1.0 - z) * log_1mp))
+    ll = _wsum(z * log_p + (1.0 - z) * log_1mp, m)
     # Mills ratios phi/Phi and phi/(1-Phi) in logs; log phi is taken in closed
     # form because phi itself loses bits below 1e-308 and is 0 past |eta| ~ 38.5
     log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
@@ -111,29 +120,43 @@ def fit_binary_index(
         X = np.column_stack([np.ones(z.shape[0]), X]) if X.size else np.ones((z.shape[0], 1))
 
     kept, _ = screen_columns(X)
-    X = X[:, kept]
-    n, k = X.shape
+    return _fit_screened(z, X[:, kept], link, start, None, max_iter,
+                         intercept_added)
 
+
+def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
+    """The fit on a full-rank design, each row counted m times (once when m
+    is None): weighted least squares for the linear link, else damped Newton."""
+    n = X.shape[0] if m is None else float(m.sum())  # rows with multiplicity
     if link == "linear":
-        fit = ols(z, X, se_type="hc0")
-        phat_raw = fit.fitted
+        s = np.ones(X.shape[0]) if m is None else np.sqrt(m)
+        coef = np.linalg.lstsq(X * s[:, None], z * s, rcond=None)[0]
+        phat_raw = X @ coef
         inside = bool((phat_raw > 0.0).all() and (phat_raw < 1.0).all())
         eps = 1.0 / (2.0 * n)
         phat = np.clip(phat_raw, eps, 1.0 - eps)
         return PropensityFit(
-            link="linear", coefficients=fit.coefficients, index=phat_raw,
+            link="linear", coefficients=coef, index=phat_raw,
             phat=phat, converged=True, iterations=0, loglik=float("nan"),
             intercept_added=intercept_added, phat_in_unit=inside, _design=X,
         )
 
     parts = _logit_parts if link == "logit" else _probit_parts
-
+    k = X.shape[1]
     if start is not None and start.shape[0] == k:
         beta = start.astype(np.float64).copy()
     else:
         beta = np.zeros(k)
-    eta = X @ beta
-    ll, u, w, p = parts(eta, z)
+
+    def step_parts(b):
+        ll, u, w, p = parts(X @ b, z, m)
+        # Newton's X'u and X'WX, with the information floored row by row
+        w = np.maximum(w, 1e-12)
+        if m is not None:
+            u, w = m * u, m * w
+        return ll, X.T @ u, w, p
+
+    ll, score, w, p = step_parts(beta)
     ll_path = [ll]
     converged = False
     it = 0
@@ -142,32 +165,29 @@ def fit_binary_index(
     score_gate = _SCORE_TOL * n
     ll_noise = 1e-12 * (1.0 + abs(ll))
     for it in range(1, max_iter + 1):
-        score = X.T @ u
         if np.max(np.abs(score)) < score_gate:
             converged = True
             it -= 1
             break
-        sw = np.sqrt(np.maximum(w, 1e-12))
-        # Newton step: (X'WX) delta = X'u, solved as lstsq on the weighted design
-        delta, _, rank, _ = np.linalg.lstsq(X * sw[:, None], u / sw, rcond=None)
+        delta = np.linalg.solve(X.T @ (X * w[:, None]), score)
         step = 1.0
         improved = False
         for _ in range(30):
             cand = beta + step * delta
-            ll_new, u_new, w_new, p_new = parts(X @ cand, z)
+            ll_new, score_new, w_new, p_new = step_parts(cand)
             if ll_new > ll - ll_noise:
-                beta, ll, u, w, p = cand, ll_new, u_new, w_new, p_new
+                beta, ll, score, w, p = cand, ll_new, score_new, w_new, p_new
                 improved = True
                 break
             step *= 0.5
         if not improved:
             # cannot move uphill: either converged flat or numerically stuck
-            if np.max(np.abs(X.T @ u)) < score_gate * 10:
+            if np.max(np.abs(score)) < score_gate * 10:
                 converged = True
                 break
             raise ConvergenceError(
                 f"{link} fit stalled after {it} iterations "
-                f"(loglik {ll:.6g}, max score {np.max(np.abs(X.T @ u)):.3g})"
+                f"(loglik {ll:.6g}, max score {np.max(np.abs(score)):.3g})"
             )
         ll_noise = 1e-12 * (1.0 + abs(ll))
         ll_path.append(ll)
@@ -221,10 +241,11 @@ class IPWReport:
         }
 
 
-def _hajek_arms(y, d, z, phat):
-    """Weighted means of y and d in each instrument arm; returns means and weights."""
-    w1 = z / phat
-    w0 = (1.0 - z) / (1.0 - phat)
+def _hajek_arms(y, d, z, phat, m=1.0):
+    """Weighted means of y and d in each instrument arm, rows counted m
+    times; returns means and weights."""
+    w1 = m * z / phat
+    w0 = m * (1.0 - z) / (1.0 - phat)
     s1, s0 = w1.sum(), w0.sum()
     if s1 <= 0 or s0 <= 0:
         raise IdentificationError("an instrument arm is empty after trimming")
@@ -293,38 +314,9 @@ def ipw_late(
     if se != "bootstrap":
         raise DomainError("se must be 'delta' or 'bootstrap'")
 
-    # nonparametric bootstrap over rows (or clusters), refitting phat each time
-    children = np.random.SeedSequence(seed).spawn(reps)
-    X_full = pf._design
-    ests = []
-    failures = 0
-    if ds.cluster is not None:
-        labels, codes = np.unique(ds.cluster, return_inverse=True)
-        groups = [np.flatnonzero(codes == g) for g in range(len(labels))]
-    for child in children:
-        rng = np.random.default_rng(child)
-        if ds.cluster is not None:
-            pick = rng.integers(0, len(groups), size=len(groups))
-            idx = np.concatenate([groups[g] for g in pick])
-        else:
-            idx = rng.integers(0, ds.n, size=ds.n)
-        try:
-            pf_b = fit_binary_index(ds.z[idx], X_full[idx], link=pf.link,
-                                    start=pf.coefficients if pf.link != "linear" else None)
-            keep_b = (pf_b.phat >= lo) & (pf_b.phat <= hi)
-            if keep_b.sum() < 2:
-                raise TrimError("resample fully trimmed")
-            yb = ds.y[idx][keep_b]
-            db = ds.d[idx][keep_b].astype(np.float64)
-            zb = ds.z[idx][keep_b].astype(np.float64)
-            m1, m0, t1, t0, _, _ = _hajek_arms(yb, db, zb, pf_b.phat[keep_b])
-            den_b = t1 - t0
-            if den_b == 0.0 or not np.isfinite(den_b):
-                raise IdentificationError("zero first stage in resample")
-            ests.append((m1 - m0) / den_b)
-        except (ConvergenceError, SeparationError, TrimError,
-                IdentificationError, DomainError):
-            failures += 1
+    _check_bootstrap(reps, seed)
+    ests, failed_by = _bootstrap_estimates(ds, pf, lo, hi, reps, seed)
+    failures = sum(failed_by.values())
     if len(ests) < 2:
         raise IdentificationError(
             f"bootstrap failed in {failures} of {reps} resamples; "
@@ -332,6 +324,76 @@ def ipw_late(
         )
     se_val = float(np.std(ests, ddof=1))
     meta["bootstrap"] = {"reps": reps, "completed": len(ests),
-                         "failed": failures, "seed": seed}
+                         "failed": failures, "failed_by": failed_by, "seed": seed}
     return IPWReport(est, se_val, "bootstrap", n_used, n_trimmed,
                      pf.link, (lo, hi), meta)
+
+
+def _may_lose_rank(X: np.ndarray, m: np.ndarray) -> bool:
+    """False when screen_columns surely keeps every column of sqrt(m) X.
+
+    The Cholesky factor of the weighted Gram holds each column's residual
+    norm after the earlier columns. Only when one of them is within the
+    Gram's rounding of the screen's tolerance is the screen itself run.
+    """
+    gram = X.T @ (X * m[:, None])
+    try:
+        r = np.diag(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return True
+    return bool((r <= _RANK_GATE * np.sqrt(np.diag(gram))).any())
+
+
+def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
+                         reps: int, seed: int):
+    """Per-resample IPW estimates and failure counts by error class name.
+
+    A resample drawn with replacement is the full sample with integer
+    multiplicity weights m: the row's draw count, or its cluster's pick count
+    for the pairs cluster bootstrap. The refit and the Hajek means are
+    m-weighted sums over the rows with m > 0, started from the full-sample
+    coefficients on the full-sample design. A resample whose design loses
+    rank keeps the columns screen_columns keeps on its copied rows (those of
+    sqrt(m) X have the same Gram) and, the start no longer matching, is
+    fitted from zeros.
+    """
+    children = np.random.SeedSequence(seed).spawn(reps)
+    X_full = pf._design
+    d = ds.d.astype(np.float64)
+    z = ds.z.astype(np.float64)
+    if ds.cluster is not None:
+        _, codes = np.unique(ds.cluster, return_inverse=True)
+        n_groups = int(codes.max()) + 1
+    ests = []
+    failed_by: dict[str, int] = {}
+    for child in children:
+        rng = np.random.default_rng(child)
+        if ds.cluster is not None:
+            pick = rng.integers(0, n_groups, size=n_groups)
+            m = np.bincount(pick, minlength=n_groups)[codes]
+        else:
+            m = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+        rows = np.flatnonzero(m)
+        mb = m[rows].astype(np.float64)
+        X = X_full[rows]
+        try:
+            if _may_lose_rank(X, mb):
+                kept, _ = screen_columns(X * np.sqrt(mb)[:, None])
+                X = X[:, kept]
+            pf_b = _fit_screened(z[rows], X, pf.link, pf.coefficients, mb)
+            keep_b = (pf_b.phat >= lo) & (pf_b.phat <= hi)
+            if mb[keep_b].sum() < 2:
+                raise TrimError("resample fully trimmed")
+            kept_rows = rows[keep_b]
+            m1, m0, t1, t0, _, _ = _hajek_arms(
+                ds.y[kept_rows], d[kept_rows], z[kept_rows], pf_b.phat[keep_b],
+                mb[keep_b])
+            den_b = t1 - t0
+            if den_b == 0.0 or not np.isfinite(den_b):
+                raise IdentificationError("zero first stage in resample")
+            ests.append((m1 - m0) / den_b)
+        except (ConvergenceError, SeparationError, TrimError,
+                IdentificationError, DomainError) as exc:
+            name = type(exc).__name__
+            failed_by[name] = failed_by.get(name, 0) + 1
+    return ests, failed_by

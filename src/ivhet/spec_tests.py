@@ -89,8 +89,8 @@ def reset_linear(
     """Fitted-power misspecification test for a linear regression of y on X.
 
     The statistic is a Wald F for the joint nullity of the added power
-    terms, using the same covariance estimator the caller would use for
-    inference (hc1 by default, cluster when labels are passed).
+    terms, using the covariance estimator named by se_type (hc1 by
+    default). Cluster labels are used only with se_type="cluster".
     """
     powers = _check_powers(powers)
     y = np.asarray(y, dtype=np.float64).ravel()

@@ -12,7 +12,17 @@ import csv
 import numpy as np
 
 from ivhet.data_model import ColumnMap, Dataset
-from ivhet.errors import ConfigError, DomainError, EmptyDataError, UndefinedTestError
+from ivhet.errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    EmptyDataError,
+    IdentificationError,
+    SeparationError,
+    TrimError,
+    UndefinedTestError,
+)
+from ivhet.propensity import fit_binary_index
 from ivhet.validity import _SIGMA_FLOOR, OutcomeSetPartition, ValidityReport
 
 
@@ -394,3 +404,55 @@ def row_load_dataset(path: str, cmap: ColumnMap) -> Dataset:
     )
     assert ds_out.n + dropped == raw_rows
     return ds_out
+
+
+def _row_copy_hajek_arms(y, d, z, phat):
+    w1 = z / phat
+    w0 = (1.0 - z) / (1.0 - phat)
+    s1, s0 = w1.sum(), w0.sum()
+    if s1 <= 0 or s0 <= 0:
+        raise IdentificationError("an instrument arm is empty after trimming")
+    my1 = float(np.sum(w1 * y) / s1)
+    my0 = float(np.sum(w0 * y) / s0)
+    md1 = float(np.sum(w1 * d) / s1)
+    md0 = float(np.sum(w0 * d) / s0)
+    return my1, my0, md1, md0, w1, w0
+
+
+def row_copy_ipw_bootstrap(ds, pf, lo, hi, reps, seed):
+    """The IPW bootstrap that copies each resample's rows and refits it with
+    the public fit_binary_index: (per-resample estimates, failures by class
+    name), in resample order."""
+    children = np.random.SeedSequence(seed).spawn(reps)
+    X_full = pf._design
+    ests = []
+    failed_by: dict[str, int] = {}
+    if ds.cluster is not None:
+        labels, codes = np.unique(ds.cluster, return_inverse=True)
+        groups = [np.flatnonzero(codes == g) for g in range(len(labels))]
+    for child in children:
+        rng = np.random.default_rng(child)
+        if ds.cluster is not None:
+            pick = rng.integers(0, len(groups), size=len(groups))
+            idx = np.concatenate([groups[g] for g in pick])
+        else:
+            idx = rng.integers(0, ds.n, size=ds.n)
+        try:
+            pf_b = fit_binary_index(ds.z[idx], X_full[idx], link=pf.link,
+                                    start=pf.coefficients if pf.link != "linear" else None)
+            keep_b = (pf_b.phat >= lo) & (pf_b.phat <= hi)
+            if keep_b.sum() < 2:
+                raise TrimError("resample fully trimmed")
+            yb = ds.y[idx][keep_b]
+            db = ds.d[idx][keep_b].astype(np.float64)
+            zb = ds.z[idx][keep_b].astype(np.float64)
+            m1, m0, t1, t0, _, _ = _row_copy_hajek_arms(yb, db, zb, pf_b.phat[keep_b])
+            den_b = t1 - t0
+            if den_b == 0.0 or not np.isfinite(den_b):
+                raise IdentificationError("zero first stage in resample")
+            ests.append((m1 - m0) / den_b)
+        except (ConvergenceError, SeparationError, TrimError,
+                IdentificationError, DomainError) as exc:
+            name = type(exc).__name__
+            failed_by[name] = failed_by.get(name, 0) + 1
+    return ests, failed_by

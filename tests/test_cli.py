@@ -426,9 +426,10 @@ _SE_RUNS = {
         ["estimate", "--saturated", "yes", "--link", "logit"], lambda se, cl: {
             "beta_late_saturated": "cluster" if se == "cluster" else "influence",
             "beta_iv": se, "beta_ai": se,
-            "beta_late_ipw": "cluster" if cl else "delta"}),
+            "beta_late_ipw": "cluster" if se == "cluster" else "delta"}),
     "estimate_linear": (["estimate", "--saturated", "no"], lambda se, cl: {
-        "beta_iv": se, "beta_late_ipw": "cluster" if cl else "delta"}),
+        "beta_iv": se,
+        "beta_late_ipw": "cluster" if se == "cluster" else "delta"}),
     "weights": (["weights"], lambda se, cl: {
         "beta_late_saturated": "cluster" if se == "cluster" else "influence",
         "beta_iv": se, "beta_ai": se}),
@@ -455,7 +456,7 @@ def test_se_flag_contract(run, tmp_path, capsys):
             want = expected(se, kind != "none")
             if se == "cluster" and kind == "none":
                 error = "cluster se requested but no cluster labels given"
-            elif kind == "one" and (se == "cluster" or "beta_late_ipw" in want):
+            elif kind == "one" and se == "cluster":
                 error = "cluster se needs at least 2 clusters"
             else:
                 error = None
@@ -472,3 +473,16 @@ def test_se_flag_contract(run, tmp_path, capsys):
                 got = {e.get("estimand", e.get("estimator")): e["se_type"]
                        for e in results["estimates"]}
             assert got == want, argv
+
+
+def test_ipw_se_follows_se_flag_with_one_label(tmp_path, capsys):
+    """--se hc1 with a single cluster label: the IPW LATE takes the plain
+    delta SE instead of failing on the one-cluster cluster SE."""
+    csv = _cluster_csvs(tmp_path)["one"]
+    argv = ["estimate", "--input", str(csv), "-y", "y", "-d", "d", "-z", "z",
+            "-x", "cell", "--cluster", "cl", "--se", "hc1", "--link", "logit",
+            "--json"]
+    assert main(argv) == 0
+    estimates = json.loads(capsys.readouterr().out)["results"]["estimates"]
+    ipw = next(e for e in estimates if e["estimand"] == "beta_late_ipw")
+    assert ipw["se_type"] == "delta"

@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,6 +10,7 @@ import scipy.stats
 
 from ivhet import (
     CellSpec,
+    ConfigError,
     DGPSpec,
     Dataset,
     DomainError,
@@ -16,9 +22,10 @@ from ivhet import (
     generate,
     ipw_late,
 )
-from ivhet.propensity import _logit_parts, _probit_parts
+from ivhet.propensity import _bootstrap_estimates, _logit_parts, _probit_parts
 
 from conftest import gapped_cluster_subset, label_loop_cluster_se
+from oracles import row_copy_ipw_bootstrap
 
 
 def _sample(seed=0, n=2000, beta=(-0.3, 0.8)):
@@ -304,3 +311,196 @@ def test_warm_start_converges_fast():
     again = fit_binary_index(z, X, link="logit", start=fit.coefficients)
     assert again.iterations <= 1
     np.testing.assert_allclose(again.coefficients, fit.coefficients, atol=1e-8)
+
+
+_PINS = Path(__file__).with_name("propensity_pins.json")
+
+
+def _linear_controls_dataset(clustered=True):
+    """The seed-1 linear_controls benchmark input, built in memory."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    cols = workloads._linear(np.random.default_rng([1, 2]), 50_000)
+    _, codes = np.unique(cols["g"], return_inverse=True)
+    return Dataset(y=cols["y"], d=cols["d"], z=cols["z"],
+                   x=np.column_stack([cols["age"], cols["inc"]]),
+                   cluster=codes if clustered else None)
+
+
+def _pin_designs():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(400, 1))
+    sat, _ = _saturated_instance(18, n=800)
+    lc = _linear_controls_dataset()
+    return {
+        "sample1": _sample(1),
+        "sample2": _sample(2),
+        "no_intercept": ((rng.random(400) < 0.6).astype(float), x),
+        "saturated_x": (sat.z, sat.x),
+        "linear_controls": (lc.z, lc.x),
+    }
+
+
+def _pin_summary(fit, idx=None):
+    n = fit.n
+    if idx is None:
+        idx = [0, n // 3, n // 2, n - 1,
+               int(np.argmin(fit.phat)), int(np.argmax(fit.phat))]
+    return {
+        "coefficients": fit.coefficients.tolist(),
+        "loglik": None if np.isnan(fit.loglik) else fit.loglik,
+        "iterations": fit.iterations,
+        "phat_sum": float(fit.phat.sum()),
+        "phat_idx": idx,
+        "phat_at": fit.phat[idx].tolist(),
+    }
+
+
+def _pin_fits():
+    """(design, link, start) -> fit, for every pinned combination."""
+    for name, (z, X) in _pin_designs().items():
+        for link in ("logit", "probit", "linear"):
+            base = fit_binary_index(z, X, link=link)
+            k = base.coefficients.shape[0]
+            yield f"{name}/{link}/none", base
+            yield f"{name}/{link}/start", fit_binary_index(
+                z, X, link=link, start=np.linspace(-0.1, 0.1, k))
+
+
+def test_fit_binary_index_pinned():
+    """Full-sample fits on the test designs and the linear_controls design
+    stay where the lstsq Newton step put them: coefficients, loglik,
+    iterations and phat to 1e-12 relative."""
+    pins = json.loads(_PINS.read_text())["fits"]
+    seen = set()
+    for key, fit in _pin_fits():
+        seen.add(key)
+        want = pins[key]
+        got = _pin_summary(fit, want["phat_idx"])
+        assert got["iterations"] == want["iterations"], key
+        for field_ in ("coefficients", "phat_sum", "phat_at"):
+            np.testing.assert_allclose(got[field_], want[field_], rtol=1e-12,
+                                       atol=0, err_msg=f"{key} {field_}")
+        if want["loglik"] is None:
+            assert got["loglik"] is None, key
+        else:
+            assert abs(got["loglik"] - want["loglik"]) <= 1e-12 * abs(want["loglik"]), key
+    assert seen == set(pins)
+
+
+def test_ipw_delta_pinned():
+    """The delta-SE IPW LATE on the linear_controls design, with and without
+    its cluster labels, stays at its lstsq-step value to 1e-12 relative."""
+    pins = json.loads(_PINS.read_text())["ipw_delta"]
+    for clustered in (False, True):
+        ds = _linear_controls_dataset(clustered)
+        for link in ("logit", "probit", "linear"):
+            want = pins[f"linear_controls/{link}/{'cluster' if clustered else 'plain'}"]
+            rep = ipw_late(ds, fit_binary_index(ds.z, ds.x, link=link))
+            assert rep.se_type == want["se_type"]
+            assert abs(rep.estimate - want["estimate"]) <= 1e-12 * abs(want["estimate"])
+            assert abs(rep.se - want["se"]) <= 1e-12 * want["se"]
+
+
+def _bootstrap_design(seed, kind, clustered):
+    """Small designs whose resamples fail in every way the bootstrap counts.
+
+    "overlap": z follows a logistic index in x. "separated": z = (x > 0)
+    except the four rows nearest 0, so resamples that miss those rows are
+    perfectly separated. Both carry a binary covariate that is 1 on two rows
+    only; a resample without either row loses rank.
+    """
+    rng = np.random.default_rng(seed)
+    n = 120 if kind == "overlap" else 60
+    x = rng.normal(size=n)
+    if kind == "overlap":
+        z = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.2 + 1.5 * x)))).astype(int)
+    else:
+        z = (x > 0).astype(int)
+        near = np.argsort(np.abs(x))[:4]
+        z[near] = 1 - z[near]
+    rare = np.zeros(n)
+    rare[rng.choice(n, 2, replace=False)] = 1.0
+    d = (rng.random(n) < 0.2 + 0.6 * z).astype(int)
+    y = 1.0 + 2.0 * d + x + rng.normal(size=n)
+    cluster = rng.permutation(n) % (n // 3) if clustered else None
+    return Dataset(y=y, d=d, z=z, x=np.column_stack([x, rare]), cluster=cluster)
+
+
+def _rank_lost(ds, reps, seed):
+    """Resamples that draw neither row of the rare binary covariate."""
+    rare = np.flatnonzero(ds.x[:, 1])
+    lost = 0
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        rng = np.random.default_rng(child)
+        if ds.cluster is None:
+            m = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+        else:
+            _, codes = np.unique(ds.cluster, return_inverse=True)
+            g = codes.max() + 1
+            m = np.bincount(rng.integers(0, g, size=g), minlength=g)[codes]
+        lost += int(m[rare].sum() == 0)
+    return lost
+
+
+# a separated fit can put phat at 1.0, so an untrimmed z = 0 row gives 0/0
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("link", ["logit", "probit", "linear"])
+def test_weighted_bootstrap_matches_row_copy_oracle(link, clustered):
+    """The multiplicity-weighted resample loop gives the row-copy loop's
+    completed and failed counts, failures by class, and per-resample
+    estimates to 1e-10 relative, on designs where resamples trim rows,
+    separate, trim everything and lose rank. The untrimmed window keeps the
+    linear link's clipped propensities, whose clip depends on the resample
+    size."""
+    reps = 40
+    failed_classes = set()
+    lost = trimmed = 0
+    for seed in range(3):
+        for kind in ("overlap", "separated"):
+            ds = _bootstrap_design(seed, kind, clustered)
+            pf = fit_binary_index(ds.z, ds.x, link=link)
+            narrow = np.sort(pf.phat)[ds.n // 2 - 1: ds.n // 2 + 1]
+            windows = ((0.05, 0.95), (narrow[0] - 1e-9, narrow[1] + 1e-9),
+                       (0.0, 1.0))
+            for lo, hi in windows:
+                got, got_by = _bootstrap_estimates(ds, pf, lo, hi, reps, seed)
+                want, want_by = row_copy_ipw_bootstrap(ds, pf, lo, hi, reps, seed)
+                assert got_by == want_by, (seed, kind, lo, hi)
+                assert len(got) + sum(got_by.values()) == reps
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+                failed_classes |= set(got_by)
+                trimmed += ((pf.phat < lo) | (pf.phat > hi)).any()
+            lost += _rank_lost(ds, reps, seed)
+    assert {"TrimError", "IdentificationError"} <= failed_classes
+    if link != "linear":
+        assert "SeparationError" in failed_classes
+    assert lost > 0
+    assert trimmed >= 12
+
+
+def test_ipw_bootstrap_reports_failures_by_class():
+    ds = _bootstrap_design(1, "separated", False)
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+    rep = ipw_late(ds, pf, trim=(0.05, 0.95), se="bootstrap", reps=40, seed=1)
+    boot = rep.metadata["bootstrap"]
+    assert boot["failed_by"] == row_copy_ipw_bootstrap(ds, pf, 0.05, 0.95, 40, 1)[1]
+    assert boot["failed_by"]["SeparationError"] > 0
+    assert sum(boot["failed_by"].values()) == boot["failed"]
+    assert boot["completed"] + boot["failed"] == 40
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"reps": 0}, "reps must be at least 1, got 0"),
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+])
+def test_ipw_bootstrap_rejects_bad_reps_and_seed(kwargs, message):
+    ds, _ = _saturated_instance(16, n=300)
+    pf = fit_binary_index(ds.z, np.ones((ds.n, 1)), link="logit")
+    with pytest.raises(ConfigError, match=message):
+        ipw_late(ds, pf, se="bootstrap", **kwargs)

@@ -79,6 +79,16 @@ def test_linear_cluster_variant_runs():
     assert rep.method["se_type"] == "cluster"
 
 
+def test_linear_labels_without_se_type_give_hc1():
+    y, X, _ = _linear_sample(3, quadratic=1.0)
+    cl = np.arange(y.shape[0]) // 20
+    rep = reset_linear(y, X, cluster=cl)
+    assert rep.method["se_type"] == "hc1"
+    assert rep.statistic == reset_linear(y, X).statistic
+    assert rep.statistic != reset_linear(y, X, se_type="cluster",
+                                         cluster=cl).statistic
+
+
 def test_linear_trivial_when_saturated():
     # X is a full set of group dummies and y is group means plus noise:
     # fitted powers lie inside the design span
