@@ -1,11 +1,12 @@
 """Binary index models for the instrument propensity, and the IPW LATE.
 
-fit_binary_index runs a damped Newton iteration (iteratively reweighted
-least squares) that solves each step from the k x k information matrix
-X'WX; the design is rank-screened first, so this Gram is well posed and
-costs O(n k^2) per step. The probit score and information use Mills
-ratios computed from the stable log-CDF, so extreme indexes do not
-produce 0/0.
+fit_binary_index runs a damped Newton iteration expressed as iteratively
+reweighted least squares, solving each step as a lstsq problem on the
+square-root-weighted design rather than forming the normal equations
+X'WX, whose condition number is the square of the design's: a screened
+design with nearly collinear columns still gets an accurate step. The
+probit score and information use Mills ratios computed from the stable
+log-CDF, so extreme indexes do not produce 0/0.
 
 ipw_late is the Hajek (self-normalized) version of the abadie-style
 kappa estimand: each of the four arm means E[y|z], E[d|z] is a weighted
@@ -22,13 +23,15 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import (
+    ConfigError,
     ConvergenceError,
     DomainError,
+    EmptyDataError,
     IdentificationError,
     SeparationError,
     TrimError,
 )
-from .regression import _influence_se, screen_columns
+from .regression import _influence_se, _solve_ols, screen_columns
 from .special import normal_cdf, normal_log_cdf
 from .validity import _check_bootstrap
 
@@ -37,8 +40,6 @@ LINKS = ("logit", "probit", "linear")
 _MAX_ABS_COEF = 30.0
 _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times this
 _LL_RTOL = 1e-10
-# residual norm ratio, far above PIVOT_RTOL, past which the Gram decides rank
-_RANK_GATE = 1e-6
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -112,6 +113,8 @@ def fit_binary_index(
         X = X.T
     if X.shape[0] != z.shape[0]:
         raise DomainError("design and response have different lengths")
+    if z.shape[0] == 0:
+        raise EmptyDataError("no rows to fit")
     if not np.isin(z, (0.0, 1.0)).all():
         raise DomainError("binary index models need a 0/1 response")
 
@@ -130,7 +133,7 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
     n = X.shape[0] if m is None else float(m.sum())  # rows with multiplicity
     if link == "linear":
         s = np.ones(X.shape[0]) if m is None else np.sqrt(m)
-        coef = np.linalg.lstsq(X * s[:, None], z * s, rcond=None)[0]
+        coef, _ = _solve_ols(z * s, X * s[:, None])
         phat_raw = X @ coef
         inside = bool((phat_raw > 0.0).all() and (phat_raw < 1.0).all())
         eps = 1.0 / (2.0 * n)
@@ -154,9 +157,9 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
         w = np.maximum(w, 1e-12)
         if m is not None:
             u, w = m * u, m * w
-        return ll, X.T @ u, w, p
+        return ll, u, X.T @ u, w, p
 
-    ll, score, w, p = step_parts(beta)
+    ll, u, score, w, p = step_parts(beta)
     ll_path = [ll]
     converged = False
     it = 0
@@ -169,14 +172,16 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
             converged = True
             it -= 1
             break
-        delta = np.linalg.solve(X.T @ (X * w[:, None]), score)
+        sw = np.sqrt(w)
+        # Newton step: (X'WX) delta = X'u, solved as lstsq on the weighted design
+        delta = np.linalg.lstsq(X * sw[:, None], u / sw, rcond=None)[0]
         step = 1.0
         improved = False
         for _ in range(30):
             cand = beta + step * delta
-            ll_new, score_new, w_new, p_new = step_parts(cand)
+            ll_new, u_new, score_new, w_new, p_new = step_parts(cand)
             if ll_new > ll - ll_noise:
-                beta, ll, score, w, p = cand, ll_new, score_new, w_new, p_new
+                beta, ll, u, score, w, p = cand, ll_new, u_new, score_new, w_new, p_new
                 improved = True
                 break
             step *= 0.5
@@ -315,6 +320,8 @@ def ipw_late(
         raise DomainError("se must be 'delta' or 'bootstrap'")
 
     _check_bootstrap(reps, seed)
+    if reps < 2:
+        raise ConfigError(f"the bootstrap SE needs at least 2 resamples, got {reps}")
     ests, failed_by = _bootstrap_estimates(ds, pf, lo, hi, reps, seed)
     failures = sum(failed_by.values())
     if len(ests) < 2:
@@ -329,21 +336,6 @@ def ipw_late(
                      pf.link, (lo, hi), meta)
 
 
-def _may_lose_rank(X: np.ndarray, m: np.ndarray) -> bool:
-    """False when screen_columns surely keeps every column of sqrt(m) X.
-
-    The Cholesky factor of the weighted Gram holds each column's residual
-    norm after the earlier columns. Only when one of them is within the
-    Gram's rounding of the screen's tolerance is the screen itself run.
-    """
-    gram = X.T @ (X * m[:, None])
-    try:
-        r = np.diag(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError:
-        return True
-    return bool((r <= _RANK_GATE * np.sqrt(np.diag(gram))).any())
-
-
 def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
                          reps: int, seed: int):
     """Per-resample IPW estimates and failure counts by error class name.
@@ -352,9 +344,9 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
     multiplicity weights m: the row's draw count, or its cluster's pick count
     for the pairs cluster bootstrap. The refit and the Hajek means are
     m-weighted sums over the rows with m > 0, started from the full-sample
-    coefficients on the full-sample design. A resample whose design loses
-    rank keeps the columns screen_columns keeps on its copied rows (those of
-    sqrt(m) X have the same Gram) and, the start no longer matching, is
+    coefficients on the full-sample design. Each resample screens sqrt(m) X,
+    which has the Gram of its copied rows, so it keeps the columns those rows
+    would keep; one that loses a column no longer matches the start and is
     fitted from zeros.
     """
     children = np.random.SeedSequence(seed).spawn(reps)
@@ -377,10 +369,8 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         mb = m[rows].astype(np.float64)
         X = X_full[rows]
         try:
-            if _may_lose_rank(X, mb):
-                kept, _ = screen_columns(X * np.sqrt(mb)[:, None])
-                X = X[:, kept]
-            pf_b = _fit_screened(z[rows], X, pf.link, pf.coefficients, mb)
+            kept, _ = screen_columns(X * np.sqrt(mb)[:, None])
+            pf_b = _fit_screened(z[rows], X[:, kept], pf.link, pf.coefficients, mb)
             keep_b = (pf_b.phat >= lo) & (pf_b.phat <= hi)
             if mb[keep_b].sum() < 2:
                 raise TrimError("resample fully trimmed")

@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +12,7 @@ from ivhet import (
     DGPSpec,
     Dataset,
     DomainError,
+    EmptyDataError,
     SeparationError,
     TrimError,
     build_cells,
@@ -316,32 +315,59 @@ def test_warm_start_converges_fast():
 _PINS = Path(__file__).with_name("propensity_pins.json")
 
 
-def _linear_controls_dataset(clustered=True):
-    """The seed-1 linear_controls benchmark input, built in memory."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses look the defining module up in sys.modules
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    cols = workloads._linear(np.random.default_rng([1, 2]), 50_000)
-    _, codes = np.unique(cols["g"], return_inverse=True)
-    return Dataset(y=cols["y"], d=cols["d"], z=cols["z"],
-                   x=np.column_stack([cols["age"], cols["inc"]]),
-                   cluster=codes if clustered else None)
+def _controls_dataset(clustered=True, n=50_000):
+    """A sample shaped like the linear_controls benchmark input: raw-scale
+    age and income controls, a logistic instrument propensity in both, and
+    outcome levels shifted by 500 cluster effects."""
+    rng = np.random.default_rng(20)
+    age = rng.uniform(18.0, 65.0, n)
+    inc = rng.lognormal(1.0, 0.4, n)
+    a = (age - 41.5) / 13.6
+    b = (np.log(inc) - 1.0) / 0.4
+    g = rng.integers(0, 500, n)
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.2 + 0.5 * a - 0.3 * b)))).astype(int)
+    u = rng.random(n)
+    complier = u < np.clip(0.45 + 0.1 * a, 0.2, 0.7)
+    always = u > 0.85
+    d = (always | (complier & (z == 1))).astype(int)
+    y = (1.0 + 0.3 * a + 0.2 * b + rng.normal(0.0, 0.3, 500)[g]
+         + (1.0 + 0.5 * a) * d + rng.normal(size=n))
+    return Dataset(y=y, d=d, z=z, x=np.column_stack([age, inc]),
+                   cluster=g if clustered else None)
+
+
+def _ill_conditioned_design(r=1e-7, n=3000):
+    """Two large-valued covariates that differ by a relative r: both pass
+    the rank screen, but their Gram's condition number is about 1/r^2."""
+    rng = np.random.default_rng(11)
+    x1 = rng.normal(size=n)
+    x2 = x1 + r * rng.normal(size=n)
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.3 + x1)))).astype(float)
+    return z, 1e5 * np.column_stack([x1, x2])
+
+
+def _raw_quadratic_design(n=3000):
+    """Age in years and its square: columns four orders of magnitude apart."""
+    rng = np.random.default_rng(12)
+    age = rng.uniform(18.0, 65.0, n)
+    a = (age - 41.5) / 13.6
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.2 + 0.5 * a - 0.3 * a * a)))).astype(float)
+    return z, np.column_stack([age, age ** 2])
 
 
 def _pin_designs():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(400, 1))
     sat, _ = _saturated_instance(18, n=800)
-    lc = _linear_controls_dataset()
+    lc = _controls_dataset()
     return {
         "sample1": _sample(1),
         "sample2": _sample(2),
         "no_intercept": ((rng.random(400) < 0.6).astype(float), x),
         "saturated_x": (sat.z, sat.x),
-        "linear_controls": (lc.z, lc.x),
+        "controls": (lc.z, lc.x),
+        "raw_age_squared": _raw_quadratic_design(),
+        "ill_conditioned": _ill_conditioned_design(),
     }
 
 
@@ -361,20 +387,23 @@ def _pin_summary(fit, idx=None):
 
 
 def _pin_fits():
-    """(design, link, start) -> fit, for every pinned combination."""
+    """(design, link, start) -> fit, for every pinned combination. The start
+    moves each index by at most 0.1 per unit of the column's largest value."""
     for name, (z, X) in _pin_designs().items():
         for link in ("logit", "probit", "linear"):
             base = fit_binary_index(z, X, link=link)
             k = base.coefficients.shape[0]
+            start = np.linspace(-0.1, 0.1, k) / np.abs(base._design).max(axis=0)
             yield f"{name}/{link}/none", base
-            yield f"{name}/{link}/start", fit_binary_index(
-                z, X, link=link, start=np.linspace(-0.1, 0.1, k))
+            yield f"{name}/{link}/start", fit_binary_index(z, X, link=link,
+                                                           start=start)
 
 
 def test_fit_binary_index_pinned():
-    """Full-sample fits on the test designs and the linear_controls design
-    stay where the lstsq Newton step put them: coefficients, loglik,
-    iterations and phat to 1e-12 relative."""
+    """Full-sample fits stay where the lstsq Newton step put them before the
+    bootstrap refits shared its loop: coefficients, loglik, iterations and
+    phat to 1e-12 relative, on the test designs, a linear_controls-like
+    design, a raw-scale quadratic and a nearly collinear pair."""
     pins = json.loads(_PINS.read_text())["fits"]
     seen = set()
     for key, fit in _pin_fits():
@@ -393,13 +422,14 @@ def test_fit_binary_index_pinned():
 
 
 def test_ipw_delta_pinned():
-    """The delta-SE IPW LATE on the linear_controls design, with and without
-    its cluster labels, stays at its lstsq-step value to 1e-12 relative."""
+    """The delta-SE IPW LATE on the linear_controls-like design, with and
+    without its cluster labels, stays at its lstsq-step value to 1e-12
+    relative."""
     pins = json.loads(_PINS.read_text())["ipw_delta"]
     for clustered in (False, True):
-        ds = _linear_controls_dataset(clustered)
+        ds = _controls_dataset(clustered)
         for link in ("logit", "probit", "linear"):
-            want = pins[f"linear_controls/{link}/{'cluster' if clustered else 'plain'}"]
+            want = pins[f"controls/{link}/{'cluster' if clustered else 'plain'}"]
             rep = ipw_late(ds, fit_binary_index(ds.z, ds.x, link=link))
             assert rep.se_type == want["se_type"]
             assert abs(rep.estimate - want["estimate"]) <= 1e-12 * abs(want["estimate"])
@@ -497,6 +527,7 @@ def test_ipw_bootstrap_reports_failures_by_class():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"reps": 0}, "reps must be at least 1, got 0"),
+    ({"reps": 1}, "the bootstrap SE needs at least 2 resamples, got 1"),
     ({"seed": -1}, "seed must be nonnegative, got -1"),
 ])
 def test_ipw_bootstrap_rejects_bad_reps_and_seed(kwargs, message):
@@ -504,3 +535,19 @@ def test_ipw_bootstrap_rejects_bad_reps_and_seed(kwargs, message):
     pf = fit_binary_index(ds.z, np.ones((ds.n, 1)), link="logit")
     with pytest.raises(ConfigError, match=message):
         ipw_late(ds, pf, se="bootstrap", **kwargs)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "linear"])
+def test_fit_rejects_empty_sample(link):
+    with pytest.raises(EmptyDataError, match="no rows to fit"):
+        fit_binary_index(np.zeros(0), np.zeros((0, 1)), link=link)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_numerically_singular_gram_gives_typed_error(link):
+    """At r = 3e-9 the columns still pass the screen but X'WX is singular to
+    working precision; the weighted-design step keeps going until the
+    diverging coefficient is reported as separation."""
+    z, X = _ill_conditioned_design(3e-9)
+    with pytest.raises(SeparationError, match="diverging"):
+        fit_binary_index(z, X, link=link)
