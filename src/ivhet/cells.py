@@ -12,6 +12,7 @@ hold exactly on what remains.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .tables import format_table, json_safe
 
 DEFAULT_MIN_CELL_SIZE = 1
 DEFAULT_MIN_ARM_SIZE = 3
+_CODE_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,48 @@ def _arm_means(values: np.ndarray, assignments: np.ndarray, arm_mask: np.ndarray
         return np.where(arm_counts > 0, sums / np.maximum(arm_counts, 1), np.nan)
 
 
+def _cell_keys(x: np.ndarray):
+    """Each row's cell index, the distinct rows of x in lexicographic order
+    (first column most significant, -0.0 read as 0.0), and the number of
+    levels of each column.
+
+    Each column is factorized once and the level codes are combined in
+    mixed radix, the first column most significant, so one 1-D unique of
+    the combined codes orders the cells as a sort of whole rows would.
+    Before a column whose radix would pass int64, the running code is
+    factorized again; that keeps its order and bounds it by the row count.
+    """
+    n = x.shape[0]
+    code = np.zeros(n, dtype=np.int64)
+    radix = 1
+    levels = []
+    for col in x.T:
+        # -0.0 == 0.0, so both get one code
+        values, inverse = np.unique(col, return_inverse=True)
+        levels.append(values.size)
+        if radix * values.size > _CODE_MAX:
+            code = np.unique(code, return_inverse=True)[1]
+            radix = int(code.max()) + 1
+        code *= values.size
+        code += inverse
+        radix *= values.size
+    if len(levels) > 1:     # one column's codes are already 0, 1, ...
+        code = np.unique(code, return_inverse=True)[1]
+    # every row of a cell holds its key
+    row = np.empty(int(code.max()) + 1, dtype=np.int64)
+    row[code] = np.arange(n)
+    return code, x[row] + 0.0, levels
+
+
 def build_cells(ds: Dataset, min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
                 min_arm_size: int = DEFAULT_MIN_ARM_SIZE) -> CellTable:
     """Group rows into saturated cells and compute per-cell statistics.
 
     Covariates are expected to be indicators or small-cardinality discrete
     codes; each distinct tuple becomes one cell, ordered lexicographically
-    so the table does not depend on row order.
+    so the table does not depend on row order. The keys come from
+    factorizing each column once (see _cell_keys), in the same
+    lexicographic order a sort of whole rows gives.
     """
     if min_cell_size < 1:
         raise ConfigError("min_cell_size must be at least 1")
@@ -86,27 +123,16 @@ def build_cells(ds: Dataset, min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
         raise ConfigError("min_arm_size must be at least 1")
 
     n = ds.n
-    if ds.k == 0:
-        keys_arr = np.zeros((1, 0))
-        assignments = np.zeros(n, dtype=np.int64)
-    else:
-        keys_arr, assignments = np.unique(ds.x + 0.0, axis=0, return_inverse=True)
-        assignments = assignments.ravel()
+    assignments, keys_arr, levels = _cell_keys(ds.x)
     n_cells = keys_arr.shape[0]
     keys = tuple(tuple(float(v) for v in row) for row in keys_arr)
 
     warnings: list[str] = []
-    if ds.k > 0:
-        cardinality = 1
-        for col in range(ds.k):
-            cardinality *= len(np.unique(ds.x[:, col]))
-            if cardinality > n:
-                break
-        if cardinality > n:
-            warnings.append(
-                "covariate cell cardinality exceeds the sample size; "
-                "saturated estimates will be noisy or undefined"
-            )
+    if math.prod(levels) > n:
+        warnings.append(
+            "covariate cell cardinality exceeds the sample size; "
+            "saturated estimates will be noisy or undefined"
+        )
 
     z = ds.z
     n_j = np.bincount(assignments, minlength=n_cells).astype(np.int64)

@@ -39,12 +39,7 @@ from .propensity import fit_binary_index, ipw_late
 from .regression import _resolve_se, tsls
 from .spec_tests import reset_binary_index, reset_linear
 from .tables import fmt3, fmtp, format_table, json_safe
-from .validity import (
-    OutcomeSetPartition,
-    bp_test,
-    first_stage_nonneg_test,
-    mw_test,
-)
+from .validity import OutcomeSetPartition, validity_family
 
 _MAX_LEVELS = 20
 
@@ -346,15 +341,9 @@ def _cmd_validity(args) -> int:
         ct = build_cells(ds, min_cell_size=args.min_cell,
                          min_arm_size=args.min_arm)
         warnings.extend(ct.warnings)
-    reports = [bp_test(ds, ct, partition, reps=args.reps, seed=args.seed)]
-    if ct is not None:
-        reports.append(mw_test(ds, ct, partition, reps=args.reps,
-                               seed=args.seed))
-        reports.append(first_stage_nonneg_test(ct, reps=args.reps,
-                                               seed=args.seed))
-    else:
-        reports.append(mw_test(ds, None, partition, reps=args.reps,
-                               seed=args.seed))
+    reports = validity_family(ds, ct, partition, reps=args.reps,
+                              seed=args.seed)
+    if ct is None:
         warnings.append(
             "first stage nonnegativity runs per cell; skipped because the "
             "covariates are not treated as discrete cells"

@@ -65,13 +65,17 @@ def _wsum(v: np.ndarray, m) -> float:
     return float(np.sum(v)) if m is None else float(m @ v)
 
 
+def _logistic(eta: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-eta))
+
+
 def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None):
     # log p = -log(1 + e^-eta), log 1-p = -log(1 + e^eta)
-    p = 1.0 / (1.0 + np.exp(-eta))
+    p = _logistic(eta)
     ll = _wsum(z * eta - np.logaddexp(0.0, eta), m)
     u = z - p
     w = p * (1.0 - p)
-    return ll, u, w, p
+    return ll, u, w
 
 
 def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
@@ -85,8 +89,7 @@ def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
     mills_1mp = np.exp(log_phi - log_1mp)
     u = z * mills_p - (1.0 - z) * mills_1mp
     w = mills_p * mills_1mp
-    p = normal_cdf(eta)
-    return ll, u, w, p
+    return ll, u, w
 
 
 def _needs_intercept(X: np.ndarray) -> bool:
@@ -144,7 +147,8 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
             intercept_added=intercept_added, phat_in_unit=inside, _design=X,
         )
 
-    parts = _logit_parts if link == "logit" else _probit_parts
+    parts, cdf = ((_logit_parts, _logistic) if link == "logit"
+                  else (_probit_parts, normal_cdf))
     k = X.shape[1]
     if start is not None and start.shape[0] == k:
         beta = start.astype(np.float64).copy()
@@ -152,14 +156,14 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
         beta = np.zeros(k)
 
     def step_parts(b):
-        ll, u, w, p = parts(X @ b, z, m)
+        ll, u, w = parts(X @ b, z, m)
         # Newton's X'u and X'WX, with the information floored row by row
         w = np.maximum(w, 1e-12)
         if m is not None:
             u, w = m * u, m * w
-        return ll, u, X.T @ u, w, p
+        return ll, u, X.T @ u, w
 
-    ll, u, score, w, p = step_parts(beta)
+    ll, u, score, w = step_parts(beta)
     ll_path = [ll]
     converged = False
     it = 0
@@ -179,9 +183,9 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
         improved = False
         for _ in range(30):
             cand = beta + step * delta
-            ll_new, u_new, score_new, w_new, p_new = step_parts(cand)
+            ll_new, u_new, score_new, w_new = step_parts(cand)
             if ll_new > ll - ll_noise:
-                beta, ll, u, score, w, p = cand, ll_new, u_new, score_new, w_new, p_new
+                beta, ll, u, score, w = cand, ll_new, u_new, score_new, w_new
                 improved = True
                 break
             step *= 0.5
@@ -212,10 +216,11 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
             f"(last loglik {ll:.6g})"
         )
 
+    eta = X @ beta
     eps = np.finfo(np.float64).tiny
-    phat = np.clip(p, eps, 1.0 - eps)
+    phat = np.clip(cdf(eta), eps, 1.0 - eps)
     return PropensityFit(
-        link=link, coefficients=beta, index=X @ beta, phat=phat,
+        link=link, coefficients=beta, index=eta, phat=phat,
         converged=True, iterations=it, loglik=ll,
         intercept_added=intercept_added, phat_in_unit=True, _design=X,
     )
@@ -249,6 +254,12 @@ class IPWReport:
 def _hajek_arms(y, d, z, phat, m=1.0):
     """Weighted means of y and d in each instrument arm, rows counted m
     times; returns means and weights."""
+    if ((phat <= 0.0) | (phat >= 1.0)).any():
+        # the row's weight would be 1/0 or 0/0
+        raise SeparationError(
+            "a fitted propensity is exactly 0 or 1 on an untrimmed row; the "
+            "design separates the instrument there, so narrow the trim window"
+        )
     w1 = m * z / phat
     w0 = m * (1.0 - z) / (1.0 - phat)
     s1, s0 = w1.sum(), w0.sum()
@@ -273,7 +284,9 @@ def ipw_late(
 
     The delta-method standard error treats phat as fixed. se="bootstrap"
     refits the propensity inside each resample instead; resamples where the
-    refit fails or the denominator vanishes are skipped and counted.
+    refit fails or the denominator vanishes are skipped and counted. A
+    fitted propensity of exactly 0 or 1 inside the trim window is a
+    SeparationError, in the full sample and in each resample.
     """
     lo, hi = float(trim[0]), float(trim[1])
     if not 0.0 <= lo < hi <= 1.0:

@@ -60,20 +60,20 @@ def screen_columns(X: np.ndarray, rtol: float = PIVOT_RTOL):
     X = np.asarray(X, dtype=np.float64)
     n, k = X.shape
     kept: list[int] = []
-    Q = np.empty((n, 0))
+    basis = np.empty((n, k))
     for j in range(k):
         col = X[:, j]
         norm0 = np.linalg.norm(col)
         if norm0 == 0.0:
             continue
-        v = col.copy()
-        for _ in range(2):
-            v -= Q @ (Q.T @ v)
+        Q = basis[:, :len(kept)]
+        v = col - Q @ (Q.T @ col)
+        v -= Q @ (Q.T @ v)
         norm_v = np.linalg.norm(v)
         if norm_v > rtol * norm0:
-            Q = np.column_stack([Q, v / norm_v])
+            np.divide(v, norm_v, out=basis[:, len(kept)])
             kept.append(j)
-    return kept, Q
+    return kept, basis[:, :len(kept)]
 
 
 def _check_se_args(se_type: str, cluster, n: int):

@@ -31,6 +31,12 @@ of the dense computation, the same (reps, n) multiplier matrix times the
 (n x moments) matrix of row contributions, which tests/oracles.py keeps as
 the reference; only the floating-point summation order differs, which
 can matter only where moments or draws tie exactly.
+
+One multiplier stream serves the whole family. validity_family, which
+`ivhet validity` calls, draws and bins each chunk once and evaluates every
+test on the same per-bin sums; the first-stage test reads the bins summed
+over the outcome intervals. Those sums are integers, exact in float64, so
+each report is identical to the one its separate call gives.
 """
 
 from __future__ import annotations
@@ -203,61 +209,107 @@ def _arm_stats(prefix, mom: _Moments, z):
     return n, mean, var
 
 
-def _max_violation_test(test_name, codes, n_groups, n_intervals, mom,
-                        labels, reps, seed, method):
-    """Shared engine over binned rows.
+class _Test(NamedTuple):
+    """One test on the shared bins: the moments every group carries, the
+    labels of all of them, group-major, and the report's method record."""
 
-    codes holds each row's bin ((g*2 + z)*2 + d)*n_intervals + t for group
-    g and elementary outcome interval t, or -1 for rows outside every
-    group. Every group carries the moments mom describes; labels name them
-    all, group-major. Moments whose arms are empty are skipped and
-    counted; if nothing is left the test is undefined.
-    """
-    _check_bootstrap(reps, seed)
-    mom = _Moments(*np.broadcast_arrays(*map(np.atleast_1d, mom)))
-    shape = (n_groups, 2, 2, n_intervals)
-    width = int(np.prod(shape)) + 1
-    shifted = codes + 1
-    counts = np.bincount(shifted, minlength=width)[1:]
-    pre = _prefix(counts.reshape(shape))
+    name: str
+    mom: _Moments
+    labels: list
+    method: dict
+
+
+class _Bins(NamedTuple):
+    """Each row's bin ((g*2 + z)*2 + d)*n_intervals + t for group g and
+    elementary outcome interval t, or -1 for rows outside every group, and
+    the group labels."""
+
+    codes: np.ndarray
+    n_intervals: int
+    groups: list
+
+
+class _Observed(NamedTuple):
+    """A test's kept moments, its statistic and worst moment, and what each
+    draw's recentered, studentized moments need."""
+
+    mom: _Moments
+    kept: np.ndarray
+    mean_a: np.ndarray
+    mean_b: np.ndarray
+    scale_a: np.ndarray
+    scale_b: np.ndarray
+    statistic: float
+    worst: int
+
+
+def _observe(pre, test: _Test) -> _Observed:
+    mom = _Moments(*np.broadcast_arrays(*map(np.atleast_1d, test.mom)))
     n_a, mean_a, var_a = _arm_stats(pre, mom, mom.z)
     n_b, mean_b, var_b = _arm_stats(pre, mom, 1 - mom.z)
     kept = (n_a > 0) & (n_b > 0)
     if not kept.any():
         raise UndefinedTestError(
-            f"{test_name}: every moment had an empty arm; nothing to test"
+            f"{test.name}: every moment had an empty arm; nothing to test"
         )
     n_a, n_b = np.maximum(n_a, 1), np.maximum(n_b, 1)
     sigma = np.maximum(np.sqrt(var_a / n_a + var_b / n_b), _SIGMA_FLOOR)
     mhat = ((mean_a - mean_b) / sigma)[kept]
-    stat = float(np.max(-mhat))
-    worst = labels[int(np.flatnonzero(kept)[np.argmax(-mhat)])]
+    return _Observed(mom, kept, mean_a, mean_b, n_a * sigma, n_b * sigma,
+                     float(np.max(-mhat)),
+                     int(np.flatnonzero(kept)[np.argmax(-mhat)]))
 
-    # The (reps, n) Rademacher draws come in chunks of rows from one
-    # stream. A draw reduces to its per-bin sums, then to each moment's
-    # recentered, studentized estimate; the arithmetic is per draw, so a
-    # draw's maximum does not depend on the chunk it falls in.
-    n = codes.size
-    rows = max(1, _CHUNK_BYTES // (8 * max(n, width, kept.size)))
+
+def _multipliers(seed: int, reps: int, n: int, rows: int):
+    """The (reps, n) Rademacher draws as 0/1 bits from one stream, in
+    chunks of at most rows draws."""
     rng = np.random.default_rng(seed)
-    t_star = np.empty(reps)
     for start in range(0, reps, rows):
-        bits = rng.integers(0, 2, size=(min(rows, reps - start), n))
+        yield rng.integers(0, 2, size=(min(rows, reps - start), n))
+
+
+def _max_violation_tests(bins: _Bins, tests, reps: int, seed: int):
+    """Shared engine: the reports of tests, in order, all on bins and on one
+    multiplier stream.
+
+    Moments whose arms are empty are skipped and counted; the first test
+    left with nothing raises, before any draw is made.
+    """
+    _check_bootstrap(reps, seed)
+    shape = (len(bins.groups), 2, 2, bins.n_intervals)
+    width = int(np.prod(shape)) + 1
+    shifted = bins.codes + 1
+    counts = np.bincount(shifted, minlength=width)[1:]
+    pre = _prefix(counts.reshape(shape))
+    obs = [_observe(pre, test) for test in tests]
+
+    # Each chunk of draws is binned once; a draw reduces to its per-bin
+    # sums, then to each test's recentered, studentized moments. The
+    # arithmetic is per draw, so a draw's maximum depends neither on the
+    # chunk it falls in nor on the other tests of the call.
+    n = bins.codes.size
+    rows = max(1, _CHUNK_BYTES // (8 * max(n, width, *(o.kept.size for o in obs))))
+    t_star = np.empty((len(tests), reps))
+    start = 0
+    for bits in _multipliers(seed, reps, n, rows):
         ones = np.stack([np.bincount(shifted, weights=draw, minlength=width)[1:]
                          for draw in bits])
         pre = _prefix((2.0 * ones - counts).reshape(-1, *shape))
-        tot_a, hit_a = _arm_sums(pre, mom, mom.z)
-        tot_b, hit_b = _arm_sums(pre, mom, 1 - mom.z)
-        sims = ((hit_a - mean_a * tot_a) / (n_a * sigma)
-                - (hit_b - mean_b * tot_b) / (n_b * sigma))
-        t_star[start:start + len(bits)] = np.max(-sims[:, kept], axis=1)
-    p = float((1 + np.sum(t_star >= stat)) / (reps + 1))
+        for o, out in zip(obs, t_star):
+            tot_a, hit_a = _arm_sums(pre, o.mom, o.mom.z)
+            tot_b, hit_b = _arm_sums(pre, o.mom, 1 - o.mom.z)
+            sims = ((hit_a - o.mean_a * tot_a) / o.scale_a
+                    - (hit_b - o.mean_b * tot_b) / o.scale_b)
+            out[start:start + len(bits)] = np.max(-sims[:, o.kept], axis=1)
+        start += len(bits)
 
-    return ValidityReport(
-        test=test_name, statistic=stat, p_value=p, worst_set=worst,
-        bootstrap_reps=reps, seed=seed, n_moments=int(kept.sum()),
-        n_skipped=int(kept.size - kept.sum()), method=method,
-    )
+    return [ValidityReport(
+        test=test.name, statistic=o.statistic,
+        p_value=float((1 + np.sum(t >= o.statistic)) / (reps + 1)),
+        worst_set=test.labels[o.worst], bootstrap_reps=reps, seed=seed,
+        n_moments=int(o.kept.sum()), n_skipped=int(o.kept.size - o.kept.sum()),
+        method=dict(test.method),
+    ) for test, o, t in zip(tests, obs, t_star)]
 
 
 def _groups(ds: Dataset, ct: CellTable | None):
@@ -271,33 +323,48 @@ def _groups(ds: Dataset, ct: CellTable | None):
     return index[ct.assignments], [ct.key_label(j) for j in retained]
 
 
-def _bin_codes(ds: Dataset, group, interval, n_intervals: int):
+def _bins(ds: Dataset, ct: CellTable | None, interval=0,
+          n_intervals: int = 1) -> _Bins:
+    group, labels = _groups(ds, ct)
     code = ((group * 2 + ds.z) * 2 + ds.d) * n_intervals + interval
-    return np.where(group >= 0, code, -1)
+    return _Bins(np.where(group >= 0, code, -1), n_intervals, labels)
 
 
-def _candidate_bins(ds: Dataset, ct: CellTable | None,
-                    partition: OutcomeSetPartition | None):
+def _candidate_tests(ds: Dataset, ct: CellTable | None,
+                     partition: OutcomeSetPartition | None):
     """Rows binned over the elementary intervals [c_t, c_t+1) of the
-    partition (auto when None), extended to cover every outcome.
-
-    Returns the row codes, the number of groups and of intervals, each
-    candidate set's first and one-past-last interval, the candidate tags
-    of every group in order, and the method record of the report.
-    """
+    partition (auto when None), extended to cover every outcome, and the
+    bp and mw tests over its candidate sets [c_a, c_b)."""
     if partition is None:
         partition = OutcomeSetPartition.auto(ds.y)
     partition = partition.ensure_covers(ds.y)
     cuts = np.asarray(partition.cut_points)
-    group, cells = _groups(ds, ct)
-    interval = np.searchsorted(cuts, ds.y, side="right") - 1
-    codes = _bin_codes(ds, group, interval, cuts.size - 1)
+    bins = _bins(ds, ct, np.searchsorted(cuts, ds.y, side="right") - 1,
+                 cuts.size - 1)
     lo, hi = np.triu_indices(cuts.size, 1)
     sets = [label for _, _, label in partition.candidates()]
-    tags = [s if c == "all" else f"{s} | {c}" for c in cells for s in sets]
+    tags = [s if g == "all" else f"{s} | {g}" for g in bins.groups for s in sets]
     method = {"cut_points": list(partition.cut_points),
               "conditioning": "cells" if ct is not None else "none"}
-    return codes, len(cells), cuts.size - 1, lo, hi, tags, method
+    # bp, per candidate set: the treated moment (Z = 1 arm, D = 1 rows), then
+    # the untreated one (Z = 0 arm, D = 0 rows), each over whole arms
+    side = np.tile([1, 0], lo.size)
+    bp = _Test("bp_test",
+               _Moments(side, side, 0, bins.n_intervals, np.repeat(lo, 2),
+                        np.repeat(hi, 2)),
+               [f"{tag}, {kind}" for tag in tags
+                for kind in ("treated", "untreated")], method)
+    mw = _Test("mw_test", _Moments(1, 1, lo, hi, lo, hi), tags, method)
+    return bins, bp, mw
+
+
+def _first_stage(bins: _Bins) -> _Test:
+    """Per group, the treated share of the Z = 1 arm against that of the
+    Z = 0 arm, each over every outcome interval. Bin sums are integers, so
+    the report does not depend on how many intervals the bins have."""
+    t = bins.n_intervals
+    return _Test("first_stage_nonneg_test", _Moments(1, 1, 0, t, 0, t),
+                 bins.groups, {"conditioning": "cells"})
 
 
 def bp_test(
@@ -315,16 +382,8 @@ def bp_test(
         P(Y in A, D = 1 | Z = 1) - P(Y in A, D = 1 | Z = 0) >= 0
         P(Y in A, D = 0 | Z = 0) - P(Y in A, D = 0 | Z = 1) >= 0
     """
-    codes, n_groups, n_intervals, lo, hi, tags, method = _candidate_bins(
-        ds, ct, partition)
-    # per candidate set: the treated moment (Z = 1 arm, D = 1 rows), then
-    # the untreated one (Z = 0 arm, D = 0 rows), each over whole arms
-    side = np.tile([1, 0], lo.size)
-    mom = _Moments(side, side, 0, n_intervals, np.repeat(lo, 2), np.repeat(hi, 2))
-    labels = [f"{tag}, {kind}" for tag in tags for kind in ("treated", "untreated")]
-    return _max_violation_test(
-        "bp_test", codes, n_groups, n_intervals, mom, labels, reps, seed,
-        method)
+    bins, bp, _ = _candidate_tests(ds, ct, partition)
+    return _max_violation_tests(bins, [bp], reps, seed)[0]
 
 
 def mw_test(
@@ -340,11 +399,8 @@ def mw_test(
     cell), switching the instrument on cannot lower the share of treated
     rows. Candidate sets that are empty in one arm are skipped.
     """
-    codes, n_groups, n_intervals, lo, hi, tags, method = _candidate_bins(
-        ds, ct, partition)
-    return _max_violation_test(
-        "mw_test", codes, n_groups, n_intervals, _Moments(1, 1, lo, hi, lo, hi),
-        tags, reps, seed, method)
+    bins, _, mw = _candidate_tests(ds, ct, partition)
+    return _max_violation_tests(bins, [mw], reps, seed)[0]
 
 
 def first_stage_nonneg_test(
@@ -353,10 +409,24 @@ def first_stage_nonneg_test(
     seed: int = 0,
 ) -> ValidityReport:
     """Cell-level first stages must be nonnegative under monotonicity."""
-    ds = ct.source
-    group, cells = _groups(ds, ct)
-    return _max_violation_test(
-        "first_stage_nonneg_test", _bin_codes(ds, group, 0, 1), len(cells), 1,
-        _Moments(1, 1, 0, 1, 0, 1), cells, reps, seed,
-        {"conditioning": "cells"},
-    )
+    bins = _bins(ct.source, ct)
+    return _max_violation_tests(bins, [_first_stage(bins)], reps, seed)[0]
+
+
+def validity_family(
+    ds: Dataset,
+    ct: CellTable | None = None,
+    partition: OutcomeSetPartition | None = None,
+    reps: int = 999,
+    seed: int = 0,
+) -> list[ValidityReport]:
+    """bp_test, mw_test and, given a cell table, first_stage_nonneg_test,
+    on one set of multiplier draws.
+
+    With ct built from ds, the reports equal those of the separate calls
+    with the same arguments, and an undefined test raises the error its own
+    call would, bp first.
+    """
+    bins, bp, mw = _candidate_tests(ds, ct, partition)
+    tests = [bp, mw] if ct is None else [bp, mw, _first_stage(bins)]
+    return _max_violation_tests(bins, tests, reps, seed)

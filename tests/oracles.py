@@ -91,6 +91,28 @@ def dense_tsls_vcov(y, Xe, d, Z, se_type="hc1", cluster=None):
     return corr * xtx_inv @ meat @ xtx_inv
 
 
+def stacked_screen_columns(X, rtol=1e-10):
+    """Greedy design-order Gram-Schmidt screen that copies each column and
+    rebuilds its basis with np.column_stack at every kept column."""
+    X = np.asarray(X, dtype=np.float64)
+    n, k = X.shape
+    kept = []
+    Q = np.empty((n, 0))
+    for j in range(k):
+        col = X[:, j]
+        norm0 = np.linalg.norm(col)
+        if norm0 == 0.0:
+            continue
+        v = col.copy()
+        for _ in range(2):
+            v -= Q @ (Q.T @ v)
+        norm_v = np.linalg.norm(v)
+        if norm_v > rtol * norm0:
+            Q = np.column_stack([Q, v / norm_v])
+            kept.append(j)
+    return kept, Q
+
+
 def dense_hat(X):
     """Hat matrix diagonal via the explicit projection matrix."""
     return np.diag(X @ np.linalg.pinv(X.T @ X) @ X.T)
@@ -407,6 +429,8 @@ def row_load_dataset(path: str, cmap: ColumnMap) -> Dataset:
 
 
 def _row_copy_hajek_arms(y, d, z, phat):
+    if np.any(phat == 0.0) or np.any(phat == 1.0):
+        raise SeparationError("fitted propensity of exactly 0 or 1")
     w1 = z / phat
     w0 = (1.0 - z) / (1.0 - phat)
     s1, s0 = w1.sum(), w0.sum()
@@ -456,3 +480,20 @@ def row_copy_ipw_bootstrap(ds, pf, lo, hi, reps, seed):
             name = type(exc).__name__
             failed_by[name] = failed_by.get(name, 0) + 1
     return ests, failed_by
+
+
+def row_sort_cell_keys(x):
+    """Cell keys by sorting whole rows: (keys, assignments, warnings), the
+    warning given when the product of per-column level counts exceeds the
+    row count."""
+    n, k = x.shape
+    keys_arr, assignments = np.unique(x + 0.0, axis=0, return_inverse=True)
+    keys = tuple(tuple(float(v) for v in row) for row in keys_arr)
+    cardinality = 1
+    for col in range(k):
+        cardinality *= len(np.unique(x[:, col]))
+    warnings = ()
+    if cardinality > n:
+        warnings = ("covariate cell cardinality exceeds the sample size; "
+                    "saturated estimates will be noisy or undefined",)
+    return keys, assignments.ravel(), warnings

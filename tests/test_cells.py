@@ -10,7 +10,7 @@ from ivhet import (
 )
 
 from conftest import two_cell_dataset
-from oracles import cell_weights_by_hand
+from oracles import cell_weights_by_hand, row_sort_cell_keys
 
 
 def test_hand_fixture_cell_stats(hand_ct):
@@ -160,3 +160,55 @@ def test_assignment_roundtrip(trial_ds, trial_ct):
     for i in range(trial_ds.n):
         j = trial_ct.assignments[i]
         np.testing.assert_array_equal(trial_ct.keys[j], trial_ds.x[i])
+
+
+def _keys_dataset(x):
+    """x with 40 more rows in the first row's cell, where both arms and
+    the first stage are nonzero, so some cell is always retained."""
+    x = np.vstack([np.repeat(x[:1], 40, axis=0), x])
+    n = x.shape[0]
+    z = np.arange(n) % 2
+    return Dataset(y=np.arange(float(n)), d=z, z=z, x=x)
+
+
+@pytest.mark.parametrize("design", ["random", "signed_zero", "one_column",
+                                    "refactorize", "cardinality"])
+def test_cell_keys_match_row_sort(design):
+    """Per-column factorization gives the keys, int64 assignments and
+    warnings of one unique over whole rows, on random multi-column data,
+    -0.0 beside 0.0, a single column, codes that must be refactorized to
+    stay inside int64, and grids on both sides of the row count."""
+    rng = np.random.default_rng(31)
+    if design == "random":
+        xs = [rng.integers(-3, 4, size=(int(rng.integers(2, 300)), k))
+              * rng.choice([1.0, 0.5, -0.0, 1e9], size=k)
+              for k in rng.integers(1, 5, size=40)]
+    elif design == "signed_zero":
+        xs = [np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0],
+                        [1.0, -0.0]])]
+    elif design == "one_column":
+        xs = [rng.integers(0, 7, size=(500, 1)).astype(float),
+              rng.normal(size=(60, 1))]
+    elif design == "refactorize":
+        # 2,000**6 > 2**63: the running code is refactorized before column 6
+        xs = [rng.integers(0, 2000, size=(5000, 6)).astype(float)]
+    else:
+        # two 8-level columns on 24 or 23 rows, 64 or 63 with the 40 added:
+        # no warning when the 64-cell grid equals the row count, one when it
+        # exceeds it by one
+        xs = [np.column_stack([np.arange(m) % 8, np.arange(m) // 3 % 8]) * 1.0
+              for m in (24, 23)]
+    warned = set()
+    for x in xs:
+        ds = _keys_dataset(x)
+        keys, assignments, warnings = row_sort_cell_keys(ds.x)
+        ct = build_cells(ds, min_arm_size=1)
+        assert ct.keys == keys
+        assert ct.assignments.dtype == np.int64
+        np.testing.assert_array_equal(ct.assignments, assignments)
+        assert ct.warnings == warnings
+        # == does not tell -0.0 from 0.0
+        assert np.array_equal(np.signbit(ct.keys), np.signbit(keys))
+        warned.add(bool(warnings))
+    if design == "cardinality":
+        assert warned == {False, True}

@@ -6,8 +6,19 @@ import sys
 import numpy as np
 import pytest
 
-from ivhet import Dataset, reference_trial
+from ivhet import (
+    ColumnMap,
+    Dataset,
+    bp_test,
+    build_cells,
+    first_stage_nonneg_test,
+    load_dataset,
+    mw_test,
+    reference_trial,
+    validity,
+)
 from ivhet.cli import build_parser, main
+from ivhet.tables import json_safe
 
 from conftest import child_env, two_cell_dataset, write_csv
 
@@ -254,6 +265,35 @@ def test_validity_explicit_cuts(trial_csv, capsys):
         "--min-arm", "1", "--cuts", "0,2,4,7", "--reps", "99", "--json",
     ])
     assert len(payload["results"]["tests"]) == 3
+
+
+@pytest.mark.parametrize("saturated", ["yes", "no"])
+def test_validity_draws_one_multiplier_stream(trial_csv, capsys, monkeypatch,
+                                              saturated):
+    """The CLI draws the multipliers once for all its tests, and reports
+    what the separate public calls, which draw once each, report."""
+    draws = []
+    real = validity._multipliers
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(validity, "_multipliers", counted)
+    payload = run_json(capsys, [
+        "validity", "--input", str(trial_csv), *TRIAL_ARGS, "--min-arm", "1",
+        "--saturated", saturated, "--reps", "99", "--seed", "3", "--json",
+    ])
+    assert len(draws) == 1
+    ds = load_dataset(str(trial_csv), ColumnMap(
+        outcome="y", treatment="d", instrument="z", covariates=["stratum"]))
+    ct = build_cells(ds, min_arm_size=1) if saturated == "yes" else None
+    separate = [bp_test(ds, ct, reps=99, seed=3), mw_test(ds, ct, reps=99, seed=3)]
+    if ct is not None:
+        separate.append(first_stage_nonneg_test(ct, reps=99, seed=3))
+    assert len(draws) == 1 + len(separate)
+    assert payload["results"]["tests"] == json.loads(
+        json.dumps(json_safe([r.to_dict() for r in separate])))
 
 
 def test_validity_bad_reps_or_seed_exit_2(trial_csv, capsys):

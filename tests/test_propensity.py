@@ -94,7 +94,7 @@ def test_score_matches_central_differences(link):
         def ll(bb):
             return parts(X @ bb, z)[0]
 
-        _, u, _, _ = parts(X @ b, z)
+        _, u, _ = parts(X @ b, z)
         g = X.T @ u
         h = 1e-6
         g_fd = np.array([
@@ -114,7 +114,7 @@ def test_probit_parts_in_the_tails():
     ref_p = np.exp(log_phi - scipy.stats.norm.logcdf(eta))
     ref_1mp = np.exp(log_phi - scipy.stats.norm.logcdf(-eta))
     for z in (np.ones_like(eta), np.zeros_like(eta)):
-        ll, u, w, _ = _probit_parts(eta, z)
+        ll, u, w = _probit_parts(eta, z)
         assert np.isfinite(ll)
         assert np.isfinite(u).all() and np.isfinite(w).all()
     mills_p = _probit_parts(eta, np.ones_like(eta))[1]
@@ -477,8 +477,9 @@ def _rank_lost(ds, reps, seed):
     return lost
 
 
-# a separated fit can put phat at 1.0, so an untrimmed z = 0 row gives 0/0
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# a separated fit can put phat at 1.0; an untrimmed row there must fail as a
+# separated resample, not divide by zero
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("clustered", [False, True])
 @pytest.mark.parametrize("link", ["logit", "probit", "linear"])
 def test_weighted_bootstrap_matches_row_copy_oracle(link, clustered):
@@ -523,6 +524,20 @@ def test_ipw_bootstrap_reports_failures_by_class():
     assert boot["failed_by"]["SeparationError"] > 0
     assert sum(boot["failed_by"].values()) == boot["failed"]
     assert boot["completed"] + boot["failed"] == 40
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_ipw_propensity_of_one_is_separation(link):
+    """A fitted propensity of exactly 1.0 inside the trim window is reported
+    as separation, before any weight divides by zero; the default window
+    trims those rows and the estimate stands."""
+    ds = _bootstrap_design(1, "separated", False)
+    pf = fit_binary_index(ds.z, ds.x, link=link)
+    assert (pf.phat == 1.0).any()
+    with pytest.raises(SeparationError, match="exactly 0 or 1"):
+        ipw_late(ds, pf, trim=(0.0, 1.0))
+    assert np.isfinite(ipw_late(ds, pf).estimate)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -18,6 +18,7 @@ from oracles import (
     dense_ols_vcov,
     dense_tsls,
     dense_tsls_vcov,
+    stacked_screen_columns,
 )
 
 
@@ -254,3 +255,38 @@ def test_unknown_se_type():
         ols(y, X, se_type="hc9")
     with pytest.raises(DomainError):
         ols(y, X, se_type="cluster")  # no labels given
+
+
+def test_screen_columns_matches_stacked_basis():
+    """Filling one preallocated basis keeps the columns that copying each
+    column and restacking the basis keeps, on designs with exact and
+    1e-7 / 3e-9 near-collinear pairs, zero columns and up to 12 columns.
+    Q spans the kept columns with orthonormal columns, and matches the
+    restacked basis to 1e-12 where no kept column is nearly collinear:
+    there the basis direction is set by rounding in either version."""
+    rng = np.random.default_rng(2027)
+    collinear = 0
+    for _ in range(300):
+        n, k = int(rng.integers(5, 300)), int(rng.integers(1, 13))
+        X = rng.normal(size=(n, k))
+        gap = 1.0
+        if k >= 2 and rng.random() < 0.6:
+            i, j = rng.choice(k, 2, replace=False)
+            gap = rng.choice([0.0, 1e-7, 3e-9])
+            X[:, j] = X[:, i] * rng.choice([1.0, 2.5]) + gap * rng.normal(size=n)
+            collinear += gap > 0
+        if rng.random() < 0.3:
+            X[:, rng.integers(k)] = 0.0
+        if rng.random() < 0.3:
+            X[:, 0] = 1.0
+        kept, Q = screen_columns(X)
+        want, Q_ref = stacked_screen_columns(X)
+        assert kept == want
+        assert Q.shape == Q_ref.shape
+        np.testing.assert_allclose(Q.T @ Q, np.eye(len(kept)), rtol=0, atol=1e-12)
+        Xk = X[:, kept]
+        np.testing.assert_allclose(Q @ (Q.T @ Xk), Xk, rtol=0,
+                                   atol=1e-12 * np.abs(Xk).max(initial=1.0))
+        if gap in (0.0, 1.0):
+            np.testing.assert_allclose(Q, Q_ref, rtol=0, atol=1e-12)
+    assert collinear > 50

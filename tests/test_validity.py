@@ -18,6 +18,7 @@ from ivhet import (
     generate,
     mw_test,
 )
+from ivhet.validity import validity_family
 
 from oracles import (
     dense_bootstrap,
@@ -392,6 +393,76 @@ def test_chunked_draws_match_single_chunk(monkeypatch):
     assert any(1 / 51 < r.p_value < 1 for r in runs[3])
 
 
+def _separate(ds, ct, partition, reps, seed):
+    """The separate public calls in the order the CLI runs them, or the
+    type and message of the first error."""
+    calls = [lambda: bp_test(ds, ct, partition, reps=reps, seed=seed),
+             lambda: mw_test(ds, ct, partition, reps=reps, seed=seed)]
+    if ct is not None:
+        calls.append(lambda: first_stage_nonneg_test(ct, reps=reps, seed=seed))
+    try:
+        return [call() for call in calls]
+    except IvhetError as exc:
+        return type(exc), str(exc)
+
+
+def _family(ds, ct, partition, reps, seed):
+    try:
+        return validity_family(ds, ct, partition, reps=reps, seed=seed)
+    except IvhetError as exc:
+        return type(exc), str(exc)
+
+
+def test_family_equals_separate_calls():
+    """One multiplier stream for the whole family gives each report field
+    for field as its own call gives it, with and without cells, on auto,
+    decile and user cut points, including degenerate cells."""
+    rng = np.random.default_rng(909)
+    degenerate = 0
+    for _ in range(30):
+        ds = _random_design(rng)
+        ct = build_cells(ds, min_cell_size=2, min_arm_size=2)
+        degenerate += bool(ct.degenerate.any())
+        reps, seed = int(rng.integers(1, 80)), int(rng.integers(0, 1000))
+        parts = (None, OutcomeSetPartition.from_deciles(ds.y),
+                 OutcomeSetPartition((-0.5, 0.5, 1.5)))
+        for cells in (ct, None):
+            for part in parts:
+                want = _separate(ds, cells, part, reps, seed)
+                assert isinstance(want, list)
+                assert _family(ds, cells, part, reps, seed) == want
+    assert degenerate >= 5
+
+
+def test_family_equals_separate_calls_on_fixed_designs(monkeypatch):
+    """A single retained cell, skipped mw moments, a test that is undefined
+    (same error type and message, bp first), and odd n drawn in chunks of
+    3 rows with a ragged last chunk."""
+    y = np.array([0.0, 1, 0, 1, 2, 2, 0, 0, 0, 1, 1, 0, 0])
+    d = np.array([1, 1, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0])
+    z = np.array([1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+    tiny = Dataset(y=y, d=d, z=z, x=np.zeros(13))
+    one_cell = build_cells(tiny, min_cell_size=2, min_arm_size=1)
+    assert one_cell.n_cells == 1
+    for cells in (None, one_cell):
+        want = _separate(tiny, cells, None, 99, 5)
+        assert want[1].n_skipped > 0
+        assert _family(tiny, cells, None, 99, 5) == want
+
+    empty = Dataset(y=[0.0, 0, 1, 1], d=[0, 0, 1, 1], z=[1, 1, 1, 1],
+                    x=np.empty((4, 0)))
+    want = _separate(empty, None, None, 9, 0)
+    assert want[0] is UndefinedTestError and want[1].startswith("bp_test:")
+    assert _family(empty, None, None, 9, 0) == want
+
+    ds, _ = generate(valid_spec(seed=7), 1201)
+    ct = build_cells(ds)
+    want = {cells is None: _separate(ds, cells, None, 50, 4) for cells in (ct, None)}
+    monkeypatch.setattr(validity, "_CHUNK_BYTES", 8 * ds.n * 3)
+    for cells in (ct, None):
+        assert _family(ds, cells, None, 50, 4) == want[cells is None]
+
+
 def test_bootstrap_memory_bounded():
     """bp_test at n=100,000 with 220 moments and 199 draws stays well
     under the (n x moments) and (reps x n) arrays of the dense engine."""
@@ -411,4 +482,26 @@ def test_bootstrap_memory_bounded():
     finally:
         tracemalloc.stop()
     assert rep.n_moments + rep.n_skipped == 220
+    assert peak < 64 * 2**20, peak / 2**20
+
+
+def test_family_memory_bounded():
+    """The whole family at n=100,000 with 199 draws stays under the same
+    bound as one test: the tests share the binned draws."""
+    mk = lambda q, types: CellSpec(
+        share=0.5, q=q, types=types,
+        y0={"never": 0.0, "complier": 1.0, "always": 2.0},
+        y1={"complier": 2.0, "always": 3.0}, noise0=1.0, noise1=1.0,
+    )
+    spec = DGPSpec(cells=(mk(0.5, (0.4, 0.3, 0.3, 0.0)),
+                          mk(0.6, (0.5, 0.2, 0.3, 0.0))), seed=3)
+    ds, _ = generate(spec, 100_000)
+    ct = build_cells(ds)
+    tracemalloc.start()
+    try:
+        reports = validity_family(ds, ct, reps=199, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.n_moments + r.n_skipped for r in reports] == [220, 110, 2]
     assert peak < 64 * 2**20, peak / 2**20
