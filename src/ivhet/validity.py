@@ -19,24 +19,24 @@ Three families are provided:
 
 How the bootstrap is computed. Every moment averages a 0/1 indicator that
 is constant on bins: one bin per retained cell (or the whole sample), z,
-d and elementary outcome interval [c_t, c_t+1) of the partition. Each row
-gets one bin code. Arm sizes, means and variances follow from the bin
-counts. For one multiplier draw s, a moment's bootstrap value is a linear
-function of the per-bin sums of s, and the sums over any candidate
-interval are differences of prefix sums over t. The (reps, n) draws come
-from one random stream in chunks of a few MiB; each draw is reduced to its
-bin sums with a bincount. Memory is O(n + bins + moments), with no
-(n x moments) or (reps x n) array. The statistic and the p-value are those
-of the dense computation, the same (reps, n) multiplier matrix times the
-(n x moments) matrix of row contributions, which tests/oracles.py keeps as
-the reference; only the floating-point summation order differs, which
-can matter only where moments or draws tie exactly.
+d and elementary outcome interval [c_t, c_t+1) of the partition. Arm
+sizes, means and variances follow from the bin counts, and a multiplier
+draw enters a moment only through its per-bin sums, whose sums over any
+candidate interval are differences of prefix sums over t. The sum of a
+bin's count fair 0/1 bits is Binomial(count, 1/2), so each draw is made
+directly as one Binomial per bin, from one random stream in chunks of a
+few MiB. After one bincount of the rows' bin codes no row is touched
+again: the bootstrap costs O(reps x (bins + moments)) and holds no (n x
+moments) or (reps x n) array. The law of the bootstrap is that of the
+dense computation, a (reps, n) Rademacher matrix times the (n x moments)
+matrix of row contributions, which tests/oracles.py keeps as the
+reference; a seed's realisation is not that of per-row draws, so its
+p-values differ from those of versions that drew every row.
 
-One multiplier stream serves the whole family. validity_family, which
-`ivhet validity` calls, draws and bins each chunk once and evaluates every
-test on the same per-bin sums; the first-stage test reads the bins summed
-over the outcome intervals. Those sums are integers, exact in float64, so
-each report is identical to the one its separate call gives.
+bp_test and mw_test share their bins, so validity_family, which `ivhet
+validity` calls, evaluates both on one draw; the first-stage test makes
+its own draw on the coarse (cell, z, d) bins, as its separate call does.
+Each report is identical to the one its separate call gives.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import ConfigError, DomainError, UndefinedTestError
 
 _SIGMA_FLOOR = 1e-6
 _MAX_SUPPORT = 12
-_CHUNK_BYTES = 4 << 20      # cap on one chunk of bootstrap draws
+_CHUNK_BYTES = 4 << 20      # cap on draws x max(bins, moments) float64s
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,10 @@ class ValidityReport:
     in label order, that attains it: moments tied exactly, as in two
     bit-identical cells, go to the one listed first. The p-value is
     (1 + #{draws with maximum >= statistic}) / (reps + 1): a draw whose
-    maximum equals the statistic counts as at least as extreme.
+    maximum equals the statistic counts as at least as extreme. The draws
+    are per-bin Binomial(count, 1/2) sums of fair bits: the law of a
+    Rademacher multiplier bootstrap over rows, not its realisation, so a
+    seed gives other p-values than row-by-row draws.
     """
 
     test: str
@@ -260,49 +263,47 @@ def _observe(pre, test: _Test) -> _Observed:
                      int(np.flatnonzero(kept)[np.argmax(-mhat)]))
 
 
-def _multipliers(seed: int, reps: int, n: int, rows: int):
-    """The (reps, n) Rademacher draws as 0/1 bits from one stream, in
-    chunks of at most rows draws."""
+def _multipliers(seed: int, reps: int, counts: np.ndarray, rows: int):
+    """Per-bin sums of reps Rademacher draws as 0/1 bits, from one stream
+    in chunks of at most rows draws: the sum of counts[b] fair bits is
+    Binomial(counts[b], 1/2)."""
     rng = np.random.default_rng(seed)
     for start in range(0, reps, rows):
-        yield rng.integers(0, 2, size=(min(rows, reps - start), n))
+        yield rng.binomial(counts, 0.5, size=(min(rows, reps - start), counts.size))
 
 
-def _max_violation_tests(bins: _Bins, tests, reps: int, seed: int):
-    """Shared engine: the reports of tests, in order, all on bins and on one
-    multiplier stream.
-
-    Moments whose arms are empty are skipped and counted; the first test
-    left with nothing raises, before any draw is made.
-    """
-    _check_bootstrap(reps, seed)
-    shape = (len(bins.groups), 2, 2, bins.n_intervals)
-    width = int(np.prod(shape)) + 1
-    shifted = bins.codes + 1
-    counts = np.bincount(shifted, minlength=width)[1:]
-    pre = _prefix(counts.reshape(shape))
-    obs = [_observe(pre, test) for test in tests]
-
-    # Each chunk of draws is binned once; a draw reduces to its per-bin
-    # sums, then to each test's recentered, studentized moments. The
-    # arithmetic is per draw, so a draw's maximum depends neither on the
-    # chunk it falls in nor on the other tests of the call.
-    n = bins.codes.size
-    rows = max(1, _CHUNK_BYTES // (8 * max(n, width, *(o.kept.size for o in obs))))
-    t_star = np.empty((len(tests), reps))
+def _bootstrap_maxima(counts, shape, obs, reps: int, seed: int) -> np.ndarray:
+    """Each test's maximum recentered, studentized violation in every draw,
+    (tests, reps). The arithmetic is per draw, so a draw's maximum depends
+    neither on the chunk it falls in nor on the other tests of the call."""
+    size = max(counts.size, *(o.kept.size for o in obs))
+    rows = max(1, _CHUNK_BYTES // (8 * size))
+    t_star = np.empty((len(obs), reps))
     start = 0
-    for bits in _multipliers(seed, reps, n, rows):
-        ones = np.stack([np.bincount(shifted, weights=draw, minlength=width)[1:]
-                         for draw in bits])
+    for ones in _multipliers(seed, reps, counts, rows):
         pre = _prefix((2.0 * ones - counts).reshape(-1, *shape))
         for o, out in zip(obs, t_star):
             tot_a, hit_a = _arm_sums(pre, o.mom, o.mom.z)
             tot_b, hit_b = _arm_sums(pre, o.mom, 1 - o.mom.z)
             sims = ((hit_a - o.mean_a * tot_a) / o.scale_a
                     - (hit_b - o.mean_b * tot_b) / o.scale_b)
-            out[start:start + len(bits)] = np.max(-sims[:, o.kept], axis=1)
-        start += len(bits)
+            out[start:start + len(ones)] = np.max(-sims[:, o.kept], axis=1)
+        start += len(ones)
+    return t_star
 
+
+def _max_violation_tests(bins: _Bins, tests, reps: int, seed: int):
+    """Shared engine: the reports of tests, in order, all on bins and on one
+    draw of per-bin multiplier sums.
+
+    Moments whose arms are empty are skipped and counted; the first test
+    left with nothing raises, before any draw is made.
+    """
+    _check_bootstrap(reps, seed)
+    shape = (len(bins.groups), 2, 2, bins.n_intervals)
+    counts = np.bincount(bins.codes + 1, minlength=int(np.prod(shape)) + 1)[1:]
+    obs = [_observe(_prefix(counts.reshape(shape)), test) for test in tests]
+    t_star = _bootstrap_maxima(counts, shape, obs, reps, seed)
     return [ValidityReport(
         test=test.name, statistic=o.statistic,
         p_value=float((1 + np.sum(t >= o.statistic)) / (reps + 1)),
@@ -317,6 +318,9 @@ def _groups(ds: Dataset, ct: CellTable | None):
     with -1 for rows of excluded cells, or one group "all"."""
     if ct is None:
         return np.zeros(ds.n, dtype=np.int64), ["all"]
+    if ct.source is not ds:
+        raise ConfigError("cell table was built from a different dataset; "
+                          "build it from the one being tested")
     retained = np.flatnonzero(~ct.degenerate)
     index = np.full(ct.n_cells, -1, dtype=np.int64)
     index[retained] = np.arange(retained.size)
@@ -356,15 +360,6 @@ def _candidate_tests(ds: Dataset, ct: CellTable | None,
                 for kind in ("treated", "untreated")], method)
     mw = _Test("mw_test", _Moments(1, 1, lo, hi, lo, hi), tags, method)
     return bins, bp, mw
-
-
-def _first_stage(bins: _Bins) -> _Test:
-    """Per group, the treated share of the Z = 1 arm against that of the
-    Z = 0 arm, each over every outcome interval. Bin sums are integers, so
-    the report does not depend on how many intervals the bins have."""
-    t = bins.n_intervals
-    return _Test("first_stage_nonneg_test", _Moments(1, 1, 0, t, 0, t),
-                 bins.groups, {"conditioning": "cells"})
 
 
 def bp_test(
@@ -410,7 +405,9 @@ def first_stage_nonneg_test(
 ) -> ValidityReport:
     """Cell-level first stages must be nonnegative under monotonicity."""
     bins = _bins(ct.source, ct)
-    return _max_violation_tests(bins, [_first_stage(bins)], reps, seed)[0]
+    test = _Test("first_stage_nonneg_test", _Moments(1, 1, 0, 1, 0, 1),
+                 bins.groups, {"conditioning": "cells"})
+    return _max_violation_tests(bins, [test], reps, seed)[0]
 
 
 def validity_family(
@@ -420,13 +417,15 @@ def validity_family(
     reps: int = 999,
     seed: int = 0,
 ) -> list[ValidityReport]:
-    """bp_test, mw_test and, given a cell table, first_stage_nonneg_test,
-    on one set of multiplier draws.
+    """bp_test and mw_test on one draw of per-bin multiplier sums and,
+    given a cell table, first_stage_nonneg_test on its own coarse bins.
 
-    With ct built from ds, the reports equal those of the separate calls
-    with the same arguments, and an undefined test raises the error its own
-    call would, bp first.
+    The reports equal those of the separate calls with the same arguments,
+    and an undefined test raises the error its own call would, bp first.
+    The cost is O(n) for binning plus O(reps x (bins + moments)).
     """
     bins, bp, mw = _candidate_tests(ds, ct, partition)
-    tests = [bp, mw] if ct is None else [bp, mw, _first_stage(bins)]
-    return _max_violation_tests(bins, tests, reps, seed)
+    reports = _max_violation_tests(bins, [bp, mw], reps, seed)
+    if ct is not None:
+        reports.append(first_stage_nonneg_test(ct, reps, seed))
+    return reports

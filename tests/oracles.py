@@ -180,8 +180,9 @@ def wald_by_hand(y, d, z):
 # ------------------------------------------------- dense validity bootstrap
 #
 # The validity engine as it was before it moved to per-bin multiplier sums:
-# one dense (n x moments) contribution matrix and one dense (reps x n)
-# sign matrix. The package's binned engine must reproduce it.
+# one dense (n x moments) contribution matrix times a dense (reps x n) sign
+# matrix. Fed engine_signs, the rows' signs behind the binned engine's
+# per-bin draws, it must give the binned engine's reports.
 
 def _arm_stats(values: np.ndarray, idx: np.ndarray):
     v = values[idx]
@@ -191,9 +192,9 @@ def _arm_stats(values: np.ndarray, idx: np.ndarray):
     return mean, var, n
 
 
-def dense_bootstrap(test_name, n_rows, moments, reps, seed):
-    """The dense engine's work: moments is a list of (idx_a, idx_b, values,
-    label).
+def dense_bootstrap(test_name, signs, moments):
+    """The dense engine's work with signs, a (reps, n) matrix of +-1
+    multipliers: moments is a list of (idx_a, idx_b, values, label).
 
     Each moment is the null hypothesis mean(values[idx_a]) >=
     mean(values[idx_b]). Moments whose arms are empty are skipped and
@@ -215,7 +216,7 @@ def dense_bootstrap(test_name, n_rows, moments, reps, seed):
 
     m = len(kept)
     mhat = np.empty(m)
-    contrib = np.zeros((n_rows, m))
+    contrib = np.zeros((signs.shape[1], m))
     labels = []
     for k, (idx_a, idx_b, values, label) in enumerate(kept):
         mean_a, var_a, n_a = _arm_stats(values, idx_a)
@@ -227,17 +228,16 @@ def dense_bootstrap(test_name, n_rows, moments, reps, seed):
         contrib[idx_b, k] -= (values[idx_b] - mean_b) / (n_b * sigma)
         labels.append(label)
 
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(reps, n_rows)) * 2.0 - 1.0
     sims = signs @ contrib
     t_star = np.max(-sims, axis=1)
     return labels, mhat, t_star, skipped
 
 
-def dense_max_violation_test(test_name, n_rows, moments, reps, seed, method):
-    """The report of the dense engine on one moment list."""
-    labels, mhat, t_star, skipped = dense_bootstrap(
-        test_name, n_rows, moments, reps, seed)
+def dense_max_violation_test(test_name, signs, moments, seed, method):
+    """The report of the dense engine on one moment list; seed is only
+    recorded."""
+    reps = signs.shape[0]
+    labels, mhat, t_star, skipped = dense_bootstrap(test_name, signs, moments)
     stat = float(np.max(-mhat))
     worst = labels[int(np.argmax(-mhat))]
     p = float((1 + np.sum(t_star >= stat)) / (reps + 1))
@@ -259,6 +259,36 @@ def _cell_groups(ds, ct):
             continue
         groups.append((ct.key_label(j), np.flatnonzero(ct.assignments == j)))
     return groups
+
+
+def engine_signs(ds, ct, cut_points, reps, seed):
+    """A (reps, n) +-1 matrix whose per-bin sums are the binned engine's
+    draws for seed.
+
+    Each row's bin is its retained cell (or one group), z, d and elementary
+    outcome interval [c_t, c_t+1) of cut_points (one interval when None),
+    numbered in the engine's order. The per-bin Binomial(count, 1/2) sums
+    of the 0/1 bits are redrawn from seed in that order; in each bin the
+    first k rows, in row order, get +1 and the rest -1. Rows of excluded
+    cells get -1; no moment reads them."""
+    group = np.full(ds.n, -1)
+    for g, (_, rows) in enumerate(_cell_groups(ds, ct)):
+        group[rows] = g
+    n_groups = group.max() + 1
+    if cut_points is None:
+        t, n_t = np.zeros(ds.n, dtype=int), 1
+    else:
+        cuts = np.asarray(cut_points)
+        t, n_t = np.searchsorted(cuts, ds.y, side="right") - 1, cuts.size - 1
+    code = ((group * 2 + ds.z) * 2 + ds.d) * n_t + t
+    n_bins = n_groups * 4 * n_t
+    counts = np.bincount(code[group >= 0], minlength=n_bins)
+    ones = np.random.default_rng(seed).binomial(counts, 0.5, size=(reps, n_bins))
+    signs = -np.ones((reps, ds.n))
+    for b in range(n_bins):
+        rows = np.flatnonzero((group >= 0) & (code == b))
+        signs[:, rows] = np.where(np.arange(rows.size) < ones[:, [b]], 1.0, -1.0)
+    return signs
 
 
 def dense_bp_moments(ds, ct=None, partition=None):

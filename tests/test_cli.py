@@ -270,8 +270,10 @@ def test_validity_explicit_cuts(trial_csv, capsys):
 @pytest.mark.parametrize("saturated", ["yes", "no"])
 def test_validity_draws_one_multiplier_stream(trial_csv, capsys, monkeypatch,
                                               saturated):
-    """The CLI draws the multipliers once for all its tests, and reports
-    what the separate public calls, which draw once each, report."""
+    """The CLI draws the per-bin multiplier sums once for bp and mw, which
+    share their bins, and once more for the first-stage test on its coarse
+    bins; it reports what the separate public calls, which draw once each,
+    report."""
     draws = []
     real = validity._multipliers
 
@@ -284,14 +286,15 @@ def test_validity_draws_one_multiplier_stream(trial_csv, capsys, monkeypatch,
         "validity", "--input", str(trial_csv), *TRIAL_ARGS, "--min-arm", "1",
         "--saturated", saturated, "--reps", "99", "--seed", "3", "--json",
     ])
-    assert len(draws) == 1
+    assert len(draws) == (2 if saturated == "yes" else 1)
+    cli_draws = len(draws)
     ds = load_dataset(str(trial_csv), ColumnMap(
         outcome="y", treatment="d", instrument="z", covariates=["stratum"]))
     ct = build_cells(ds, min_arm_size=1) if saturated == "yes" else None
     separate = [bp_test(ds, ct, reps=99, seed=3), mw_test(ds, ct, reps=99, seed=3)]
     if ct is not None:
         separate.append(first_stage_nonneg_test(ct, reps=99, seed=3))
-    assert len(draws) == 1 + len(separate)
+    assert len(draws) == cli_draws + len(separate)
     assert payload["results"]["tests"] == json.loads(
         json.dumps(json_safe([r.to_dict() for r in separate])))
 

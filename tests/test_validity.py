@@ -1,7 +1,9 @@
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ivhet import validity
 from ivhet import (
@@ -26,6 +28,7 @@ from oracles import (
     dense_first_stage_moments,
     dense_max_violation_test,
     dense_mw_moments,
+    engine_signs,
 )
 
 
@@ -204,6 +207,19 @@ def test_all_skipped_raises():
         mw_test(ds, None, reps=9, seed=0)
 
 
+def test_cell_table_from_another_dataset_raises():
+    """A cell table is bound to the dataset it was built from: another
+    dataset, of a different size or of the same size, is refused."""
+    ds, _ = generate(valid_spec(seed=1), 400)
+    ct = build_cells(ds)
+    for n in (300, 400):
+        other, _ = generate(valid_spec(seed=2), n)
+        for run in (bp_test, mw_test, validity_family):
+            with pytest.raises(ConfigError, match="cell table was built from "
+                                                  "a different dataset"):
+                run(other, ct, reps=9, seed=0)
+
+
 def test_report_to_dict():
     ds, _ = generate(valid_spec(), 800)
     rep = bp_test(ds, None, reps=49, seed=0)
@@ -284,11 +300,14 @@ def _compare(fast_fn, fast_args, moments_fn, moments_args, reps, seed):
     every tied draw as below the statistic and counting it as above.
     Returns "same", "tie" or "error"."""
     moments, method = moments_fn(*moments_args)
-    n_rows = moments[0][2].size     # every moment's values span all rows
+    if moments_fn is dense_first_stage_moments:
+        ds, ct = moments_args[0].source, moments_args[0]
+    else:
+        ds, ct = (*moments_args, None)[:2]
+    signs = engine_signs(ds, ct, method.get("cut_points"), reps, seed)
     name = fast_fn.__name__
     fast = _run(fast_fn, *fast_args, reps=reps, seed=seed)
-    dense = _run(dense_max_violation_test, name, n_rows, moments, reps, seed,
-                 method)
+    dense = _run(dense_max_violation_test, name, signs, moments, seed, method)
     if isinstance(dense, type):
         assert fast is dense
         return "error"
@@ -298,7 +317,7 @@ def _compare(fast_fn, fast_args, moments_fn, moments_args, reps, seed):
     assert fast.method == dense.method
     if (fast.worst_set, fast.p_value) == (dense.worst_set, dense.p_value):
         return "same"
-    labels, mhat, t_star, _ = dense_bootstrap(name, n_rows, moments, reps, seed)
+    labels, mhat, t_star, _ = dense_bootstrap(name, signs, moments)
     stat = dense.statistic
     tied = dict(zip(labels, -mhat))[fast.worst_set]
     assert tied == pytest.approx(stat, rel=1e-12, abs=0)
@@ -376,21 +395,53 @@ def test_binned_bootstrap_matches_dense_on_fixed_designs():
     assert _compare(mw_test, (empty,), dense_mw_moments, (empty,), 9, 0) == "error"
 
 
+class _Draw(NamedTuple):
+    counts: np.ndarray
+    chunks: list
+
+
+def _record_draws(monkeypatch) -> list:
+    """Record every draw of per-bin multiplier sums the engine makes: its
+    bin counts and its chunks, in order."""
+    draws = []
+    real = validity._multipliers
+
+    def recorded(seed, reps, counts, rows):
+        draws.append(_Draw(counts, []))
+        for chunk in real(seed, reps, counts, rows):
+            draws[-1].chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(validity, "_multipliers", recorded)
+    return draws
+
+
+def _three_row_cap(draw: _Draw, report) -> int:
+    """The chunk cap under which a draw with these bins, for a test with
+    the report's moments, comes in chunks of 3 draws: the cap holds rows x
+    max(bins, moments) float64s."""
+    return 8 * 3 * max(draw.counts.size, report.n_moments + report.n_skipped)
+
+
 def test_chunked_draws_match_single_chunk(monkeypatch):
     """Splitting the draws into chunks of 3 rows, with a ragged last chunk
     of 2, leaves every report bit for bit as one chunk gives it."""
     ds, _ = generate(valid_spec(seed=7), 1201)
     ct = build_cells(ds)
-    runs = {}
-    for chunk_rows in (3, 1000):
-        monkeypatch.setattr(validity, "_CHUNK_BYTES", 8 * ds.n * chunk_rows)
-        runs[chunk_rows] = [bp_test(ds, ct, reps=50, seed=4),
-                            bp_test(ds, None, reps=50, seed=4),
-                            mw_test(ds, ct, reps=50, seed=4),
-                            first_stage_nonneg_test(ct, reps=50, seed=4)]
-    assert runs[3] == runs[1000]
+    calls = [lambda: bp_test(ds, ct, reps=50, seed=4),
+             lambda: bp_test(ds, None, reps=50, seed=4),
+             lambda: mw_test(ds, ct, reps=50, seed=4),
+             lambda: first_stage_nonneg_test(ct, reps=50, seed=4)]
+    draws = _record_draws(monkeypatch)
+    whole = [call() for call in calls]
+    assert [len(draw.chunks) for draw in draws] == [1] * 4
+    for call, want, draw in zip(calls, whole, draws[:4]):
+        monkeypatch.setattr(validity, "_CHUNK_BYTES", _three_row_cap(draw, want))
+        assert call() == want
+        assert [len(chunk) for chunk in draws[-1].chunks] == [3] * 16 + [2]
+    assert len(draws) == 8
     # at least one p-value away from both ends, where any draw counts
-    assert any(1 / 51 < r.p_value < 1 for r in runs[3])
+    assert any(1 / 51 < r.p_value < 1 for r in whole)
 
 
 def _separate(ds, ct, partition, reps, seed):
@@ -457,10 +508,74 @@ def test_family_equals_separate_calls_on_fixed_designs(monkeypatch):
 
     ds, _ = generate(valid_spec(seed=7), 1201)
     ct = build_cells(ds)
-    want = {cells is None: _separate(ds, cells, None, 50, 4) for cells in (ct, None)}
-    monkeypatch.setattr(validity, "_CHUNK_BYTES", 8 * ds.n * 3)
-    for cells in (ct, None):
-        assert _family(ds, cells, None, 50, 4) == want[cells is None]
+    draws = _record_draws(monkeypatch)
+    want, caps = {}, {}
+    for key, cells in ((False, ct), (True, None)):
+        draws.clear()
+        want[key] = _separate(ds, cells, None, 50, 4)
+        # bp's draw has the family's bins and, of its tests, the most moments
+        caps[key] = _three_row_cap(draws[0], want[key][0])
+    for key, cells in ((False, ct), (True, None)):
+        monkeypatch.setattr(validity, "_CHUNK_BYTES", caps[key])
+        draws.clear()
+        assert _family(ds, cells, None, 50, 4) == want[key]
+        assert len(draws) == len(want[key]) - 1
+        assert [len(chunk) for chunk in draws[0].chunks] == [3] * 16 + [2]
+        if cells is not None:
+            # the first-stage test draws on its own coarse bins
+            rows = caps[key] // (8 * draws[1].counts.size)
+            assert 1 < rows < 50
+            assert len(draws[1].chunks) == -(-50 // rows)
+
+
+def test_per_bin_draws_have_the_law_of_summed_fair_bits(monkeypatch):
+    """Each bin's draw is the sum of count fair bits: over 4,000 draws its
+    mean is count/2 and its variance count/4, within 4 standard errors,
+    and bins are uncorrelated. Bins of 0, 1, 5 and 10^4 rows; the rows of
+    an excluded cell are in no bin."""
+    cell = np.repeat([0, 0, 0, 0, 1, 1, 1, 2], [5, 1, 5, 10_000, 5, 1, 5, 3])
+    z = np.repeat([0, 0, 1, 1, 0, 1, 1, 1], [5, 1, 5, 10_000, 5, 1, 5, 3])
+    d = np.repeat([0, 1, 0, 1, 0, 0, 1, 1], [5, 1, 5, 10_000, 5, 1, 5, 3])
+    ds = Dataset(y=d.astype(float), d=d, z=z, x=cell.astype(float))
+    ct = build_cells(ds, min_cell_size=2, min_arm_size=1)
+    assert ct.degenerate.tolist() == [False, False, True]
+    draws = _record_draws(monkeypatch)
+    reps = 4000
+    first_stage_nonneg_test(ct, reps=reps, seed=11)
+    (draw,) = draws
+    # bins ((cell * 2 + z) * 2 + d) over the retained cells
+    count = np.array([5, 1, 5, 10_000, 5, 0, 1, 5])
+    assert draw.counts.tolist() == count.tolist()
+    sums = np.concatenate(draw.chunks)
+    assert sums.shape == (reps, count.size)
+    assert ((sums >= 0) & (sums <= count)).all()
+    var = count / 4
+    mu4 = var * (1 + 3 * (count - 2) / 4)    # Binomial(count, 1/2)
+    se_mean = np.sqrt(var / reps)
+    se_var = np.sqrt((mu4 - var**2 * (reps - 3) / (reps - 1)) / reps)
+    assert (np.abs(sums.mean(axis=0) - count / 2) <= 4 * se_mean).all()
+    assert (np.abs(sums.var(axis=0, ddof=1) - var) <= 4 * se_var).all()
+    corr = np.corrcoef(sums[:, count > 0], rowvar=False)
+    off = corr[~np.eye(corr.shape[0], dtype=bool)]
+    assert (np.abs(off) <= 4 / np.sqrt(reps)).all()
+
+
+def test_binned_maxima_match_row_bits_in_law(monkeypatch):
+    """The bootstrap maxima of the binned engine and those of the dense
+    engine fed independent fair row bits come from one law: a two-sample
+    KS test at the 1% level, on bp with cells."""
+    ds, _ = generate(valid_spec(seed=3), 1000)
+    ct = build_cells(ds)
+    maxima = []
+    real = validity._bootstrap_maxima
+    monkeypatch.setattr(validity, "_bootstrap_maxima",
+                        lambda *args: maxima.append(real(*args)) or maxima[-1])
+    reps = 2000
+    bp_test(ds, ct, reps=reps, seed=21)
+    moments, _ = dense_bp_moments(ds, ct)
+    bits = np.random.default_rng(22).integers(0, 2, size=(reps, ds.n))
+    _, _, t_star, _ = dense_bootstrap("bp_test", bits * 2.0 - 1.0, moments)
+    assert stats.ks_2samp(maxima[0][0], t_star).pvalue > 0.01
 
 
 def test_bootstrap_memory_bounded():
