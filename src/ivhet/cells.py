@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +75,13 @@ def _arm_means(values: np.ndarray, assignments: np.ndarray, arm_mask: np.ndarray
         return np.where(arm_counts > 0, sums / np.maximum(arm_counts, 1), np.nan)
 
 
-def _cell_keys(x: np.ndarray):
+class _Keyed(NamedTuple):
+    codes: np.ndarray           # (n,) cell index per row
+    keys: np.ndarray            # (J, k) distinct rows, -0.0 read as 0.0
+    levels: list[int]           # distinct values per column
+
+
+def _cell_keys(x: np.ndarray) -> _Keyed:
     """Each row's cell index, the distinct rows of x in lexicographic order
     (first column most significant, -0.0 read as 0.0), and the number of
     levels of each column.
@@ -104,7 +111,7 @@ def _cell_keys(x: np.ndarray):
     # every row of a cell holds its key
     row = np.empty(int(code.max()) + 1, dtype=np.int64)
     row[code] = np.arange(n)
-    return code, x[row] + 0.0, levels
+    return _Keyed(code, x[row] + 0.0, levels)
 
 
 def build_cells(ds: Dataset, min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
@@ -117,13 +124,19 @@ def build_cells(ds: Dataset, min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
     factorizing each column once (see _cell_keys), in the same
     lexicographic order a sort of whole rows gives.
     """
+    return _table(ds, _cell_keys(ds.x), min_cell_size, min_arm_size)
+
+
+def _table(ds: Dataset, keyed: _Keyed, min_cell_size: int,
+           min_arm_size: int) -> CellTable:
+    """The cell table of ds on its keyed cells, keyed = _cell_keys(ds.x)."""
     if min_cell_size < 1:
         raise ConfigError("min_cell_size must be at least 1")
     if min_arm_size < 1:
         raise ConfigError("min_arm_size must be at least 1")
 
     n = ds.n
-    assignments, keys_arr, levels = _cell_keys(ds.x)
+    assignments, keys_arr, levels = keyed
     n_cells = keys_arr.shape[0]
     keys = tuple(tuple(float(v) for v in row) for row in keys_arr)
 

@@ -21,7 +21,9 @@ from . import __version__
 from .cells import (
     DEFAULT_MIN_ARM_SIZE,
     DEFAULT_MIN_CELL_SIZE,
-    build_cells,
+    CellTable,
+    _cell_keys,
+    _table,
     cell_stats_table,
 )
 from .data_model import ColumnMap, Dataset, load_dataset, validate
@@ -38,10 +40,11 @@ from .many_iv import jive, many_tsls, ujive
 from .propensity import fit_binary_index, ipw_late
 from .regression import _resolve_se, tsls
 from .spec_tests import reset_binary_index, reset_linear
-from .tables import fmt3, fmtp, format_table, json_safe
+from .tables import fmt3, fmtp, format_table, json_safe, write_columns
 from .validity import OutcomeSetPartition, validity_family
 
 _MAX_LEVELS = 20
+_ROLES = ("outcome", "treatment", "instrument", "covariates", "cluster")
 
 
 def _add_data_args(p: argparse.ArgumentParser):
@@ -76,25 +79,14 @@ def _column_map(args) -> ColumnMap:
     base = {}
     if args.config:
         cmap = ColumnMap.from_json(args.config)
-        base = {
-            "outcome": cmap.outcome,
-            "treatment": cmap.treatment,
-            "instrument": cmap.instrument,
-            "covariates": cmap.covariates,
-            "cluster": cmap.cluster,
-        }
-    if args.outcome:
-        base["outcome"] = args.outcome
-    if args.treatment:
-        base["treatment"] = args.treatment
-    if args.instrument:
-        base["instrument"] = args.instrument
+        base = {role: getattr(cmap, role) for role in _ROLES}
+    for role in ("outcome", "treatment", "instrument", "cluster"):
+        if getattr(args, role):
+            base[role] = getattr(args, role)
     if args.covariates is not None:
         base["covariates"] = tuple(
             c.strip() for c in args.covariates.split(",") if c.strip()
         )
-    if args.cluster:
-        base["cluster"] = args.cluster
     missing = [k for k in ("outcome", "treatment", "instrument")
                if not base.get(k)]
     if missing:
@@ -114,36 +106,37 @@ def _load(args):
     return ds, cmap, list(report.warnings)
 
 
-def _is_saturated(ds: Dataset) -> bool:
-    if ds.k == 0:
-        return True
-    for j in range(ds.k):
-        col = ds.x[:, j]
-        if not np.allclose(col, np.round(col), atol=1e-9):
-            return False
-        if np.unique(col).size > _MAX_LEVELS:
-            return False
-    n_cells = np.unique(ds.x, axis=0).shape[0]
-    return n_cells <= max(1, ds.n // 4)
+def _cells(args, ds: Dataset, command: str, warnings: list) -> CellTable | None:
+    """The cell table, or None when the covariates are not taken as cells.
 
-
-def _want_saturated(args, ds: Dataset, command: str) -> bool:
+    --saturated auto takes them as cells when every column is integral and
+    has at most _MAX_LEVELS levels, and the rows form at most max(1, n // 4)
+    cells. weights and manyiv refuse to run without cells.
+    """
+    keyed = None
     if args.saturated == "yes":
-        return True
-    if args.saturated == "no":
-        if command in ("weights", "manyiv"):
+        keyed = _cell_keys(ds.x)
+    elif args.saturated == "auto" and all(
+            np.allclose(col, np.round(col), atol=1e-9) for col in ds.x.T):
+        keyed = _cell_keys(ds.x)
+        if (max(keyed.levels, default=0) > _MAX_LEVELS
+                or len(keyed.keys) > max(1, ds.n // 4)):
+            keyed = None
+    if keyed is None:
+        if command not in ("weights", "manyiv"):
+            return None
+        if args.saturated == "no":
             raise ConfigError(
                 f"{command} needs discrete covariate cells; "
                 "rerun with --saturated yes if the covariates are discrete"
             )
-        return False
-    auto = _is_saturated(ds)
-    if not auto and command in ("weights", "manyiv"):
         raise ConfigError(
             f"{command} needs discrete covariate cells, but the covariates "
             "do not look discrete; rerun with --saturated yes to override"
         )
-    return auto
+    ct = _table(ds, keyed, args.min_cell, args.min_arm)
+    warnings.extend(ct.warnings)
+    return ct
 
 
 def _design_with_intercept(ds: Dataset) -> np.ndarray:
@@ -185,13 +178,7 @@ def _payload(command: str, args, cmap: ColumnMap, warnings, results) -> dict:
         "command": command,
         "config_echo": {
             "input": args.input,
-            "columns": {
-                "outcome": cmap.outcome,
-                "treatment": cmap.treatment,
-                "instrument": cmap.instrument,
-                "covariates": list(cmap.covariates),
-                "cluster": cmap.cluster,
-            },
+            "columns": {role: getattr(cmap, role) for role in _ROLES},
         },
         "results": results,
         "warnings": list(warnings),
@@ -212,6 +199,11 @@ def _estimate_rows(reports) -> str:
     return format_table(headers, rows)
 
 
+def _saturated_reports(ct: CellTable, se_type) -> list[EstimateReport]:
+    return [estimate(ct, se_type=se_type) for estimate in (
+        estimate_beta_late_saturated, estimate_beta_iv, estimate_beta_ai)]
+
+
 def _ipw_late(args, ds, pf):
     """The IPW LATE, with a cluster SE only when --se resolves to cluster."""
     if ds.cluster is not None and _resolve_se(args.se, ds.cluster) != "cluster":
@@ -222,16 +214,9 @@ def _ipw_late(args, ds, pf):
 def _cmd_estimate(args) -> int:
     ds, cmap, warnings = _load(args)
     results: dict = {}
-    reports = []
-    if _want_saturated(args, ds, "estimate"):
-        ct = build_cells(ds, min_cell_size=args.min_cell,
-                         min_arm_size=args.min_arm)
-        warnings.extend(ct.warnings)
-        reports = [
-            estimate_beta_late_saturated(ct, se_type=args.se),
-            estimate_beta_iv(ct, se_type=args.se),
-            estimate_beta_ai(ct, se_type=args.se),
-        ]
+    ct = _cells(args, ds, "estimate", warnings)
+    if ct is not None:
+        reports = _saturated_reports(ct, args.se)
         results["mode"] = "saturated"
         if args.link:
             cell_ids = np.arange(ct.n_cells)
@@ -244,12 +229,12 @@ def _cmd_estimate(args) -> int:
         fit = tsls(ds.y, X, ds.d.astype(float), ds.z.astype(float),
                    se_type=_resolve_se(args.se, ds.cluster), cluster=ds.cluster)
         idx = fit.endog_index
-        reports.append(EstimateReport(
+        reports = [EstimateReport(
             estimand="beta_iv", estimate=float(fit.coefficients[idx]),
             se=float(np.sqrt(fit.vcov[idx, idx])), se_type=fit.se_type,
             n_used=ds.n, cells_used=0,
             metadata={"estimator": "2sls_linear"},
-        ))
+        )]
         link = args.link or "logit"
         pf = fit_binary_index(ds.z, ds.x, link=link)
         reports.append(_ipw_late(args, ds, pf))
@@ -264,17 +249,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_weights(args) -> int:
     ds, cmap, warnings = _load(args)
-    _want_saturated(args, ds, "weights")
-    ct = build_cells(ds, min_cell_size=args.min_cell,
-                     min_arm_size=args.min_arm)
-    warnings.extend(ct.warnings)
+    ct = _cells(args, ds, "weights", warnings)
     wt = decompose_weights(ct)
     stats = cell_stats_table(ct, weights=wt)
-    reports = [
-        estimate_beta_late_saturated(ct, se_type=args.se),
-        estimate_beta_iv(ct, se_type=args.se),
-        estimate_beta_ai(ct, se_type=args.se),
-    ]
+    reports = _saturated_reports(ct, args.se)
     results = {
         "cells": list(stats.records),
         "estimates": [rep.to_dict() for rep in reports],
@@ -335,12 +313,7 @@ def _parse_cuts(text: str, y: np.ndarray) -> OutcomeSetPartition | None:
 def _cmd_validity(args) -> int:
     ds, cmap, warnings = _load(args)
     partition = _parse_cuts(args.cuts, ds.y)
-    saturated = _want_saturated(args, ds, "validity")
-    ct = None
-    if saturated:
-        ct = build_cells(ds, min_cell_size=args.min_cell,
-                         min_arm_size=args.min_arm)
-        warnings.extend(ct.warnings)
+    ct = _cells(args, ds, "validity", warnings)
     reports = validity_family(ds, ct, partition, reps=args.reps,
                               seed=args.seed)
     if ct is None:
@@ -361,10 +334,7 @@ def _cmd_validity(args) -> int:
 
 def _cmd_manyiv(args) -> int:
     ds, cmap, warnings = _load(args)
-    _want_saturated(args, ds, "manyiv")
-    ct = build_cells(ds, min_cell_size=args.min_cell,
-                     min_arm_size=args.min_arm)
-    warnings.extend(ct.warnings)
+    ct = _cells(args, ds, "manyiv", warnings)
     fits = []
     errors = {}
     fits.append(many_tsls(ct, se_type=args.se))
@@ -389,11 +359,8 @@ def _cmd_manyiv(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = DGPSpec.from_json(args.spec)
     ds, lt = generate(spec, args.n, seed=args.seed)
-    with open(args.data, "w", encoding="utf-8", newline="") as fh:
-        fh.write("y,d,z,cell\n")
-        for i in range(ds.n):
-            fh.write(f"{float(ds.y[i])!r},{int(ds.d[i])},{int(ds.z[i])},"
-                     f"{float(ds.x[i, 0])!r}\n")
+    write_columns(args.data, ("y", "d", "z", "cell"),
+                  (ds.y, ds.d, ds.z, ds.x[:, 0]))
     messages = [f"wrote {ds.n} rows to {args.data}"]
     if args.latent:
         lt.to_csv(args.latent)

@@ -35,9 +35,10 @@ plus _parse_real and _parse_binary, one row at a time) instead when it
 holds anything the column path does not decide the same way: non-ASCII
 text, NUL, whitespace inside a line, a line longer than the csv field
 limit, a token numpy will not convert, or a binary token outside the
-accepted forms. From the first chunk holding a quote, the rest of the file
-goes through csv.reader, so a quoted newline may span chunks. Chunks are
-taken in file order, so drops, codes, errors and messages are those of
+accepted forms. A quoted field open at the end of a chunk takes lines
+from the next ones until its record ends, so a quoted newline may span
+chunks; the column path resumes after that record. Chunks are taken in
+file order, so drops, codes, errors and messages are those of
 reading row by row, as tests/oracles.py's reference loader does.
 """
 
@@ -357,13 +358,13 @@ def _read_body(fh, cols: _Columns) -> None:
     while lines := list(islice(fh, _CHUNK_ROWS)):
         if cols.add_lines(lines):
             continue
-        if any('"' in line for line in lines):
-            # a quoted field may span lines and chunks: csv reads the rest
-            records = csv.reader(chain(lines, fh))
-            while chunk := list(islice(records, _CHUNK_ROWS)):
-                cols.add_rows(chunk)
-            return
-        cols.add_rows(csv.reader(lines))
+        # a quoted field open on the last line takes lines from fh
+        records, rows = csv.reader(chain(lines, fh)), []
+        for row in records:
+            rows.append(row)
+            if records.line_num >= len(lines):
+                break
+        cols.add_rows(rows)
 
 
 def _undecodable(path: str) -> DomainError:

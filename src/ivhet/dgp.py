@@ -22,6 +22,7 @@ import numpy as np
 from .data_model import Dataset, _read_json
 from .errors import ConfigError, DomainError
 from .estimators import WeightTable, _normalize
+from .tables import write_columns
 
 CTYPES = ("complier", "always", "never", "defier")
 _D1 = {"complier": 1, "always": 1, "never": 0, "defier": 0}
@@ -149,15 +150,9 @@ class LatentTable:
         return np.array(CTYPES)[self.ctype]
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("cell,ctype,y1,y0,d1,d0,z\n")
-            names = self.ctype_names()
-            for i in range(self.n):
-                fh.write(
-                    f"{int(self.cell[i])},{names[i]},{float(self.y1[i])!r},"
-                    f"{float(self.y0[i])!r},{int(self.d1[i])},"
-                    f"{int(self.d0[i])},{int(self.z[i])}\n"
-                )
+        write_columns(path, ("cell", "ctype", "y1", "y0", "d1", "d0", "z"),
+                      (self.cell, self.ctype_names(), self.y1, self.y0,
+                       self.d1, self.d0, self.z))
 
 
 def generate(spec: DGPSpec, n: int, seed: int | None = None) -> tuple[Dataset, LatentTable]:

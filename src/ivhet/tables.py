@@ -1,8 +1,10 @@
-"""Small helpers for aligned text tables and JSON-safe values."""
+"""Small helpers for aligned text tables, JSON-safe values and CSV output."""
 
 from __future__ import annotations
 
 import math
+
+_CSV_ROWS = 1 << 15     # rows formatted per write; bounds the strings held
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -40,3 +42,13 @@ def fmtp(p) -> str:
     if p is None or (isinstance(p, float) and not math.isfinite(p)):
         return "."
     return f"{p:.3g}"
+
+
+def write_columns(path: str, header: tuple[str, ...], columns) -> None:
+    """Write equal-length numpy columns under a header line, each value as
+    str() of its Python scalar: a float as its repr, which reads back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            parts = [map(str, col[start:start + _CSV_ROWS].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")

@@ -527,3 +527,19 @@ def row_sort_cell_keys(x):
         warnings = ("covariate cell cardinality exceeds the sample size; "
                     "saturated estimates will be noisy or undefined",)
     return keys, assignments.ravel(), warnings
+
+
+def row_write_csv(path, header, columns):
+    """CSV one row at a time, each value formatted on its own: a float as
+    repr(float(v)), an integer as str(int(v)), anything else as str(v)."""
+    def field(v):
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return str(v)
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(columns[0])):
+            fh.write(",".join(field(col[i]) for col in columns) + "\n")

@@ -9,18 +9,22 @@ import pytest
 from ivhet import (
     ColumnMap,
     Dataset,
+    DGPSpec,
     bp_test,
     build_cells,
     first_stage_nonneg_test,
+    generate,
     load_dataset,
     mw_test,
     reference_trial,
+    tables,
     validity,
 )
 from ivhet.cli import build_parser, main
 from ivhet.tables import json_safe
 
 from conftest import child_env, two_cell_dataset, write_csv
+from oracles import row_write_csv
 
 TRIAL_ARGS = ["-y", "y", "-d", "d", "-z", "z", "-x", "stratum"]
 
@@ -398,6 +402,23 @@ def test_simulate_reproducible_bytes(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_simulate_bytes_match_row_writer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tables, "_CSV_ROWS", 7)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    data, latent = tmp_path / "draw.csv", tmp_path / "latent.csv"
+    assert main(["simulate", "--spec", str(spec), "--n", "300", "--seed", "5",
+                 "--data", str(data), "--latent", str(latent)]) == 0
+    capsys.readouterr()
+    ds, lt = generate(DGPSpec.from_json(str(spec)), 300, seed=5)
+    want = tmp_path / "want.csv"
+    row_write_csv(want, ("y", "d", "z", "cell"), (ds.y, ds.d, ds.z, ds.x[:, 0]))
+    assert data.read_bytes() == want.read_bytes()
+    row_write_csv(want, ("cell", "ctype", "y1", "y0", "d1", "d0", "z"),
+                  (lt.cell, lt.ctype_names(), lt.y1, lt.y0, lt.d1, lt.d0, lt.z))
+    assert latent.read_bytes() == want.read_bytes()
+
+
 def test_simulate_unreadable_spec_exit_2(tmp_path, capsys):
     not_json = tmp_path / "spec.txt"
     not_json.write_text("cells: []\n")
@@ -529,3 +550,111 @@ def test_ipw_se_follows_se_flag_with_one_label(tmp_path, capsys):
     estimates = json.loads(capsys.readouterr().out)["results"]["estimates"]
     ipw = next(e for e in estimates if e["estimand"] == "beta_late_ipw")
     assert ipw["se_type"] == "delta"
+
+
+def _rule_csv(path, x):
+    """A sample on covariates x in which each cell alternates its rows
+    between the arms, starting on opposite arms in successive cells, and
+    d = z."""
+    first, seen = {}, {}
+    z = np.empty(x.shape[0], dtype=int)
+    for i, key in enumerate(map(tuple, x + 0.0)):
+        start = first.setdefault(key, len(first))
+        z[i] = (start + seen.get(key, 0)) % 2
+        seen[key] = seen.get(key, 0) + 1
+    rng = np.random.default_rng(x.shape[0])
+    names = tuple(f"x{j}" for j in range(x.shape[1]))
+    return write_csv(path, Dataset(y=rng.normal(size=z.size), d=z, z=z, x=x,
+                                   covariate_names=names))
+
+
+def _col(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
+_i = np.arange(210)
+# name -> (covariates, whether --saturated auto treats them as cells)
+_AUTO_RULE = {
+    "no_covariates": (np.empty((40, 0)), True),
+    "non_integral": (np.random.default_rng(5).normal(size=(40, 1)), False),
+    # off by 0.5, inside allclose's default rtol of 1e-5 at 1e6
+    "within_rtol": (_col(1e6 + 0.5 + _i[:40] % 2), True),
+    "levels_20": (_col(_i[:200] % 20), True),
+    "levels_21": (_col(_i % 21), False),
+    # 6 x 6 = 36 cells of 6-level columns on 120 rows: past 120 // 4 = 30
+    "cells_past_limit": (np.column_stack([_i[:120] % 6, _i[:120] // 6 % 6])
+                         .astype(float), False),
+    # 10 and 11 cells on 42 rows, where 42 // 4 = 10
+    "cells_at_limit": (np.column_stack([_i[:42] % 10 // 2, _i[:42] % 2])
+                       .astype(float), True),
+    "cells_over_limit": (np.column_stack([_i[:42] % 11 // 2, _i[:42] % 11 % 2])
+                         .astype(float), False),
+    # below 8 rows n // 4 is 0 or 1, and the limit is max(1, n // 4)
+    "three_rows_one_cell": (_col([1.0, 1.0, 1.0]), True),
+    "six_rows_two_cells": (_col([0, 0, 0, 1, 1, 1]), False),
+    # 20 levels, counting -0.0 and 0.0 as one
+    "signed_zero": (_col(np.where(_i[:200] % 40 == 20, -0.0, _i[:200] % 20)),
+                    True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AUTO_RULE))
+def test_saturated_auto_rule(case, tmp_path, capsys):
+    """--saturated auto: integral covariates, at most 20 levels per column
+    and at most max(1, n // 4) cells. estimate falls back to linear
+    controls otherwise; weights and manyiv refuse with exit 2."""
+    x, saturated = _AUTO_RULE[case]
+    path = _rule_csv(tmp_path / "rule.csv", x)
+    names = ",".join(f"x{j}" for j in range(x.shape[1]))
+    data = ["--input", str(path), "-y", "y", "-d", "d", "-z", "z",
+            "--min-arm", "1", *(["-x", names] if names else [])]
+    payload = run_json(capsys, ["estimate", *data, "--json"])
+    assert payload["results"]["mode"] == ("saturated" if saturated else "linear")
+    for command in ("weights", "manyiv"):
+        code = main([command, *data, "--json"])
+        out, err = capsys.readouterr()
+        if saturated:
+            assert code == 0, err
+            assert json.loads(out)["command"] == command
+        else:
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: {command} needs discrete covariate cells, but the "
+                "covariates do not look discrete; rerun with --saturated yes "
+                "to override\n")
+        assert main([command, *data, "--saturated", "no"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} needs discrete covariate cells; rerun with "
+            "--saturated yes if the covariates are discrete\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights", "validity", "manyiv"])
+def test_cells_keyed_once_per_run(command, trial_csv, tmp_path, capsys,
+                                  monkeypatch):
+    """Each saturated run keys the covariate cells once; an auto run on a
+    non-integral column keys none."""
+    from ivhet import cells, cli
+
+    calls = []
+    real = cells._cell_keys
+
+    def counted(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(cells, "_cell_keys", counted)
+    monkeypatch.setattr(cli, "_cell_keys", counted, raising=False)
+    extra = ["--reps", "9"] if command == "validity" else []
+    for mode in ("auto", "yes"):
+        calls.clear()
+        code = main([command, "--input", str(trial_csv), *TRIAL_ARGS,
+                     "--min-arm", "1", "--saturated", mode, "--json", *extra])
+        capsys.readouterr()
+        assert (code, len(calls)) == (0, 1), mode
+    calls.clear()
+    path = _rule_csv(tmp_path / "cont.csv", _AUTO_RULE["non_integral"][0])
+    code = main([command, "--input", str(path), "-y", "y", "-d", "d", "-z", "z",
+                 "-x", "x0", "--json", *extra])
+    capsys.readouterr()
+    assert code == (2 if command in ("weights", "manyiv") else 0)
+    assert calls == []

@@ -15,7 +15,9 @@ from ivhet import (
     generate,
     reference_population,
     reference_trial,
+    tables,
 )
+from oracles import row_write_csv
 
 
 def simple_spec(**kw):
@@ -222,3 +224,31 @@ def test_latent_to_csv(tmp_path):
     lines = p.read_text().strip().split("\n")
     assert lines[0] == "cell,ctype,y1,y0,d1,d0,z"
     assert len(lines) == 51
+
+
+@pytest.mark.parametrize("rows_per_write", [3, 1 << 15])
+def test_latent_csv_bytes_match_row_writer(tmp_path, monkeypatch, rows_per_write):
+    monkeypatch.setattr(tables, "_CSV_ROWS", rows_per_write)
+    _, lt = generate(simple_spec(seed=4, allow_defiers=True), 400)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    lt.to_csv(str(got))
+    row_write_csv(want, ("cell", "ctype", "y1", "y0", "d1", "d0", "z"),
+                  (lt.cell, lt.ctype_names(), lt.y1, lt.y0, lt.d1, lt.d0, lt.z))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_columns_crafted_values(tmp_path, monkeypatch):
+    """Signed zero, the smallest subnormal, huge floats and negative ints
+    are written as repr writes them, across write boundaries."""
+    monkeypatch.setattr(tables, "_CSV_ROWS", 2)
+    floats = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1e16, 2.5])
+    ints = np.array([-1, 0, 7, -(2**62), 2**62, -3, 12, 1, -5], dtype=np.int64)
+    names = np.array(["a", "bb", "c", "d", "e", "f", "g", "h", "i"])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    tables.write_columns(str(got), ("f", "i", "s"), (floats, ints, names))
+    row_write_csv(want, ("f", "i", "s"), (floats, ints, names))
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_text().splitlines()[1:4] == ["-0.0,-1,a", "0.0,0,bb",
+                                                  "5e-324,7,c"]
+    tables.write_columns(str(got), ("f",), (floats[:0],))
+    assert got.read_text() == "f\n"

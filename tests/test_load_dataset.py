@@ -188,13 +188,31 @@ def test_chunk_boundaries(tmp_path, monkeypatch, paths):
     path.write_text("y,d,z,x,c\n" + "\n".join(body) + "\n", encoding="utf-8")
     cmap = ColumnMap("y", "d", "z", ("x",), cluster="c")
     ds = _assert_same(str(path), cmap)
+    # the quoted record closes on a line of the next chunk, and the column
+    # path takes the chunks after it
     assert paths == [("lines", True), ("lines", False), ("rows", 3),
-                     ("lines", True), ("lines", False),
-                     ("rows", 3), ("rows", 3), ("rows", 1)]
+                     ("lines", True), ("lines", False), ("rows", 3),
+                     ("lines", True), ("lines", True)]
     assert ds.dropped == 2
     assert list(ds.y) == [1.5, 2.5, 10.0, 4.5, 5.5, 6.5, 7.5,
                           8.5, 9.5, 10.5, 11.5, 12.5, 13.5, 14.5]
     assert list(ds.cluster) == [0, 1, 2, 1, 3, 0, 1, 4, 0, 5, 4, 6, 0, 7]
+
+
+def test_quote_leaves_later_chunks_on_columns(tmp_path, monkeypatch, paths):
+    """A quote in the first of three chunks sends only that chunk through
+    the row rules."""
+    monkeypatch.setattr(data_model, "_CHUNK_ROWS", 4)
+    body = ['1.5,1,0,"2",a', '2.5,0,1,3,"b"', "3.5,1,1,4,a", "4.5,0,0,5,c",
+            "5.5,0,1,7,d", "6.5,1,0,8,a", "7.5,0,0,9,b", "8.5,1,1,10,e",
+            "9.5,0,1,11,a", "10.5,1,0,12,f"]
+    path = tmp_path / "quoted.csv"
+    path.write_text("y,d,z,x,c\n" + "\n".join(body) + "\n", encoding="utf-8")
+    ds = _assert_same(str(path), ColumnMap("y", "d", "z", ("x",), cluster="c"))
+    assert paths == [("lines", False), ("rows", 4), ("lines", True),
+                     ("lines", True)]
+    assert list(ds.x[:, 0]) == [2, 3, 4, 5, 7, 8, 9, 10, 11, 12]
+    assert list(ds.cluster) == [0, 1, 0, 2, 3, 0, 1, 4, 0, 5]
 
 
 def test_long_line_takes_row_rules(tmp_path, paths):
