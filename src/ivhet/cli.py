@@ -292,6 +292,8 @@ def _cmd_reset(args) -> int:
         text += f"\nnote: {d['note']}"
     if "error" in d:
         text += f"\nerror: {d['error']}"
+    if warnings:
+        text += "\n" + "\n".join(f"note: {w}" for w in warnings)
     _emit(args, _payload("reset", args, cmap, warnings, {"test": d}), text)
     return 0
 

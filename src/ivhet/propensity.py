@@ -5,8 +5,9 @@ reweighted least squares, solving each step as a lstsq problem on the
 square-root-weighted design rather than forming the normal equations
 X'WX, whose condition number is the square of the design's: a screened
 design with nearly collinear columns still gets an accurate step. The
-probit score and information use Mills ratios computed from the stable
-log-CDF, so extreme indexes do not produce 0/0.
+probit log-CDFs of a row come from one normal tail t = Phi(-|eta|), as log t
+and log1p(-t), with log_ndtr for log t from |eta| = 37 on, where t underflows;
+the Mills ratios follow in logs, so extreme indexes do not produce 0/0.
 
 ipw_late is the Hajek (self-normalized) version of the abadie-style
 kappa estimand: each of the four arm means E[y|z], E[d|z] is a weighted
@@ -79,17 +80,30 @@ def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None):
 
 
 def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
-    log_p = normal_log_cdf(eta)
-    log_1mp = normal_log_cdf(-eta)
-    ll = _wsum(z * log_p + (1.0 - z) * log_1mp, m)
+    # Each row is worked on the sides of t = Phi(-|eta|), whose log-CDFs are
+    # log t (small) and log1p(-t) (large): zs = 1 marks z on the small side,
+    # and the score flips sign where eta > 0. Buffers are reused through out=.
+    a = np.negative(np.abs(eta))
+    log_s = normal_cdf(a)
+    log_l = np.log1p(np.negative(log_s))
+    far = a <= -37.0
+    np.log(log_s, out=log_s, where=~far)
+    log_s[far] = normal_log_cdf(a[far])
+    pos = eta > 0.0
+    zs = np.abs(z - pos)
+    zl = np.subtract(1.0, zs)
+    ll = _wsum(zs * log_s + np.multiply(zl, log_l, out=zl), m)
     # Mills ratios phi/Phi and phi/(1-Phi) in logs; log phi is taken in closed
     # form because phi itself loses bits below 1e-308 and is 0 past |eta| ~ 38.5
-    log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
-    mills_p = np.exp(log_phi - log_p)
-    mills_1mp = np.exp(log_phi - log_1mp)
-    u = z * mills_p - (1.0 - z) * mills_1mp
-    w = mills_p * mills_1mp
-    return ll, u, w
+    log_phi = np.multiply(a, a, out=a)
+    log_phi *= -0.5
+    log_phi -= _LOG_SQRT_2PI
+    mills_s = np.exp(np.subtract(log_phi, log_s, out=log_s), out=log_s)
+    mills_l = np.exp(np.subtract(log_phi, log_l, out=log_l), out=log_l)
+    u = zs * mills_s
+    u -= np.multiply(np.subtract(1.0, zs, out=zl), mills_l, out=zl)
+    u *= np.subtract(1.0, np.multiply(2.0, pos, out=zs), out=zs)
+    return ll, u, np.multiply(mills_s, mills_l, out=log_phi)
 
 
 def _needs_intercept(X: np.ndarray) -> bool:

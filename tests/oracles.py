@@ -512,6 +512,20 @@ def row_copy_ipw_bootstrap(ds, pf, lo, hi, reps, seed):
     return ests, failed_by
 
 
+def log_ndtr_probit_parts(eta, z, m=None):
+    """The probit loglik, score and information weight with both log-CDFs
+    taken from scipy.special.log_ndtr, each formula as written."""
+    import scipy.special
+    log_p = scipy.special.log_ndtr(eta)
+    log_1mp = scipy.special.log_ndtr(-eta)
+    terms = z * log_p + (1.0 - z) * log_1mp
+    ll = float(np.sum(terms)) if m is None else float(m @ terms)
+    log_phi = -0.5 * eta * eta - 0.5 * np.log(2.0 * np.pi)
+    mills_p = np.exp(log_phi - log_p)
+    mills_1mp = np.exp(log_phi - log_1mp)
+    return ll, z * mills_p - (1.0 - z) * mills_1mp, mills_p * mills_1mp
+
+
 def row_sort_cell_keys(x):
     """Cell keys by sorting whole rows: (keys, assignments, warnings), the
     warning given when the product of per-column level counts exceeds the

@@ -242,6 +242,28 @@ def test_reset_assignment_defaults_with_link(trial_csv, capsys):
     assert t["p_value"] is None or 0.0 <= t["p_value"] <= 1.0
 
 
+@pytest.mark.parametrize("equation", ["outcome", "assignment"])
+def test_reset_text_prints_validation_notes(tmp_path, capsys, equation):
+    """The text report ends with the load warnings as note: lines, after the
+    test's own note, as in the JSON envelope and the other commands."""
+    rng = np.random.default_rng(4)
+    n = 40
+    z = np.arange(n) % 2
+    d = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    ds = Dataset(y=rng.normal(size=n) + d, d=d, z=z, x=np.ones(n),
+                 covariate_names=("x",))
+    path = write_csv(tmp_path / "const.csv", ds)
+    argv = ["reset", "--input", str(path), "-y", "y", "-d", "d", "-z", "z",
+            "-x", "x", "--equation", equation]
+    payload = run_json(capsys, [*argv, "--json"])
+    assert "covariate 'x' is constant" in payload["warnings"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.rstrip("\n").split("\n")
+    assert lines[-1] == "note: covariate 'x' is constant"
+    assert "note" in payload["results"]["test"]
+    assert lines[-2] == f"note: {payload['results']['test']['note']}"
+
+
 def test_validity_saturated_runs_three_tests(trial_csv, capsys):
     payload = run_json(capsys, [
         "validity", "--input", str(trial_csv), *TRIAL_ARGS,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 import scipy.stats
 
 from ivhet import (
@@ -21,10 +22,11 @@ from ivhet import (
     generate,
     ipw_late,
 )
+from ivhet import propensity
 from ivhet.propensity import _bootstrap_estimates, _logit_parts, _probit_parts
 
 from conftest import gapped_cluster_subset, label_loop_cluster_se
-from oracles import row_copy_ipw_bootstrap
+from oracles import log_ndtr_probit_parts, row_copy_ipw_bootstrap
 
 
 def _sample(seed=0, n=2000, beta=(-0.3, 0.8)):
@@ -124,6 +126,83 @@ def test_probit_parts_in_the_tails():
         ok = ref >= tiny
         assert ok.sum() == 6
         np.testing.assert_allclose(got[ok], ref[ok], rtol=1e-12, atol=0)
+
+
+_TAIL_POINTS = [-1e3, -37.01, -37.0, -36.99, -0.0, 0.0, 36.99, 37.0, 37.01, 1e3]
+
+
+def test_probit_parts_match_log_ndtr_on_a_grid():
+    """The one-tail kernel against log_ndtr over [-40, 40], across the
+    |eta| = 37 switch to the tail guard, at +-0 and at +-1e3: the loglik to
+    1e-13, each row's two log-CDFs to 4 units of eps relative, and u and w
+    finite, with w > 0 wherever the reference's is (w itself underflows to 0
+    past |eta| ~ 38.5)."""
+    eta = np.concatenate([np.linspace(-40.0, 40.0, 400_001), _TAIL_POINTS])
+    alternating = (np.arange(eta.size) % 2).astype(float)
+    for z in (np.ones_like(eta), np.zeros_like(eta), alternating):
+        ll, u, w = _probit_parts(eta, z)
+        ll_ref, _, w_ref = log_ndtr_probit_parts(eta, z)
+        assert abs(ll - ll_ref) <= 1e-13 * abs(ll_ref)
+        assert np.isfinite(u).all() and np.isfinite(w).all()
+        assert (w >= 0.0).all() and (w[w_ref > 0.0] > 0.0).all()
+    rows = np.concatenate([np.linspace(-40.0, 40.0, 4_001), _TAIL_POINTS])
+    one = np.ones(1)
+    log_p = np.array([_probit_parts(rows[i:i + 1], one)[0] for i in range(rows.size)])
+    log_1mp = np.array([_probit_parts(rows[i:i + 1], 1.0 - one)[0]
+                        for i in range(rows.size)])
+    eps = np.finfo(float).eps
+    for got, ref in ((log_p, scipy.special.log_ndtr(rows)),
+                     (log_1mp, scipy.special.log_ndtr(-rows))):
+        assert (np.abs(got - ref) <= 4.0 * eps * np.abs(ref)).all()
+
+
+def _far_index_designs():
+    """Probit designs, with start values, whose index passes |eta| = 37 on
+    some rows: outlying covariates on the side the slope predicts; one of
+    them flipped and the fit started at a slope that puts it 80 deep on the
+    wrong side; and a perfectly separated response."""
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=400)
+    x[:6] = [50.0, 65.0, 80.0, -50.0, -65.0, -80.0]
+    z = (0.2 + 0.8 * x + rng.normal(size=400) > 0).astype(float)
+    flipped = z.copy()
+    flipped[0] = 0.0
+    return {"outliers": (z, x, None),
+            "flipped": (flipped, x, np.array([0.0, 1.0])),
+            "separated": ((x > 0).astype(float), x, None)}
+
+
+@pytest.mark.parametrize("name", ["outliers", "flipped", "separated"])
+def test_probit_fit_past_the_tail_guard_matches_log_ndtr_kernel(name, monkeypatch):
+    """A fit through rows past |eta| = 37 ends as the fit on the log_ndtr
+    kernel does: converged to the same coefficients, or the same
+    SeparationError."""
+    z, x, start = _far_index_designs()[name]
+
+    def outcome():
+        try:
+            return fit_binary_index(z, x, link="probit", start=start)
+        except SeparationError as exc:
+            return exc
+
+    seen = []
+
+    def recording(eta, z_, m=None):
+        seen.append(np.abs(eta).max())
+        return _probit_parts(eta, z_, m)
+
+    monkeypatch.setattr(propensity, "_probit_parts", recording)
+    got = outcome()
+    assert max(seen) > 37.0
+    monkeypatch.setattr(propensity, "_probit_parts", log_ndtr_probit_parts)
+    ref = outcome()
+    assert type(got) is type(ref)
+    if name == "separated":
+        assert isinstance(got, SeparationError)
+        return
+    assert got.iterations == ref.iterations
+    np.testing.assert_allclose(got.coefficients, ref.coefficients, rtol=1e-12)
+    assert abs(got.loglik - ref.loglik) <= 1e-12 * abs(ref.loglik)
 
 
 def test_probit_phat_matches_cdf():
@@ -434,6 +513,22 @@ def test_ipw_delta_pinned():
             assert rep.se_type == want["se_type"]
             assert abs(rep.estimate - want["estimate"]) <= 1e-12 * abs(want["estimate"])
             assert abs(rep.se - want["se"]) <= 1e-12 * want["se"]
+
+
+def test_ipw_probit_bootstrap_pinned():
+    """The probit IPW LATE with 50 bootstrap refits on the linear_controls-like
+    design, with and without its cluster labels: the estimate and the
+    bootstrap SE to 1e-12 relative, every resample completed."""
+    pins = json.loads(_PINS.read_text())["ipw_bootstrap"]
+    for clustered in (False, True):
+        ds = _controls_dataset(clustered)
+        want = pins[f"controls/probit/{'cluster' if clustered else 'plain'}"]
+        rep = ipw_late(ds, fit_binary_index(ds.z, ds.x, link="probit"),
+                       se="bootstrap", reps=50, seed=3)
+        assert rep.se_type == "bootstrap"
+        assert rep.metadata["bootstrap"]["completed"] == want["completed"]
+        assert abs(rep.estimate - want["estimate"]) <= 1e-12 * abs(want["estimate"])
+        assert abs(rep.se - want["se"]) <= 1e-12 * want["se"]
 
 
 def _bootstrap_design(seed, kind, clustered):
