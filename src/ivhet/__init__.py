@@ -51,7 +51,8 @@ from .estimators import (
     estimate_beta_late_saturated,
 )
 from .many_iv import ManyIVFit, jive, many_tsls, ujive
-from .propensity import IPWReport, PropensityFit, fit_binary_index, ipw_late
+from .propensity import (IPWReport, PropensityFit, fit_binary_index,
+                         fit_cell_propensity, ipw_late)
 from .regression import RegressionFit, hat_diagonals, ols, tsls
 from .spec_tests import TestReport, reset_binary_index, reset_linear
 from .special import erf, erfc, erfcx, normal_cdf, normal_log_cdf, normal_pdf
@@ -111,6 +112,7 @@ __all__ = [
     "estimate_beta_late_saturated",
     "first_stage_nonneg_test",
     "fit_binary_index",
+    "fit_cell_propensity",
     "generate",
     "hat_diagonals",
     "ipw_late",

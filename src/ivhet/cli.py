@@ -37,7 +37,7 @@ from .estimators import (
     estimate_beta_late_saturated,
 )
 from .many_iv import jive, many_tsls, ujive
-from .propensity import fit_binary_index, ipw_late
+from .propensity import fit_binary_index, fit_cell_propensity, ipw_late
 from .regression import _resolve_se, tsls
 from .spec_tests import reset_binary_index, reset_linear
 from .tables import fmt3, fmtp, format_table, json_safe, write_columns
@@ -165,7 +165,7 @@ def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         out = json.dumps(json_safe(payload), indent=2, sort_keys=True)
     else:
-        out = text
+        out = "\n".join([text, *(f"note: {w}" for w in payload["warnings"])])
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -213,18 +213,11 @@ def _ipw_late(args, ds, pf):
 
 def _cmd_estimate(args) -> int:
     ds, cmap, warnings = _load(args)
-    results: dict = {}
     ct = _cells(args, ds, "estimate", warnings)
     if ct is not None:
         reports = _saturated_reports(ct, args.se)
-        results["mode"] = "saturated"
-        if args.link:
-            cell_ids = np.arange(ct.n_cells)
-            dummies = (ct.assignments[:, None] == cell_ids[None, :]).astype(float)
-            pf = fit_binary_index(ds.z, dummies, link=args.link)
-            reports.append(_ipw_late(args, ds, pf))
+        pf = fit_cell_propensity(ct, args.link) if args.link else None
     else:
-        results["mode"] = "linear"
         X = _design_with_intercept(ds)
         fit = tsls(ds.y, X, ds.d.astype(float), ds.z.astype(float),
                    se_type=_resolve_se(args.se, ds.cluster), cluster=ds.cluster)
@@ -235,15 +228,13 @@ def _cmd_estimate(args) -> int:
             n_used=ds.n, cells_used=0,
             metadata={"estimator": "2sls_linear"},
         )]
-        link = args.link or "logit"
-        pf = fit_binary_index(ds.z, ds.x, link=link)
+        pf = fit_binary_index(ds.z, ds.x, link=args.link or "logit")
+    if pf is not None:
         reports.append(_ipw_late(args, ds, pf))
-    results["estimates"] = [rep.to_dict() for rep in reports]
-    payload = _payload("estimate", args, cmap, warnings, results)
-    text = _estimate_rows(reports)
-    if warnings:
-        text += "\n" + "\n".join(f"note: {w}" for w in warnings)
-    _emit(args, payload, text)
+    results = {"mode": "saturated" if ct is not None else "linear",
+               "estimates": [rep.to_dict() for rep in reports]}
+    _emit(args, _payload("estimate", args, cmap, warnings, results),
+          _estimate_rows(reports))
     return 0
 
 
@@ -261,8 +252,6 @@ def _cmd_weights(args) -> int:
         },
     }
     text = stats.to_text() + "\n\n" + _estimate_rows(reports)
-    if warnings:
-        text += "\n" + "\n".join(f"note: {w}" for w in warnings)
     _emit(args, _payload("weights", args, cmap, warnings, results), text)
     return 0
 
@@ -292,8 +281,6 @@ def _cmd_reset(args) -> int:
         text += f"\nnote: {d['note']}"
     if "error" in d:
         text += f"\nerror: {d['error']}"
-    if warnings:
-        text += "\n" + "\n".join(f"note: {w}" for w in warnings)
     _emit(args, _payload("reset", args, cmap, warnings, {"test": d}), text)
     return 0
 
@@ -328,8 +315,6 @@ def _cmd_validity(args) -> int:
              str(r.n_moments), str(r.n_skipped)] for r in reports]
     text = format_table(
         ["test", "statistic", "p", "worst set", "moments", "skipped"], rows)
-    if warnings:
-        text += "\n" + "\n".join(f"note: {w}" for w in warnings)
     _emit(args, _payload("validity", args, cmap, warnings, results), text)
     return 0
 
@@ -352,8 +337,6 @@ def _cmd_manyiv(args) -> int:
         ["estimator", "estimate", "se", "instruments", "max leverage"], rows)
     for name, msg in errors.items():
         text += f"\n{name}: {msg}"
-    if warnings:
-        text += "\n" + "\n".join(f"note: {w}" for w in warnings)
     _emit(args, _payload("manyiv", args, cmap, warnings, results), text)
     return 0
 

@@ -14,6 +14,10 @@ kappa estimand: each of the four arm means E[y|z], E[d|z] is a weighted
 mean with weights 1/phat or 1/(1-phat), and the estimate is the ratio of
 the reweighted contrasts. Its bootstrap refits each resample through the
 same Newton loop with the resample's multiplicities as row weights.
+
+fit_cell_propensity is that fit on saturated cell dummies, from the cell
+table: every link's MLE is the cell's z = 1 share q_j, at the float boundary
+(where IRLS heads) for a cell with an empty arm. It keeps no design to refit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cells import CellTable
 from .data_model import Dataset
 from .errors import (
     ConfigError,
@@ -240,6 +245,28 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
     )
 
 
+def fit_cell_propensity(ct: CellTable, link: str = "logit") -> PropensityFit:
+    """fit_binary_index on the cell dummies of ct, in closed form."""
+    if link not in LINKS:
+        raise DomainError(f"unknown link '{link}'; choose from {LINKS}")
+    q, a = ct.q_j, ct.assignments
+    if link == "linear":
+        eps = 1.0 / (2.0 * a.shape[0])
+        p, coef, ll = np.clip(q, eps, 1.0 - eps), q, float("nan")
+    else:
+        p = np.clip(q, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+        if link == "logit":
+            coef = np.log(p / (1.0 - p))
+        else:
+            from scipy.special import ndtri
+            coef = ndtri(p)
+        ll = float(ct.n1_j @ np.log(q, out=np.zeros_like(q), where=q > 0.0)
+                   + ct.n0_j @ np.log1p(-q, out=np.zeros_like(q), where=q < 1.0))
+    return PropensityFit(link, coef, coef[a], p[a], converged=True, iterations=0,
+                         loglik=ll, intercept_added=False,
+                         phat_in_unit=bool(((q > 0.0) & (q < 1.0)).all()))
+
+
 @dataclass(frozen=True)
 class IPWReport:
     estimate: float
@@ -345,6 +372,9 @@ def ipw_late(
 
     if se != "bootstrap":
         raise DomainError("se must be 'delta' or 'bootstrap'")
+    if pf._design is None:
+        raise ConfigError("a cell fit keeps no design for the bootstrap to "
+                          "refit; refit with fit_binary_index")
 
     _check_bootstrap(reps, seed)
     if reps < 2:

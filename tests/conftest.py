@@ -96,3 +96,32 @@ def label_loop_cluster_se(infl, labels):
     total = sum(float(infl[labels == lab].sum()) ** 2 for lab in groups)
     g = len(groups)
     return np.sqrt(g / (g - 1) * total) / len(infl)
+
+
+def cell_ipw_design(kind):
+    """Discrete-cell samples for the saturated IPW checks: "thin" has cells
+    of 2 to 4 rows among larger ones, "clustered" carries 20 cluster labels,
+    "single" has no covariates, and "separated" has one cell with no z = 1
+    row and one with no z = 0 row."""
+    rng = np.random.default_rng({"thin": 31, "clustered": 32, "single": 33,
+                                 "separated": 34}[kind])
+    n, n_cells = {"thin": (500, 12), "clustered": (400, 4), "single": (300, 1),
+                  "separated": (2000, 5)}[kind]
+    size = np.full(n_cells, 1.0)
+    if kind == "thin":
+        size[-4:] = 0.0
+    cell = rng.choice(n_cells, size=n, p=size / size.sum())
+    if kind == "thin":
+        cell[:12] = np.repeat(np.arange(n_cells - 4, n_cells), 3)[:12]
+        cell[12:14] = n_cells - 1
+    q = rng.uniform(0.25, 0.75, size=n_cells)
+    if kind == "separated":
+        q[1], q[3] = 0.0, 1.0
+    z = (rng.random(n) < q[cell]).astype(int)
+    d = (rng.random(n) < 0.15 + 0.5 * z + 0.02 * cell).astype(int)
+    y = (1.0 + 0.2 * cell) * d + 0.3 * cell + rng.normal(size=n)
+    x = (np.column_stack([cell // 4, cell % 4]).astype(float) if n_cells > 1
+         else np.empty((n, 0)))
+    cluster = rng.integers(0, 20, size=n) if kind == "clustered" else None
+    names = ("x0", "x1")[:x.shape[1]]
+    return Dataset(y=y, d=d, z=z, x=x, covariate_names=names, cluster=cluster)

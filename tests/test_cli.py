@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from ivhet import (
     bp_test,
     build_cells,
     first_stage_nonneg_test,
+    fit_binary_index,
     generate,
+    ipw_late,
     load_dataset,
     mw_test,
     reference_trial,
@@ -23,7 +26,7 @@ from ivhet import (
 from ivhet.cli import build_parser, main
 from ivhet.tables import json_safe
 
-from conftest import child_env, two_cell_dataset, write_csv
+from conftest import cell_ipw_design, child_env, two_cell_dataset, write_csv
 from oracles import row_write_csv
 
 TRIAL_ARGS = ["-y", "y", "-d", "d", "-z", "z", "-x", "stratum"]
@@ -56,14 +59,17 @@ def test_estimate_trial_values(trial_csv, capsys):
 
 
 def test_estimate_trial_ipw_identity(trial_csv, capsys):
-    payload = run_json(capsys, [
-        "estimate", "--input", str(trial_csv), *TRIAL_ARGS,
-        "--min-arm", "1", "--link", "linear", "--json",
-    ])
-    got = {e["estimand"]: e["estimate"] for e in payload["results"]["estimates"]}
-    # reweighting on saturated cell dummies reproduces the share-weighted
-    # estimator exactly
-    assert abs(got["beta_late_ipw"] - got["beta_late_saturated"]) < 1e-8
+    # reweighting by the cell shares q_j reproduces the share-weighted
+    # estimator to rounding when no cell is trimmed or thin, for every link
+    for link in ("logit", "probit", "linear"):
+        payload = run_json(capsys, [
+            "estimate", "--input", str(trial_csv), *TRIAL_ARGS,
+            "--min-arm", "1", "--link", link, "--json",
+        ])
+        got = {e["estimand"]: e["estimate"]
+               for e in payload["results"]["estimates"]}
+        gap = abs(got["beta_late_ipw"] - got["beta_late_saturated"])
+        assert gap < 1e-12, (link, gap)
 
 
 def test_weights_trial_values(trial_csv, capsys):
@@ -680,3 +686,103 @@ def test_cells_keyed_once_per_run(command, trial_csv, tmp_path, capsys,
     capsys.readouterr()
     assert code == (2 if command in ("weights", "manyiv") else 0)
     assert calls == []
+
+
+# (design, extra CLI flags)
+_IPW_RUNS = [("thin", []), ("clustered", ["--se", "cluster"]),
+             ("clustered", ["--se", "hc1"]), ("single", []),
+             ("separated", []), ("separated", ["--trim", "0,1"])]
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "linear"])
+@pytest.mark.parametrize("design, extra", _IPW_RUNS)
+def test_saturated_ipw_matches_dense_dummy_fit(design, extra, link, tmp_path,
+                                               capsys):
+    """The saturated --link estimate agrees with ipw_late on the IRLS fit
+    to the n x J cell dummies: the same rows trimmed, and the estimate, SE
+    and arm means within 1e-7 relative (the dense fit's tolerance)."""
+    ds = cell_ipw_design(design)
+    path = write_csv(tmp_path / "ipw.csv", ds)
+    cmap = ColumnMap("y", "d", "z", ds.covariate_names,
+                     None if ds.cluster is None else "cl")
+    argv = ["estimate", "--input", str(path), "-y", "y", "-d", "d", "-z", "z",
+            "--saturated", "yes", "--link", link, "--json", *extra]
+    if ds.k:
+        argv += ["-x", ",".join(ds.covariate_names)]
+    if ds.cluster is not None:
+        argv += ["--cluster", "cl"]
+    payload = run_json(capsys, argv)
+    got = next(e for e in payload["results"]["estimates"]
+               if e["estimand"] == "beta_late_ipw")
+
+    ds = load_dataset(str(path), cmap)
+    ct = build_cells(ds)
+    a = ct.assignments
+    dummies = (a[:, None] == np.arange(a.max() + 1)[None, :]).astype(float)
+    if "hc1" in extra:
+        ds = Dataset(y=ds.y, d=ds.d, z=ds.z, x=ds.x,
+                     covariate_names=ds.covariate_names)
+    trim = (0.0, 1.0) if "0,1" in extra else (0.01, 0.99)
+    want = ipw_late(ds, fit_binary_index(ds.z, dummies, link=link),
+                    trim=trim).to_dict()
+    for key in ("se_type", "n_used", "n_trimmed", "link", "trim"):
+        assert got[key] == want[key], key
+    if design == "separated":
+        sep = (ct.q_j == 0.0) | (ct.q_j == 1.0)
+        assert sep.sum() == 2
+        assert want["n_trimmed"] == (0 if trim == (0.0, 1.0)
+                                     else ct.n_j[sep].sum())
+    pairs = [(got["estimate"], want["estimate"]), (got["se"], want["se"]),
+             *((got["arm_means"][k], v) for k, v in want["arm_means"].items())]
+    for g, w in pairs:
+        assert abs(g - w) <= 1e-7 * abs(w), (g, w)
+
+
+@pytest.mark.parametrize("command", ["estimate", "weights", "reset", "validity",
+                                     "manyiv"])
+def test_text_output_ends_with_load_warnings(command, tmp_path, capsys):
+    """Every command that loads data ends its text report with one
+    'note: <warning>' line per entry of the JSON envelope's warnings, in
+    order, after the command's own lines."""
+    rng = np.random.default_rng(8)
+    n = 60
+    z = np.arange(n) % 2
+    d = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    ds = Dataset(y=rng.normal(size=n) + d, d=d, z=z, x=np.ones(n),
+                 covariate_names=("x",))
+    path = write_csv(tmp_path / "const.csv", ds)
+    argv = [command, "--input", str(path), "-y", "y", "-d", "d", "-z", "z",
+            "-x", "x"]
+    argv += {"validity": ["--reps", "19"], "reset": ["--equation", "outcome"],
+             "estimate": ["--link", "logit"]}.get(command, [])
+    warnings = run_json(capsys, [*argv, "--json"])["warnings"]
+    assert "covariate 'x' is constant" in warnings
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.rstrip("\n").split("\n")
+    notes = [f"note: {w}" for w in warnings]
+    assert lines[-len(notes):] == notes
+    assert not any(line in notes for line in lines[:-len(notes)])
+
+
+def test_saturated_ipw_memory_bounded(tmp_path, capsys):
+    """estimate --link on 20,000 rows in 200 cells: the traced peak stays
+    well below the 32 MB a dense n x J dummy design would take alone."""
+    rng = np.random.default_rng(9)
+    n, n_cells = 20_000, 200
+    cell = np.arange(n) % n_cells
+    z = (rng.random(n) < rng.uniform(0.3, 0.7, size=n_cells)[cell]).astype(int)
+    d = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
+    ds = Dataset(y=d + rng.normal(size=n), d=d, z=z, x=cell.astype(float),
+                 covariate_names=("cell",))
+    path = write_csv(tmp_path / "cells.csv", ds)
+    tracemalloc.start()
+    try:
+        code = main(["estimate", "--input", str(path), "-y", "y", "-d", "d",
+                     "-z", "z", "-x", "cell", "--saturated", "yes", "--link",
+                     "logit", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 16 * 2**20, peak / 2**20

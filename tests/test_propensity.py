@@ -19,13 +19,14 @@ from ivhet import (
     build_cells,
     estimate_beta_late_saturated,
     fit_binary_index,
+    fit_cell_propensity,
     generate,
     ipw_late,
 )
 from ivhet import propensity
 from ivhet.propensity import _bootstrap_estimates, _logit_parts, _probit_parts
 
-from conftest import gapped_cluster_subset, label_loop_cluster_se
+from conftest import cell_ipw_design, gapped_cluster_subset, label_loop_cluster_se
 from oracles import log_ndtr_probit_parts, row_copy_ipw_bootstrap
 
 
@@ -661,3 +662,80 @@ def test_numerically_singular_gram_gives_typed_error(link):
     z, X = _ill_conditioned_design(3e-9)
     with pytest.raises(SeparationError, match="diverging"):
         fit_binary_index(z, X, link=link)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "linear"])
+@pytest.mark.parametrize("kind", ["thin", "clustered", "single", "separated"])
+def test_cell_propensity_matches_dense_dummy_fit(kind, link):
+    """The closed form against the IRLS (or OLS) fit on the n x J cell
+    dummies. Interior cells agree to the dense fit's tolerance: the gaps
+    measured on these designs are at most 1.1e-7 in the coefficients and
+    2.2e-8 in phat for logit and probit, and 2.4e-15 for the linear link. A
+    cell with an empty arm sits at the float boundary the dense fit heads
+    for, on the same side."""
+    ds = cell_ipw_design(kind)
+    ct = build_cells(ds)
+    a = ct.assignments
+    dummies = (a[:, None] == np.arange(ct.n_cells)[None, :]).astype(float)
+    dense = fit_binary_index(ds.z, dummies, link=link)
+    fit = fit_cell_propensity(ct, link)
+    inner = (ct.q_j > 0.0) & (ct.q_j < 1.0)
+    assert inner.all() == (kind in ("clustered", "single"))
+    assert (fit.link, fit.converged, fit.iterations) == (link, True, 0)
+    assert not fit.intercept_added and not dense.intercept_added
+    assert fit._design is None and fit.n == ds.n
+    assert fit.phat_in_unit == inner.all()
+    np.testing.assert_array_equal(fit.index, fit.coefficients[a])
+    if link == "linear":
+        np.testing.assert_array_equal(fit.coefficients, ct.q_j)
+        np.testing.assert_allclose(fit.coefficients, dense.coefficients,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fit.phat, dense.phat, rtol=0, atol=1e-14)
+        assert fit.phat_in_unit == dense.phat_in_unit
+        assert np.isnan(fit.loglik)
+        return
+    rows = inner[a]
+    np.testing.assert_array_equal(fit.phat[rows], ct.q_j[a][rows])
+    np.testing.assert_allclose(fit.coefficients[inner],
+                               dense.coefficients[inner], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(fit.phat[rows], dense.phat[rows], rtol=0,
+                               atol=1e-7)
+    assert abs(fit.loglik - dense.loglik) <= 1e-6 * abs(dense.loglik)
+    edge = fit.phat[~rows]
+    assert set(edge) <= {np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0)}
+    assert ((edge > 0.5) == (dense.phat[~rows] > 0.5)).all()
+    # IRLS stops sooner on a cell of a few rows: 6.8e-7 on 3 rows (thin)
+    assert (np.abs(dense.phat[~rows] - edge) < 1e-5).all()
+
+
+def test_cell_propensity_loglik_counts_empty_arms_as_zero():
+    """loglik is sum n1 log q + n0 log(1 - q) with 0 log 0 = 0, so a cell
+    with an empty arm adds nothing and a single 50/50 cell gives n log 1/2."""
+    ct = build_cells(cell_ipw_design("separated"))
+    inner = (ct.q_j > 0.0) & (ct.q_j < 1.0)
+    want = float(np.sum(ct.n1_j[inner] * np.log(ct.q_j[inner])
+                        + ct.n0_j[inner] * np.log(1.0 - ct.q_j[inner])))
+    for link in ("logit", "probit"):
+        fit = fit_cell_propensity(ct, link)
+        assert abs(fit.loglik - want) <= 1e-13 * abs(want)
+        assert np.isfinite(fit.index).all() and np.isfinite(fit.coefficients).all()
+    half = Dataset(y=np.arange(10.0), d=np.arange(10) % 2,
+                   z=np.arange(10) // 5, x=np.zeros((10, 0)), covariate_names=())
+    fit = fit_cell_propensity(build_cells(half), "probit")
+    assert abs(fit.loglik - 10 * np.log(0.5)) <= 1e-15 * 10 * np.log(2.0)
+    assert fit.coefficients.tolist() == [0.0]
+
+
+def test_cell_propensity_unknown_link():
+    with pytest.raises(DomainError, match="unknown link"):
+        fit_cell_propensity(build_cells(cell_ipw_design("single")), "cauchit")
+
+
+def test_ipw_bootstrap_refuses_cell_fit():
+    """The bootstrap refits the propensity on each resample's rows of the
+    design, which a cell fit does not keep: a typed error, not a TypeError."""
+    ds = cell_ipw_design("clustered")
+    pf = fit_cell_propensity(build_cells(ds), "logit")
+    with pytest.raises(ConfigError, match="refit with fit_binary_index"):
+        ipw_late(ds, pf, se="bootstrap", reps=5)
+    assert np.isfinite(ipw_late(ds, pf).se)
