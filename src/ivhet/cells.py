@@ -67,14 +67,6 @@ class CellTable:
         return "(" + ", ".join(f"{v:g}" for v in key) + ")"
 
 
-def _arm_means(values: np.ndarray, assignments: np.ndarray, arm_mask: np.ndarray,
-               n_cells: int, arm_counts: np.ndarray) -> np.ndarray:
-    sums = np.bincount(assignments[arm_mask], weights=values[arm_mask],
-                       minlength=n_cells)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(arm_counts > 0, sums / np.maximum(arm_counts, 1), np.nan)
-
-
 class _Keyed(NamedTuple):
     codes: np.ndarray           # (n,) cell index per row
     keys: np.ndarray            # (J, k) distinct rows, -0.0 read as 0.0
@@ -129,7 +121,8 @@ def build_cells(ds: Dataset, min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
 
 def _table(ds: Dataset, keyed: _Keyed, min_cell_size: int,
            min_arm_size: int) -> CellTable:
-    """The cell table of ds on its keyed cells, keyed = _cell_keys(ds.x)."""
+    """The cell table of ds on its keyed cells, keyed = _cell_keys(ds.x); the
+    arm counts and the arm sums of y and d come from one (cell, z) bincount."""
     if min_cell_size < 1:
         raise ConfigError("min_cell_size must be at least 1")
     if min_arm_size < 1:
@@ -147,23 +140,19 @@ def _table(ds: Dataset, keyed: _Keyed, min_cell_size: int,
             "saturated estimates will be noisy or undefined"
         )
 
-    z = ds.z
-    n_j = np.bincount(assignments, minlength=n_cells).astype(np.int64)
-    n1_j = np.bincount(assignments[z == 1], minlength=n_cells).astype(np.int64)
-    n0_j = n_j - n1_j
+    # row k of each (2, J) array is arm z = k; bincount adds a bin's rows in
+    # row order, as a per-arm masked pass would, so the sums are the same
+    code = ds.z * n_cells + assignments
+    n0_j, n1_j = counts = np.bincount(code, minlength=2 * n_cells).reshape(2, -1)
+    sums = np.stack([np.bincount(code, weights=v, minlength=2 * n_cells)
+                     for v in (ds.y, ds.d)]).reshape(2, 2, -1)
+    n_j = n0_j + n1_j
     p_j = n_j / n
     with np.errstate(invalid="ignore", divide="ignore"):
         q_j = n1_j / n_j
+        (mean_y0, mean_y1), (mean_d0, mean_d1) = np.where(
+            counts > 0, sums / counts, np.nan)
     var_z_j = q_j * (1.0 - q_j)
-
-    arm1 = z == 1
-    arm0 = ~arm1
-    y = ds.y
-    d = ds.d.astype(np.float64)
-    mean_y1 = _arm_means(y, assignments, arm1, n_cells, n1_j)
-    mean_y0 = _arm_means(y, assignments, arm0, n_cells, n0_j)
-    mean_d1 = _arm_means(d, assignments, arm1, n_cells, n1_j)
-    mean_d0 = _arm_means(d, assignments, arm0, n_cells, n0_j)
     pi_j = mean_d1 - mean_d0
     dy_j = mean_y1 - mean_y0
 

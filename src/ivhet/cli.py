@@ -39,7 +39,7 @@ from .estimators import (
 from .many_iv import jive, many_tsls, ujive
 from .propensity import fit_binary_index, fit_cell_propensity, ipw_late
 from .regression import _resolve_se, tsls
-from .spec_tests import reset_binary_index, reset_linear
+from .spec_tests import _check_powers, reset_binary_index, reset_linear
 from .tables import fmt3, fmtp, format_table, json_safe, write_columns
 from .validity import OutcomeSetPartition, validity_family
 
@@ -151,12 +151,16 @@ def _parse_trim(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"--trim could not parse '{text}'") from exc
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ConfigError("--trim bounds must satisfy 0 <= lo < hi <= 1")
     return lo, hi
 
 
 def _parse_powers(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return _check_powers(int(p) for p in text.split(",") if p.strip())
+    except DomainError as exc:
+        raise ConfigError(f"--powers: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"--powers could not parse '{text}'") from exc
 
@@ -212,6 +216,8 @@ def _ipw_late(args, ds, pf):
 
 
 def _cmd_estimate(args) -> int:
+    if args.link:   # a bad window is a flag error before the data is read
+        _parse_trim(args.trim)
     ds, cmap, warnings = _load(args)
     ct = _cells(args, ds, "estimate", warnings)
     if ct is not None:
@@ -257,11 +263,11 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_reset(args) -> int:
+    powers = _parse_powers(args.powers)
     ds, cmap, warnings = _load(args)
     equation = args.equation
     if equation is None:
         equation = "assignment" if args.link else "outcome"
-    powers = _parse_powers(args.powers)
     if equation == "outcome":
         X = _design_with_intercept(ds)
         rep = reset_linear(ds.y, X, powers=powers,

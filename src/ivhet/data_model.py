@@ -152,9 +152,11 @@ class Dataset:
             raise DomainError("covariate_names length does not match x")
         cluster = self.cluster
         if cluster is not None:
-            cluster = np.ascontiguousarray(np.asarray(cluster, dtype=np.int64))
+            cluster = np.ascontiguousarray(cluster)
             if cluster.shape != (n,):
                 raise DomainError("cluster column length differs")
+            if cluster.dtype.kind == "f" and not np.isfinite(cluster).all():
+                raise DomainError("cluster labels must be finite")
             cluster.setflags(write=False)
         for arr in (y, d, z, x):
             arr.setflags(write=False)

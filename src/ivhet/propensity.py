@@ -13,7 +13,9 @@ ipw_late is the Hajek (self-normalized) version of the abadie-style
 kappa estimand: each of the four arm means E[y|z], E[d|z] is a weighted
 mean with weights 1/phat or 1/(1-phat), and the estimate is the ratio of
 the reweighted contrasts. Its bootstrap refits each resample through the
-same Newton loop with the resample's multiplicities as row weights.
+same Newton loop with the resample's multiplicities as row weights. The
+sample and every resample share one ratio, _ipw_ratio, over rows counted m
+times (once each in the sample): trim, check, arm means, Wald ratio.
 
 fit_cell_propensity is that fit on saturated cell dummies, from the cell
 table: every link's MLE is the cell's z = 1 share q_j, at the float boundary
@@ -292,15 +294,25 @@ class IPWReport:
         }
 
 
-def _hajek_arms(y, d, z, phat, m=1.0):
-    """Weighted means of y and d in each instrument arm, rows counted m
-    times; returns means and weights."""
+def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None):
+    """The trimmed Hajek ratio, each row counted m times, with the kept-row
+    mask, the arm means (y_z1, y_z0, d_z1, d_z0) and the kept rows' arm
+    weights. phat and m are given at rows (every row when None); y, d and z
+    are read there."""
+    keep = (phat >= lo) & (phat <= hi)
+    m, phat = m[keep], phat[keep]
+    if m.sum() < 2:
+        raise TrimError(f"trimming to [{lo:g}, {hi:g}] keeps {m.sum():g} of "
+                        f"{keep.size} rows; widen the window or inspect the "
+                        "propensity fit")
     if ((phat <= 0.0) | (phat >= 1.0)).any():
         # the row's weight would be 1/0 or 0/0
         raise SeparationError(
             "a fitted propensity is exactly 0 or 1 on an untrimmed row; the "
             "design separates the instrument there, so narrow the trim window"
         )
+    at = keep if rows is None else rows[keep]
+    y, d, z = y[at], d[at], z[at]
     w1 = m * z / phat
     w0 = m * (1.0 - z) / (1.0 - phat)
     s1, s0 = w1.sum(), w0.sum()
@@ -310,7 +322,11 @@ def _hajek_arms(y, d, z, phat, m=1.0):
     my0 = float(np.sum(w0 * y) / s0)
     md1 = float(np.sum(w1 * d) / s1)
     md0 = float(np.sum(w0 * d) / s0)
-    return my1, my0, md1, md0, w1, w0
+    den = md1 - md0
+    if den == 0.0 or not np.isfinite(den):
+        raise IdentificationError("reweighted first stage is zero; the IPW "
+                                  "contrast is undefined")
+    return (my1 - my0) / den, keep, (my1, my0, md1, md0), w1, w0
 
 
 def ipw_late(
@@ -335,36 +351,20 @@ def ipw_late(
     if pf.phat.shape[0] != ds.n:
         raise DomainError("propensity fit and dataset have different lengths")
 
-    keep = (pf.phat >= lo) & (pf.phat <= hi)
+    d = ds.d.astype(np.float64)
+    est, keep, (my1, my0, md1, md0), w1, w0 = _ipw_ratio(
+        ds.y, d, ds.z.astype(np.float64), pf.phat, np.ones(ds.n), lo, hi)
     n_used = int(keep.sum())
     n_trimmed = ds.n - n_used
-    if n_used < 2:
-        raise TrimError(
-            f"trimming to [{lo:g}, {hi:g}] keeps {n_used} of {ds.n} rows; "
-            "widen the window or inspect the propensity fit"
-        )
-    y = ds.y[keep]
-    d = ds.d[keep].astype(np.float64)
-    z = ds.z[keep].astype(np.float64)
-    phat = pf.phat[keep]
-
-    my1, my0, md1, md0, w1, w0 = _hajek_arms(y, d, z, phat)
-    den = md1 - md0
-    if den == 0.0 or not np.isfinite(den):
-        raise IdentificationError(
-            "reweighted first stage is zero; the IPW contrast is undefined"
-        )
-    est = (my1 - my0) / den
-
     meta = {"arm_means": {"y_z1": my1, "y_z0": my0, "d_z1": md1, "d_z0": md0}}
 
     if se == "delta":
         # influence function of a ratio of Hajek contrasts, phat held fixed
-        n = n_used
-        s1, s0 = w1.sum(), w0.sum()
-        psi_num = w1 * (y - my1) / (s1 / n) - w0 * (y - my0) / (s0 / n)
-        psi_den = w1 * (d - md1) / (s1 / n) - w0 * (d - md0) / (s0 / n)
-        infl = (psi_num - est * psi_den) / den
+        y, d = ds.y[keep], d[keep]
+        s1, s0 = w1.sum() / n_used, w0.sum() / n_used
+        psi_num = w1 * (y - my1) / s1 - w0 * (y - my0) / s0
+        psi_den = w1 * (d - md1) / s1 - w0 * (d - md0) / s0
+        infl = (psi_num - est * psi_den) / (md1 - md0)
         cluster = None if ds.cluster is None else ds.cluster[keep]
         return IPWReport(est, _influence_se(infl, cluster),
                          "delta" if cluster is None else "cluster", n_used,
@@ -428,17 +428,7 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         try:
             kept, _ = screen_columns(X * np.sqrt(mb)[:, None])
             pf_b = _fit_screened(z[rows], X[:, kept], pf.link, pf.coefficients, mb)
-            keep_b = (pf_b.phat >= lo) & (pf_b.phat <= hi)
-            if mb[keep_b].sum() < 2:
-                raise TrimError("resample fully trimmed")
-            kept_rows = rows[keep_b]
-            m1, m0, t1, t0, _, _ = _hajek_arms(
-                ds.y[kept_rows], d[kept_rows], z[kept_rows], pf_b.phat[keep_b],
-                mb[keep_b])
-            den_b = t1 - t0
-            if den_b == 0.0 or not np.isfinite(den_b):
-                raise IdentificationError("zero first stage in resample")
-            ests.append((m1 - m0) / den_b)
+            ests.append(_ipw_ratio(ds.y, d, z, pf_b.phat, mb, lo, hi, rows)[0])
         except (ConvergenceError, SeparationError, TrimError,
                 IdentificationError, DomainError) as exc:
             name = type(exc).__name__

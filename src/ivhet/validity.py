@@ -100,10 +100,7 @@ class OutcomeSetPartition:
         vals = np.unique(np.asarray(y, dtype=np.float64))
         if vals.size < 1:
             raise DomainError("no outcome values to partition")
-        cuts = list(vals) + [np.nextafter(float(vals[-1]), np.inf)]
-        if len(cuts) < 2:
-            cuts.append(np.nextafter(cuts[-1], np.inf))
-        return cls(tuple(cuts))
+        return cls(tuple(vals) + (np.nextafter(float(vals[-1]), np.inf),))
 
     @classmethod
     def from_deciles(cls, y: np.ndarray) -> "OutcomeSetPartition":

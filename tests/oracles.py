@@ -348,6 +348,31 @@ def dense_first_stage_moments(ct):
 _BINARY_FORMS = {"0": 0, "1": 1, "0.0": 0, "1.0": 1}
 
 
+def masked_bincount_cells(ds, assignments, n_cells, min_cell_size, min_arm_size):
+    """Per-cell arm counts and arm means of y and d, each from a bincount over
+    the rows of one instrument arm copied out by a mask, and pi_j, dy_j and
+    tau_j from them under the cell table's degeneracy rule."""
+    counts, means = {}, {}
+    for arm in (0, 1):
+        rows = ds.z == arm
+        counts[arm] = np.bincount(assignments[rows], minlength=n_cells).astype(np.int64)
+        for name, v in (("y", ds.y), ("d", ds.d.astype(np.float64))):
+            sums = np.bincount(assignments[rows], weights=v[rows], minlength=n_cells)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                means[name, arm] = np.where(counts[arm] > 0,
+                                            sums / np.maximum(counts[arm], 1), np.nan)
+    pi = means["d", 1] - means["d", 0]
+    dy = means["y", 1] - means["y", 0]
+    degenerate = ((counts[0] + counts[1] < min_cell_size) | (counts[1] < min_arm_size)
+                  | (counts[0] < min_arm_size) | ~np.isfinite(pi) | (pi == 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tau = np.where(degenerate, np.nan, dy / pi)
+    return {"n1_j": counts[1], "n0_j": counts[0], "n_j": counts[0] + counts[1],
+            "mean_y1_j": means["y", 1], "mean_y0_j": means["y", 0],
+            "mean_d1_j": means["d", 1], "mean_d0_j": means["d", 0],
+            "pi_j": pi, "dy_j": dy, "tau_j": tau, "degenerate": degenerate}
+
+
 def _parse_binary(token: str, column: str):
     token = token.strip()
     if not token:

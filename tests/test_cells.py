@@ -10,7 +10,7 @@ from ivhet import (
 )
 
 from conftest import two_cell_dataset
-from oracles import cell_weights_by_hand, row_sort_cell_keys
+from oracles import cell_weights_by_hand, masked_bincount_cells, row_sort_cell_keys
 
 
 def test_hand_fixture_cell_stats(hand_ct):
@@ -212,3 +212,38 @@ def test_cell_keys_match_row_sort(design):
         warned.add(bool(warnings))
     if design == "cardinality":
         assert warned == {False, True}
+
+
+def test_cell_table_equals_masked_bincount_reference():
+    """Every count and arm mean, pi_j, dy_j and tau_j equal, bit for bit, a
+    bincount over each instrument arm's masked copy: the (cell, z) bincount
+    adds each bin's rows in the same row order. The designs have empty arms,
+    single-row arms and outcome scales from 1e-3 to 1e6."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    for trial in range(60):
+        n_cells = int(rng.integers(1, 15))
+        n = int(rng.integers(n_cells + 8, 400))
+        cell = rng.integers(0, n_cells, size=n)
+        q = rng.choice([0.0, 1.0, 0.5, 0.05, 0.95, rng.uniform()], size=n_cells)
+        z = (rng.random(n) < q[cell]).astype(int)
+        cell[:8], z[:8] = 0, [0, 1] * 4      # one cell keeps both arms
+        lone = rng.integers(0, n_cells)     # and one arm may hold a single row
+        z[cell == lone] = 0
+        z[np.flatnonzero(cell == lone)[:1]] = 1
+        d = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6) + rng.normal(size=n)
+        ds = Dataset(y=y, d=d, z=z, x=cell.astype(float))
+        for min_arm in (1, 3):
+            try:
+                ct = build_cells(ds, min_arm_size=min_arm)
+            except IdentificationError:
+                continue
+            want = masked_bincount_cells(ds, ct.assignments, ct.n_cells, 1, min_arm)
+            for name in ("n_j", "n1_j", "n0_j"):
+                assert getattr(ct, name).dtype == np.int64
+            for name, value in want.items():
+                assert np.array_equal(getattr(ct, name), value, equal_nan=True), name
+            assert np.array_equal(ct.p_j, ct.n_j / n)
+            checked += 1
+    assert checked >= 100

@@ -341,6 +341,27 @@ def test_validity_bad_reps_or_seed_exit_2(trial_csv, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_bad_trim_or_powers_exit_2(tmp_path, capsys):
+    """Bad --trim and --powers values are flag errors, caught before the CSV
+    is loaded: on a sample whose instrument has no variation they exit 2
+    with the flag's message, not 1 with the data error."""
+    ds = two_cell_dataset()
+    path = write_csv(tmp_path / "flat_z.csv",
+                     Dataset(y=ds.y, d=ds.d, z=np.zeros(ds.n, dtype=int), x=ds.x,
+                             covariate_names=ds.covariate_names))
+    data = ["--input", str(path), "-y", "y", "-d", "d", "-z", "z", "-x", "g"]
+    assert main(["estimate", *data, "--link", "logit"]) == 1
+    assert "instrument has no variation" in capsys.readouterr().err
+    for argv, message in (
+            (["estimate", "--link", "logit", "--trim", "0.9,0.1"], "--trim bounds"),
+            (["estimate", "--link", "probit", "--trim", "nan,0.5"], "--trim bounds"),
+            (["reset", "--powers", "5"], "powers must be drawn from"),
+            (["reset", "--powers", ""], "at least one power is required")):
+        code = main([argv[0], *data, *argv[1:]])
+        assert code == 2, argv
+        assert message in capsys.readouterr().err
+
+
 def test_saturated_commands_do_not_load_scipy(trial_csv):
     data = ["--input", str(trial_csv), *TRIAL_ARGS, "--json"]
     runs = [["weights", *data, "--min-arm", "1"],

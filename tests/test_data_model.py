@@ -7,6 +7,10 @@ from ivhet import (
     Dataset,
     DomainError,
     EmptyDataError,
+    build_cells,
+    estimate_beta_iv,
+    fit_binary_index,
+    ipw_late,
     load_dataset,
     validate,
 )
@@ -71,6 +75,35 @@ def test_dataset_subset():
     assert sub.n == 2
     assert list(sub.y) == [1.0, 3.0]
     assert list(sub.cluster) == [1, 2]
+
+
+def test_cluster_labels_kept_as_given():
+    """Float and string cluster labels are kept, not cast to integers: the
+    labels (k + 1) / 100 would all truncate to 0, and 0.2 and 0.7 would
+    merge. Relabelling the 20 clusters k in an order-preserving way leaves
+    every cluster SE as it is under the integer labels k."""
+    rng = np.random.default_rng(17)
+    n = 400
+    k = rng.permutation(np.arange(n) % 20)
+    cell = rng.integers(0, 3, size=n)
+    z = (rng.random(n) < 0.3 + 0.15 * cell).astype(int)
+    d = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
+    y = d * (1.0 + cell) + 0.1 * k + rng.normal(size=n)
+    x = np.column_stack([cell == 1, cell == 2]).astype(float)
+
+    def cluster_ses(labels):
+        ds = Dataset(y=y, d=d, z=z, x=x, cluster=labels)
+        pf = fit_binary_index(ds.z, ds.x, link="logit")
+        delta = ipw_late(ds, pf)
+        assert delta.se_type == "cluster"
+        return np.array([estimate_beta_iv(build_cells(ds), se_type="cluster").se,
+                         delta.se, ipw_late(ds, pf, se="bootstrap", reps=20).se])
+
+    want = cluster_ses(k)
+    for labels in ((k + 1) / 100, np.array([f"c{v:02d}" for v in k])):
+        np.testing.assert_allclose(cluster_ses(labels), want, rtol=1e-12, atol=0)
+    with pytest.raises(DomainError, match="finite"):
+        Dataset(y=y, d=d, z=z, x=x, cluster=np.where(k == 3, np.nan, k / 10))
 
 
 def _write(tmp_path, text, name="data.csv"):
