@@ -44,6 +44,7 @@ from .tables import fmt3, fmtp, format_table, json_safe, write_columns
 from .validity import OutcomeSetPartition, validity_family
 
 _MAX_LEVELS = 20
+_DEFAULT_TRIM = "0.01,0.99"
 _ROLES = ("outcome", "treatment", "instrument", "covariates", "cluster")
 
 
@@ -208,21 +209,24 @@ def _saturated_reports(ct: CellTable, se_type) -> list[EstimateReport]:
         estimate_beta_late_saturated, estimate_beta_iv, estimate_beta_ai)]
 
 
-def _ipw_late(args, ds, pf):
+def _ipw_late(args, ds, pf, trim):
     """The IPW LATE, with a cluster SE only when --se resolves to cluster."""
     if ds.cluster is not None and _resolve_se(args.se, ds.cluster) != "cluster":
         ds = replace(ds, cluster=None)
-    return ipw_late(ds, pf, trim=_parse_trim(args.trim))
+    return ipw_late(ds, pf, trim=trim)
 
 
 def _cmd_estimate(args) -> int:
-    if args.link:   # a bad window is a flag error before the data is read
-        _parse_trim(args.trim)
+    # a bad window is a flag error, on every run, before the data is read
+    trim = _parse_trim(args.trim)
     ds, cmap, warnings = _load(args)
     ct = _cells(args, ds, "estimate", warnings)
     if ct is not None:
         reports = _saturated_reports(ct, args.se)
         pf = fit_cell_propensity(ct, args.link) if args.link else None
+        if pf is None and trim != _parse_trim(_DEFAULT_TRIM):
+            warnings.append("--trim has no effect in saturated mode without "
+                            "--link, which adds the reweighted estimate")
     else:
         X = _design_with_intercept(ds)
         fit = tsls(ds.y, X, ds.d.astype(float), ds.z.astype(float),
@@ -236,7 +240,7 @@ def _cmd_estimate(args) -> int:
         )]
         pf = fit_binary_index(ds.z, ds.x, link=args.link or "logit")
     if pf is not None:
-        reports.append(_ipw_late(args, ds, pf))
+        reports.append(_ipw_late(args, ds, pf, trim))
     results = {"mode": "saturated" if ct is not None else "linear",
                "estimates": [rep.to_dict() for rep in reports]}
     _emit(args, _payload("estimate", args, cmap, warnings, results),
@@ -401,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--link", choices=("logit", "probit", "linear"),
                        default=None,
                        help="also report the propensity reweighted estimate")
-    p_est.add_argument("--trim", default="0.01,0.99",
-                       help="propensity trimming window (default 0.01,0.99)")
+    p_est.add_argument("--trim", default=_DEFAULT_TRIM,
+                       help=f"propensity trimming window (default {_DEFAULT_TRIM})")
     _add_output_args(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 

@@ -95,6 +95,15 @@ def _resolve_se(se_type: str | None, cluster) -> str:
     return "cluster" if cluster is not None else "hc1"
 
 
+def _cluster_codes(labels):
+    """(G, codes): the number of distinct labels and each row's label index."""
+    try:
+        uniq, codes = np.unique(labels, return_inverse=True)
+    except TypeError as exc:   # e.g. ints mixed with strings in an object array
+        raise DomainError(f"cluster labels cannot be ordered: {exc}") from None
+    return len(uniq), codes.ravel()
+
+
 def _meat(scores: np.ndarray, se_type: str, cluster, df: int):
     """(meat, factor) from (n, k) scores, summed within labels for cluster.
 
@@ -105,8 +114,7 @@ def _meat(scores: np.ndarray, se_type: str, cluster, df: int):
         raise DomainError(f"no residual degrees of freedom for {se_type} se")
     if se_type != "cluster":
         return scores.T @ scores, (1.0 if se_type == "hc0" else n / df)
-    labels, codes = np.unique(cluster, return_inverse=True)
-    g = len(labels)
+    g, codes = _cluster_codes(cluster)
     if g < 2:
         raise DomainError("cluster se needs at least 2 clusters")
     sums = np.column_stack([np.bincount(codes, weights=s, minlength=g) for s in scores.T])

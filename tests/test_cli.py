@@ -362,6 +362,25 @@ def test_bad_trim_or_powers_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_trim_checked_without_link_in_saturated_mode(trial_csv, capsys):
+    """--trim is checked on every estimate run: a bad window exits 2 even
+    where no reweighted estimate is made, and a valid window other than the
+    default that has no effect there is named in the warnings."""
+    data = ["estimate", "--input", str(trial_csv), *TRIAL_ARGS, "--min-arm", "1"]
+    assert main([*data, "--trim", "0.9,0.1"]) == 2
+    assert "--trim bounds" in capsys.readouterr().err
+    noted = "--trim has no effect in saturated mode without --link"
+    for trim, warned in (("0.05,0.95", True), ("0.01,0.99", False),
+                         ("0.010,0.990", False)):
+        payload = run_json(capsys, [*data, "--trim", trim, "--json"])
+        assert payload["results"]["mode"] == "saturated"
+        assert any(noted in w for w in payload["warnings"]) == warned, trim
+    payload = run_json(capsys, [*data, "--trim", "0.05,0.95", "--link", "logit",
+                                "--json"])
+    assert not any(noted in w for w in payload["warnings"])
+    assert payload["results"]["estimates"][-1]["trim"] == [0.05, 0.95]
+
+
 def test_saturated_commands_do_not_load_scipy(trial_csv):
     data = ["--input", str(trial_csv), *TRIAL_ARGS, "--json"]
     runs = [["weights", *data, "--min-arm", "1"],

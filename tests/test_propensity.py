@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import multiprocessing.context
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from ivhet import (
     SeparationError,
     TrimError,
     build_cells,
+    estimate_beta_iv,
     estimate_beta_late_saturated,
     fit_binary_index,
     fit_cell_propensity,
@@ -739,3 +744,213 @@ def test_ipw_bootstrap_refuses_cell_fit():
     with pytest.raises(ConfigError, match="refit with fit_binary_index"):
         ipw_late(ds, pf, se="bootstrap", reps=5)
     assert np.isfinite(ipw_late(ds, pf).se)
+
+
+def test_unorderable_cluster_labels_are_a_domain_error():
+    """Labels that np.unique cannot sort, such as ints mixed with strings,
+    are a typed error in the cluster SE, the IPW delta SE and the cluster
+    bootstrap, not a TypeError."""
+    rng = np.random.default_rng(5)
+    n = 40
+    x = np.repeat([0.0, 1.0], n // 2)
+    z = np.tile([0, 1], n // 2)
+    d = (rng.random(n) < 0.2 + 0.6 * z).astype(int)
+    ds = Dataset(y=d + rng.normal(size=n), d=d, z=z, x=x, covariate_names=("g",),
+                 cluster=np.array([1, "a"] * (n // 2), dtype=object))
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+    for call in (lambda: estimate_beta_iv(build_cells(ds, min_arm_size=1),
+                                          se_type="cluster"),
+                 lambda: ipw_late(ds, pf),
+                 lambda: ipw_late(ds, pf, se="bootstrap", reps=5)):
+        with pytest.raises(DomainError, match="cluster labels cannot be ordered"):
+            call()
+
+
+# The bootstrap forks one child per block of resamples past the first. The
+# tests below fix the worker count the split sees, and count the forks by
+# wrapping the fork context's Process.start.
+
+def _count_forks(monkeypatch, workers):
+    monkeypatch.setattr(propensity, "_worker_count", lambda: workers)
+    starts = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counted(proc):
+        starts.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+    return starts
+
+
+def _one_and_three_workers(monkeypatch, call):
+    """call() with one worker, then with three; asserts that both give the
+    same repr, that three forked two children, and that no child is left."""
+    monkeypatch.setattr(propensity, "_worker_count", lambda: 1)
+    one = call()
+    starts = _count_forks(monkeypatch, 3)
+    assert repr(call()) == repr(one)
+    assert len(starts) == 2
+    assert multiprocessing.active_children() == []
+    return one
+
+
+def _boot(ds, pf, lo, hi, reps, seed):
+    ests, failed_by = _bootstrap_estimates(ds, pf, lo, hi, reps, seed)
+    return ests, list(failed_by.items())   # items keep the first-failure order
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("link", ["logit", "probit", "linear"])
+def test_forked_bootstrap_matches_one_process(link, clustered, monkeypatch):
+    """Three blocks of 40 resamples (a split 3 does not divide) give the
+    one-process estimates bit for bit, in order, with failed_by in the same
+    first-failure order, across trim windows and failing resamples; and
+    ipw_late's report is the same to the byte."""
+    reps, seed = 40, 1
+    failed_classes = set()
+    for kind in ("overlap", "separated"):
+        ds = _bootstrap_design(seed, kind, clustered)
+        pf = fit_binary_index(ds.z, ds.x, link=link)
+        narrow = np.sort(pf.phat)[ds.n // 2 - 1: ds.n // 2 + 1]
+        for lo, hi in ((0.05, 0.95), (narrow[0] - 1e-9, narrow[1] + 1e-9),
+                       (0.0, 1.0)):
+            _, failed_by = _one_and_three_workers(
+                monkeypatch, lambda: _boot(ds, pf, lo, hi, reps, seed))
+            failed_classes |= {name for name, _ in failed_by}
+        _one_and_three_workers(monkeypatch, lambda: ipw_late(
+            ds, pf, se="bootstrap", reps=reps, seed=seed).to_dict())
+    assert {"TrimError", "IdentificationError"} <= failed_classes
+    if link != "linear":
+        assert "SeparationError" in failed_classes
+
+
+def _in_daemon(call):
+    """call() inside a daemonic forked process; returns what it returned."""
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=lambda: sender.send(call()), daemon=True)
+    proc.start()
+    sender.close()
+    assert receiver.poll(60), "the daemonic process sent nothing in 60 s"
+    out = receiver.recv()
+    proc.join(60)
+    assert proc.exitcode == 0
+    return out
+
+
+@pytest.mark.parametrize("fallback", ["one_cpu", "thread", "daemon"])
+def test_bootstrap_stays_in_process(fallback, monkeypatch):
+    """One CPU, a second live thread and a daemonic caller each run every
+    resample in the calling process, with the report of a forked run."""
+    ds = _bootstrap_design(0, "overlap", True)
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+    call = lambda: repr(ipw_late(ds, pf, se="bootstrap", reps=12, seed=2).to_dict())
+    starts = _count_forks(monkeypatch, 3)
+    forked = call()
+    assert len(starts) == 2
+    starts.clear()
+    if fallback == "one_cpu":
+        monkeypatch.setattr(propensity, "_worker_count", lambda: 1)
+        got = call()
+    elif fallback == "thread":
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            got = call()
+        finally:
+            release.set()
+            waiter.join()
+    else:
+        def counted_call():
+            starts.clear()   # the child's copy holds its own start
+            return call(), len(starts)
+
+        got, forks_inside = _in_daemon(counted_call)
+        assert forks_inside == 0
+        starts.clear()
+    assert got == forked
+    assert starts == []
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize("where, error, expected, message", [
+    ("child", ZeroDivisionError("boom"), ZeroDivisionError, "boom"),
+    ("parent", ZeroDivisionError("boom"), ZeroDivisionError, "boom"),
+    ("child", _Unpicklable("odd"), RuntimeError, "_Unpicklable: odd"),
+    ("child", SystemExit(3), RuntimeError, "exited with code 3 before sending"),
+])
+def test_bootstrap_error_in_a_block_reaches_the_caller(where, error, expected,
+                                                       message, monkeypatch):
+    """An exception the resample loop does not count, raised in the calling
+    process's block or in a child's, reaches the caller with its class (or,
+    when it cannot cross the pipe, its class name), and every child is gone
+    afterwards."""
+    ds = _bootstrap_design(0, "overlap", False)
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+    parent, fit = os.getpid(), propensity._fit_screened
+
+    def failing(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            if isinstance(error, SystemExit):
+                os._exit(error.code)   # dies without sending anything
+            raise error
+        return fit(*args)
+
+    monkeypatch.setattr(propensity, "_fit_screened", failing)
+    starts = _count_forks(monkeypatch, 3)
+    with pytest.raises(expected, match=message):
+        ipw_late(ds, pf, se="bootstrap", reps=9, seed=0)
+    assert len(starts) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_bootstrap_runs_blocks_here_when_a_fork_fails(monkeypatch):
+    """A fork refused for lack of memory or process slots leaves the blocks
+    from there on to the calling process, with the same report."""
+    ds = _bootstrap_design(0, "overlap", True)
+    pf = fit_binary_index(ds.z, ds.x, link="probit")
+    call = lambda: repr(ipw_late(ds, pf, se="bootstrap", reps=10, seed=4).to_dict())
+    monkeypatch.setattr(propensity, "_worker_count", lambda: 1)
+    want = call()
+    forks = []
+    real_fork = os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("no process slot")
+        return real_fork()
+
+    monkeypatch.setattr(propensity, "_worker_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert call() == want
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"MKL_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+])
+def test_worker_count_shares_cpus_among_blas_threads(env, workers, monkeypatch):
+    """Four CPUs make one block per BLAS thread pool the environment sets;
+    with none set, BLAS takes every CPU and one block runs."""
+    for var in propensity._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert propensity._worker_count() == workers

@@ -180,3 +180,12 @@ def test_import_does_not_load_scipy():
             "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
             "assert not loaded, loaded\n")
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+
+
+def test_import_does_not_load_multiprocessing():
+    # the IPW bootstrap imports multiprocessing only when it forks, so every
+    # other command starts without paying for it
+    code = ("import sys, ivhet, ivhet.cli\n"
+            "loaded = [m for m in sys.modules if m.startswith('multiprocessing')]\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
