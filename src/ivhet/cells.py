@@ -7,6 +7,10 @@ tau_j. Cells where either instrument arm is too thin, or where the first
 stage is exactly zero, are flagged degenerate; every estimator in this
 package excludes the same degenerate set so that the weight identities
 hold exactly on what remains.
+
+Per (z, cell, d) bin it holds the row count and centered sums of y, which
+stay accurate when |ybar| is large against the spread of y (Chan, Golub &
+LeVeque 1983); every saturated standard error is a closed form in them.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ class CellTable:
     mean_y0_j: np.ndarray
     mean_d1_j: np.ndarray
     mean_d0_j: np.ndarray
+    n_b: np.ndarray                  # (2, J, 2) rows per (z, cell, d) bin
+    dev_y_b: np.ndarray              # sum of (y - arm mean of y) per bin
+    ss_y_b: np.ndarray               # sum of (y - bin mean of y)^2 per bin
     degenerate: np.ndarray           # bool (J,)
     min_cell_size: int
     min_arm_size: int
@@ -122,7 +129,7 @@ def build_cells(ds: Dataset, min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
 def _table(ds: Dataset, keyed: _Keyed, min_cell_size: int,
            min_arm_size: int) -> CellTable:
     """The cell table of ds on its keyed cells, keyed = _cell_keys(ds.x); the
-    arm counts and the arm sums of y and d come from one (cell, z) bincount."""
+    arm sums of y come from a (cell, z) bincount, all else from (z, cell, d)."""
     if min_cell_size < 1:
         raise ConfigError("min_cell_size must be at least 1")
     if min_arm_size < 1:
@@ -140,18 +147,27 @@ def _table(ds: Dataset, keyed: _Keyed, min_cell_size: int,
             "saturated estimates will be noisy or undefined"
         )
 
-    # row k of each (2, J) array is arm z = k; bincount adds a bin's rows in
-    # row order, as a per-arm masked pass would, so the sums are the same
+    # row k of each (2, J) array is arm z = k; bincount adds an arm's y in
+    # row order, as a per-arm masked pass would, so the sums are the same.
+    # Bin (z, cell, d) is code 2 (z J + cell) + d
     code = ds.z * n_cells + assignments
-    n0_j, n1_j = counts = np.bincount(code, minlength=2 * n_cells).reshape(2, -1)
-    sums = np.stack([np.bincount(code, weights=v, minlength=2 * n_cells)
-                     for v in (ds.y, ds.d)]).reshape(2, 2, -1)
+    sum_y = np.bincount(code, weights=ds.y, minlength=2 * n_cells).reshape(2, -1)
+    code *= 2
+    code += ds.d
+    n_b = np.bincount(code, minlength=4 * n_cells).reshape(2, -1, 2)
+    n0_j, n1_j = counts = n_b.sum(axis=2)
     n_j = n0_j + n1_j
     p_j = n_j / n
     with np.errstate(invalid="ignore", divide="ignore"):
         q_j = n1_j / n_j
         (mean_y0, mean_y1), (mean_d0, mean_d1) = np.where(
-            counts > 0, sums / counts, np.nan)
+            counts > 0, np.stack([sum_y, n_b[..., 1]]) / counts, np.nan)
+    dev = np.repeat(np.stack([mean_y0, mean_y1]), 2)[code]
+    np.subtract(ds.y, dev, out=dev)
+    dev_y_b = np.bincount(code, weights=dev, minlength=4 * n_cells).reshape(n_b.shape)
+    dev -= np.divide(dev_y_b, n_b, out=np.zeros(n_b.shape), where=n_b > 0).ravel()[code]
+    ss_y_b = np.bincount(code, weights=np.square(dev, out=dev),
+                         minlength=4 * n_cells).reshape(n_b.shape)
     var_z_j = q_j * (1.0 - q_j)
     pi_j = mean_d1 - mean_d0
     dy_j = mean_y1 - mean_y0
@@ -173,7 +189,8 @@ def _table(ds: Dataset, keyed: _Keyed, min_cell_size: int,
         )
 
     for arr in (n_j, n1_j, n0_j, p_j, q_j, var_z_j, pi_j, dy_j, tau_j,
-                mean_y1, mean_y0, mean_d1, mean_d0, degenerate, assignments):
+                mean_y1, mean_y0, mean_d1, mean_d0, n_b, dev_y_b, ss_y_b,
+                degenerate, assignments):
         arr.setflags(write=False)
 
     return CellTable(
@@ -192,6 +209,9 @@ def _table(ds: Dataset, keyed: _Keyed, min_cell_size: int,
         mean_y0_j=mean_y0,
         mean_d1_j=mean_d1,
         mean_d0_j=mean_d0,
+        n_b=n_b,
+        dev_y_b=dev_y_b,
+        ss_y_b=ss_y_b,
         degenerate=degenerate,
         min_cell_size=min_cell_size,
         min_arm_size=min_arm_size,

@@ -11,10 +11,13 @@ ratios tau_j:
 with Var(Z | cell) = q_j (1 - q_j). The identities are algebraic, not
 asymptotic, and the tests hold them to 1e-8.
 
-Because of this, no estimator here builds a cell-dummy design: the two
-2SLS estimands (and the jackknife estimators in many_iv) are closed forms
-in per-cell counts and means plus O(n) residual sums. The dense QR/2SLS
-path in regression serves linear-control mode and the tests.
+Because of this, no estimator here builds a cell-dummy design or passes
+over the rows: the estimates are closed forms in per-cell counts and
+means, and the SEs in the (z, cell, d) bin statistics, since on a bin the
+instrument is constant and each score is y less a constant. Only a cluster
+SE gathers the scores back to the rows. The dense QR/2SLS path in
+regression serves linear-control mode and the tests, which also keep the
+row-by-row SE formulas as the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .cells import CellTable
 from .errors import DomainError, IdentificationError
-from .regression import PIVOT_RTOL, _check_se_args, _influence_se, _meat, _resolve_se
+from .regression import PIVOT_RTOL, _check_se_args, _factor, _meat, _resolve_se
 from .tables import json_safe
 
 
@@ -122,19 +125,49 @@ def decompose_weights(ct: CellTable) -> WeightTable:
     )
 
 
-def _retained_rows(ct: CellTable) -> np.ndarray:
-    return ct.retained[ct.assignments]
+_D = np.array([0.0, 1.0])       # d along the last axis of a bin array
+_Z = _D[:, None, None]          # z along the first
 
 
-def _cell_means(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Each row's mean of v over the rows that share its cell index a."""
-    counts = np.maximum(np.bincount(a), 1)   # excluded cells have no rows
-    return (np.bincount(a, weights=v) / counts)[a]
+def _bins(ct: CellTable):
+    """Counts, means of y less the arm's mean (0 if empty) and centered sums
+    of squares of y on the retained cells' bins, shaped (2, J_retained, 2)."""
+    r = ct.retained
+    n = ct.n_b[:, r].astype(np.float64)
+    dev = np.divide(ct.dev_y_b[:, r], n, out=np.zeros(n.shape), where=n > 0)
+    return n, dev, ct.ss_y_b[:, r]
 
 
-def _centered_iv(ct: CellTable, g: np.ndarray, se_type: str):
+def _cell_centered(n: np.ndarray, v) -> np.ndarray:
+    """v, one value per bin, less its row-weighted mean over the bin's cell."""
+    v = np.broadcast_to(v, n.shape)
+    return v - ((n * v).sum(axis=(0, 2)) / n.sum(axis=(0, 2)))[:, None]
+
+
+def _score_var(ct: CellTable, bins, mu, gamma, se_type: str, df: int) -> float:
+    """factor x meat of the retained rows' scores mu + gamma (y - ybar_bin),
+    mu and gamma given per bin. The meat is sum_b n_b mu_b^2 + gamma_b^2 SS_b,
+    or for cluster the squared sums of the rows' scores within clusters."""
+    n, dev, ss = bins
+    if se_type != "cluster":
+        return _factor(se_type, int(n.sum()), df) * float(
+            np.sum(n * np.square(mu) + np.square(gamma) * ss))
+    ds, r = ct.source, ct.retained
+    rows = r[ct.assignments]
+    code = (ds.z[rows] * n.shape[1] + (np.cumsum(r) - 1)[ct.assignments[rows]]) * 2
+    code += ds.d[rows]
+    arm = np.stack([ct.mean_y0_j[r], ct.mean_y1_j[r]])[..., None]
+    mu, gamma, arm = (np.broadcast_to(v, n.shape).ravel()[code]
+                      for v in (mu - gamma * dev, gamma, arm))
+    meat, factor = _meat((mu + gamma * (ds.y[rows] - arm))[:, None], se_type,
+                         ds.cluster[rows], df)
+    return factor * float(meat[0, 0])
+
+
+def _centered_iv(ct: CellTable, g, se_type: str):
     """(beta, se) of Y on D and cell intercepts over the retained rows,
-    instrumented by the cell intercepts and g (one value per retained row).
+    instrumented by the cell intercepts and g, one value per retained
+    (z, cell, d) bin.
 
     Partialling out the intercepts centers g within cells, so
     beta = sum g y / sum g d with structural residual
@@ -142,47 +175,43 @@ def _centered_iv(ct: CellTable, g: np.ndarray, se_type: str):
     sandwich element for beta with J + 1 parameters in the df factors.
     """
     ds = ct.source
-    rows = _retained_rows(ct)
-    a = ct.assignments[rows]
-    m = len(a)
-    cluster = _check_se_args(
-        se_type, None if ds.cluster is None else ds.cluster[rows], m)
-    y = ds.y[rows]
-    d = ds.d[rows].astype(np.float64)
-    g = g - _cell_means(g, a)
-    dc = d - _cell_means(d, a)
-    gd = float(g @ dc)
-    if abs(gd) <= PIVOT_RTOL * np.linalg.norm(g) * np.linalg.norm(dc):
+    _check_se_args(se_type, ds.cluster, ds.n)
+    bins = n, dev, _ = _bins(ct)
+    g = _cell_centered(n, g)
+    dc = _cell_centered(n, _D)
+    gd = float(np.sum(n * g * dc))
+    if abs(gd) <= PIVOT_RTOL * np.sqrt(np.sum(n * g * g) * np.sum(n * dc * dc)):
         raise IdentificationError(
             "instrument is uncorrelated with the treatment within cells "
             "(zero first stage)"
         )
-    beta = float(g @ y) / gd
-    e = y - _cell_means(y, a) - beta * dc
-    df = m - int(ct.retained.sum()) - 1
+    # y less the cell's z = 0 arm mean, a shift the cell intercepts absorb
+    ybar = dev + _Z * ct.dy_j[ct.retained][:, None]
+    beta = float(np.sum(n * g * ybar)) / gd
+    e = _cell_centered(n, ybar) - beta * dc         # each bin's mean residual
+    df = int(n.sum()) - n.shape[1] - 1
     if se_type == "classical":
         if df <= 0:
             raise DomainError("no residual degrees of freedom for classical se")
-        var = float(e @ e) / df * float(g @ g)
+        var = _score_var(ct, bins, e, 1.0, "hc0", df) / df * float(np.sum(n * g * g))
     else:
-        meat, factor = _meat((g * e)[:, None], se_type, cluster, df)
-        var = factor * float(meat[0, 0])
+        var = _score_var(ct, bins, g * e, g, se_type, df)
     return beta, float(np.sqrt(var)) / abs(gd)
 
 
-def _iv_report(ct: CellTable, estimand: str, g: np.ndarray, se: str,
+def _iv_report(ct: CellTable, estimand: str, g, se: str,
                metadata: dict) -> EstimateReport:
     beta, se_value = _centered_iv(ct, g, se)
     return EstimateReport(
         estimand=estimand, estimate=beta, se=se_value, se_type=se,
-        n_used=len(g), cells_used=int(ct.retained.sum()), metadata=metadata,
+        n_used=int(ct.n_j[ct.retained].sum()), cells_used=int(ct.retained.sum()),
+        metadata=metadata,
     )
 
 
 def estimate_beta_iv(ct: CellTable, se_type: str | None = None) -> EstimateReport:
     """Linear IV: 2SLS of Y on cell dummies and D, instrumented by Z."""
-    z = ct.source.z[_retained_rows(ct)]
-    return _iv_report(ct, "beta_iv", z, _resolve_se(se_type, ct.source.cluster),
+    return _iv_report(ct, "beta_iv", _Z, _resolve_se(se_type, ct.source.cluster),
                       {"estimator": "2sls", "instruments": 1})
 
 
@@ -192,8 +221,7 @@ def estimate_beta_ai(ct: CellTable, se_type: str | None = None) -> EstimateRepor
     The projected treatment is the cell-arm mean of D, which within a cell
     is pi_j Z plus the cell's intercept, so the instrument is pi_j Z.
     """
-    rows = _retained_rows(ct)
-    g = ct.pi_j[ct.assignments[rows]] * ct.source.z[rows]
+    g = ct.pi_j[ct.retained][:, None] * _Z
     return _iv_report(ct, "beta_ai", g, _resolve_se(se_type, ct.source.cluster),
                       {"estimator": "2sls_interacted",
                        "instruments": int(ct.retained.sum())})
@@ -209,11 +237,7 @@ def estimate_beta_late_saturated(ct: CellTable, se_type: str | None = None) -> E
     clusters first; any other se type gives the plain influence SE.
     """
     se = _resolve_se(se_type, ct.source.cluster)
-    ds = ct.source
-    rows = _retained_rows(ct)
-    m = int(rows.sum())
-    cluster = _check_se_args(
-        se, None if ds.cluster is None else ds.cluster[rows], m)
+    _check_se_args(se, ct.source.cluster, ct.source.n)
     mask = ct.retained
     num = float(np.sum(ct.p_j[mask] * ct.dy_j[mask]))
     den = float(np.sum(ct.p_j[mask] * ct.pi_j[mask]))
@@ -221,33 +245,29 @@ def estimate_beta_late_saturated(ct: CellTable, se_type: str | None = None) -> E
         raise IdentificationError("aggregate first stage is exactly zero")
     beta = num / den
 
-    a = ct.assignments[rows]
-    y = ds.y[rows]
-    d = ds.d[rows].astype(float)
-    z = ds.z[rows].astype(float)
-
     # rescale shares to the retained subsample so the moments average to
     # the estimate over exactly the rows used
     p_scale = ct.p_j[mask].sum()
     num_s = num / p_scale
     den_s = den / p_scale
 
-    q = ct.q_j[a]
-    my1 = ct.mean_y1_j[a]
-    my0 = ct.mean_y0_j[a]
-    md1 = ct.mean_d1_j[a]
-    md0 = ct.mean_d0_j[a]
-    dy = ct.dy_j[a]
-    dd = ct.pi_j[a]
-
-    psi_num = z * (y - my1) / q - (1 - z) * (y - my0) / (1 - q) + dy - num_s
-    psi_den = z * (d - md1) / q - (1 - z) * (d - md0) / (1 - q) + dd - den_s
-    infl = (psi_num - beta * psi_den) / den_s
+    # a row's influence value is (psi_num - beta psi_den) / den_s with
+    # psi_num = w (y - ybar_zj) + dy_j - num_s, w = z/q_j - (1-z)/(1-q_j), and
+    # psi_den likewise in d: on each bin, mu + gamma (y - ybar_bin)
+    bins = n, dev, _ = _bins(ct)
+    q = ct.q_j[mask]
+    w = np.stack([-1.0 / (1.0 - q), 1.0 / q])[..., None]
+    arm_d = np.stack([ct.mean_d0_j[mask], ct.mean_d1_j[mask]])[..., None]
+    psi_num = w * dev + (ct.dy_j[mask] - num_s)[:, None]
+    psi_den = w * (_D - arm_d) + (ct.pi_j[mask] - den_s)[:, None]
+    m = int(n.sum())
+    var = _score_var(ct, bins, (psi_num - beta * psi_den) / den_s, w / den_s,
+                     se if se == "cluster" else "hc0", m - 1)
 
     return EstimateReport(
         estimand="beta_late_saturated",
         estimate=beta,
-        se=_influence_se(infl, cluster if se == "cluster" else None),
+        se=float(np.sqrt(var)) / m,
         se_type=se if se == "cluster" else "influence",
         n_used=m,
         cells_used=int(mask.sum()),

@@ -8,9 +8,11 @@ each unit's constructed instrument is a first stage prediction computed
 as if that unit had been left out. In a saturated design the first stage
 fit is the cell-arm mean of D, with leverage 1/n_{j,z}, so the
 leave-one-out fit is the arm mean without the unit, and the
-covariates-only leave-one-out fit is the cell mean without it. Every
-estimate here is then a closed form in cell sums and O(n) residual sums;
-the dense leverage-identity fit _loo_fitted remains as the reference the
+covariates-only leave-one-out fit is the cell mean without it. Both are
+constant on each (z, cell, d) bin of the cell table, so every estimate and
+standard error here is a closed form in the bin statistics; only a
+cluster SE goes back to the rows, to sum scores within clusters. The
+dense leverage-identity fit _loo_fitted remains as the reference the
 tests compare against.
 
 jive leaves the unit out of the full first stage (covariates and
@@ -28,7 +30,7 @@ import numpy as np
 
 from .cells import CellTable
 from .errors import DomainError, LeverageError
-from .estimators import _centered_iv, _retained_rows, estimate_beta_ai
+from .estimators import _D, _bins, _centered_iv, estimate_beta_ai
 from .regression import _resolve_se, hat_diagonals, ols
 
 _LEVERAGE_CAP = 1.0 - 1e-8
@@ -90,36 +92,30 @@ def _leverage_max(ct: CellTable) -> float:
     return 1.0 / float(min(ct.n1_j[mask].min(), ct.n0_j[mask].min()))
 
 
-def _loo_means(v: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Each row's mean of v over its group with the row itself left out."""
-    sums = np.bincount(groups, weights=v)
-    counts = np.bincount(groups)
-    return (sums[groups] - v) / (counts[groups] - 1.0)
-
-
 def _jackknife(ct: CellTable, estimator: str, se_type: str | None) -> ManyIVFit:
     """jive or ujive as a just-identified IV with cell intercepts.
 
     The leave-one-out first-stage fit is the mean of D over the row's cell
     arm without the row; ujive subtracts the same mean over the row's
-    whole cell, the leave-one-out fit of the covariates-only regression.
+    whole cell, the leave-one-out fit of the covariates-only regression:
+    (treated rows - d) / (rows - 1), constant on each (z, cell, d) bin.
     """
     se = _resolve_se(se_type, ct.source.cluster)
     if se == "classical":
         raise DomainError("jackknife IV supports hc0, hc1 and cluster ses")
     hmax = _check_leverage(_leverage_max(ct), "first stage")
-    rows = _retained_rows(ct)
-    a = ct.assignments[rows]
-    d = ct.source.d[rows].astype(np.float64)
-    g = _loo_means(d, 2 * a + ct.source.z[rows])
+    n = _bins(ct)[0]
+    ones = n[..., 1:]
+    arm = n.sum(axis=2, keepdims=True)
+    g = (ones - _D) / (arm - 1.0)
     if estimator == "ujive":
-        g -= _loo_means(d, a)
+        g -= (ones.sum(axis=0) - _D) / (arm.sum(axis=0) - 1.0)
     beta, se_value = _centered_iv(ct, g, se)
     j_used = int(ct.retained.sum())
     return ManyIVFit(
         estimator=estimator, estimate=beta, se=se_value, se_type=se,
         n_instruments=j_used, n_controls=j_used,
-        leverage_max=hmax, n_used=len(g),
+        leverage_max=hmax, n_used=int(n.sum()),
         metadata={},
     )
 

@@ -104,21 +104,29 @@ def _cluster_codes(labels):
     return len(uniq), codes.ravel()
 
 
+def _factor(se_type: str, n: int, df: int) -> float:
+    """The small-sample factor of a meat on n rows: 1 for hc0, n/df for hc1
+    and (n-1)/df for cluster, which G/(G-1) then multiplies."""
+    if se_type != "hc0" and df <= 0:
+        raise DomainError(f"no residual degrees of freedom for {se_type} se")
+    if se_type == "hc0":
+        return 1.0
+    return n / df if se_type == "hc1" else (n - 1.0) / df
+
+
 def _meat(scores: np.ndarray, se_type: str, cluster, df: int):
     """(meat, factor) from (n, k) scores, summed within labels for cluster.
 
     The factor is 1 for hc0, n/df for hc1 and G/(G-1)*(n-1)/df for cluster.
     """
-    n = scores.shape[0]
-    if se_type != "hc0" and df <= 0:
-        raise DomainError(f"no residual degrees of freedom for {se_type} se")
+    factor = _factor(se_type, scores.shape[0], df)
     if se_type != "cluster":
-        return scores.T @ scores, (1.0 if se_type == "hc0" else n / df)
+        return scores.T @ scores, factor
     g, codes = _cluster_codes(cluster)
     if g < 2:
         raise DomainError("cluster se needs at least 2 clusters")
     sums = np.column_stack([np.bincount(codes, weights=s, minlength=g) for s in scores.T])
-    return sums.T @ sums, (g / (g - 1.0)) * ((n - 1.0) / df)
+    return sums.T @ sums, (g / (g - 1.0)) * factor
 
 
 def _influence_se(infl: np.ndarray, cluster) -> float:

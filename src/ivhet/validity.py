@@ -35,8 +35,9 @@ p-values differ from those of versions that drew every row.
 
 bp_test and mw_test share their bins, so validity_family, which `ivhet
 validity` calls, evaluates both on one draw; the first-stage test makes
-its own draw on the coarse (cell, z, d) bins, as its separate call does.
-Each report is identical to the one its separate call gives.
+its own draw on the cell table's coarse (cell, z, d) bins, as its
+separate call does. Each report is identical to the one its separate
+call gives.
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ class OutcomeSetPartition:
 
     @classmethod
     def auto(cls, y: np.ndarray) -> "OutcomeSetPartition":
-        if np.unique(y).size <= _MAX_SUPPORT:
+        # one sort gives both the number of distinct values and the deciles
+        s = np.sort(np.asarray(y, dtype=np.float64))
+        if np.count_nonzero(s[1:] != s[:-1]) < _MAX_SUPPORT:
             return cls.from_support(y)
-        return cls.from_deciles(y)
+        return cls.from_deciles(s)
 
 
 @dataclass(frozen=True)
@@ -220,11 +223,10 @@ class _Test(NamedTuple):
 
 
 class _Bins(NamedTuple):
-    """Each row's bin ((g*2 + z)*2 + d)*n_intervals + t for group g and
-    elementary outcome interval t, or -1 for rows outside every group, and
-    the group labels."""
+    """The row count of each bin ((g*2 + z)*2 + d)*n_intervals + t, for
+    group g and elementary outcome interval t, and the group labels."""
 
-    codes: np.ndarray
+    counts: np.ndarray
     n_intervals: int
     groups: list
 
@@ -298,9 +300,8 @@ def _max_violation_tests(bins: _Bins, tests, reps: int, seed: int):
     """
     _check_bootstrap(reps, seed)
     shape = (len(bins.groups), 2, 2, bins.n_intervals)
-    counts = np.bincount(bins.codes + 1, minlength=int(np.prod(shape)) + 1)[1:]
-    obs = [_observe(_prefix(counts.reshape(shape)), test) for test in tests]
-    t_star = _bootstrap_maxima(counts, shape, obs, reps, seed)
+    obs = [_observe(_prefix(bins.counts.reshape(shape)), test) for test in tests]
+    t_star = _bootstrap_maxima(bins.counts, shape, obs, reps, seed)
     return [ValidityReport(
         test=test.name, statistic=o.statistic,
         p_value=float((1 + np.sum(t >= o.statistic)) / (reps + 1)),
@@ -324,11 +325,12 @@ def _groups(ds: Dataset, ct: CellTable | None):
     return index[ct.assignments], [ct.key_label(j) for j in retained]
 
 
-def _bins(ds: Dataset, ct: CellTable | None, interval=0,
-          n_intervals: int = 1) -> _Bins:
+def _bins(ds: Dataset, ct: CellTable | None, interval, n_intervals: int) -> _Bins:
     group, labels = _groups(ds, ct)
     code = ((group * 2 + ds.z) * 2 + ds.d) * n_intervals + interval
-    return _Bins(np.where(group >= 0, code, -1), n_intervals, labels)
+    counts = np.bincount(np.where(group >= 0, code, -1) + 1,
+                         minlength=len(labels) * 4 * n_intervals + 1)[1:]
+    return _Bins(counts, n_intervals, labels)
 
 
 def _candidate_tests(ds: Dataset, ct: CellTable | None,
@@ -401,7 +403,9 @@ def first_stage_nonneg_test(
     seed: int = 0,
 ) -> ValidityReport:
     """Cell-level first stages must be nonnegative under monotonicity."""
-    bins = _bins(ct.source, ct)
+    retained = ct.retained
+    bins = _Bins(ct.n_b[:, retained].transpose(1, 0, 2).ravel(), 1,
+                 [ct.key_label(j) for j in np.flatnonzero(retained)])
     test = _Test("first_stage_nonneg_test", _Moments(1, 1, 0, 1, 0, 1),
                  bins.groups, {"conditioning": "cells"})
     return _max_violation_tests(bins, [test], reps, seed)[0]

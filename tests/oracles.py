@@ -23,6 +23,8 @@ from ivhet.errors import (
     UndefinedTestError,
 )
 from ivhet.propensity import fit_binary_index
+from ivhet.regression import (
+    PIVOT_RTOL, _check_se_args, _influence_se, _meat)
 from ivhet.validity import _SIGMA_FLOOR, OutcomeSetPartition, ValidityReport
 
 
@@ -128,6 +130,103 @@ def loo_fitted_refit(target, X):
         beta = np.linalg.pinv(X[m]) @ target[m]
         out[i] = X[i] @ beta
     return out
+
+
+def cell_means(v, a):
+    """Each row's mean of v over the rows that share its cell index a."""
+    counts = np.maximum(np.bincount(a), 1)   # excluded cells have no rows
+    return (np.bincount(a, weights=v) / counts)[a]
+
+
+def loo_means(v, groups):
+    """Each row's mean of v over its group with the row itself left out."""
+    sums = np.bincount(groups, weights=v)
+    counts = np.bincount(groups)
+    return (sums[groups] - v) / (counts[groups] - 1.0)
+
+
+def retained_rows(ct):
+    return ct.retained[ct.assignments]
+
+
+def row_centered_iv(ct, g, se_type):
+    """(beta, se) of Y on D and cell intercepts over the retained rows,
+    instrumented by the cell intercepts and g (one value per retained row),
+    from the residuals row by row: the reference for the package's closed
+    forms on the cell table's (z, cell, d) bins."""
+    ds = ct.source
+    rows = retained_rows(ct)
+    a = ct.assignments[rows]
+    m = len(a)
+    cluster = _check_se_args(
+        se_type, None if ds.cluster is None else ds.cluster[rows], m)
+    y = ds.y[rows]
+    d = ds.d[rows].astype(np.float64)
+    g = g - cell_means(g, a)
+    dc = d - cell_means(d, a)
+    gd = float(g @ dc)
+    if abs(gd) <= PIVOT_RTOL * np.linalg.norm(g) * np.linalg.norm(dc):
+        raise IdentificationError("zero first stage")
+    beta = float(g @ y) / gd
+    e = y - cell_means(y, a) - beta * dc
+    df = m - int(ct.retained.sum()) - 1
+    if se_type == "classical":
+        if df <= 0:
+            raise DomainError("no residual degrees of freedom for classical se")
+        var = float(e @ e) / df * float(g @ g)
+    else:
+        meat, factor = _meat((g * e)[:, None], se_type, cluster, df)
+        var = factor * float(meat[0, 0])
+    return beta, float(np.sqrt(var)) / abs(gd)
+
+
+def row_saturated(ct, estimator, se_type):
+    """(estimate, se) of one saturated estimator ("beta_iv", "beta_ai",
+    "jive", "ujive" or "beta_late_saturated") from per-row arrays."""
+    if estimator == "beta_late_saturated":
+        return _row_late_saturated(ct, se_type)
+    ds = ct.source
+    rows = retained_rows(ct)
+    a = ct.assignments[rows]
+    z = ds.z[rows]
+    d = ds.d[rows].astype(np.float64)
+    if estimator == "beta_iv":
+        g = z
+    elif estimator == "beta_ai":
+        g = ct.pi_j[a] * z
+    else:
+        g = loo_means(d, 2 * a + z)
+        if estimator == "ujive":
+            g -= loo_means(d, a)
+    return row_centered_iv(ct, g, se_type)
+
+
+def _row_late_saturated(ct, se_type):
+    """The saturated Wald ratio and its influence SE, influence values row
+    by row (cluster: summed within labels; other types: the plain SE)."""
+    ds = ct.source
+    rows = retained_rows(ct)
+    m = int(rows.sum())
+    cluster = _check_se_args(
+        se_type, None if ds.cluster is None else ds.cluster[rows], m)
+    mask = ct.retained
+    num = float(np.sum(ct.p_j[mask] * ct.dy_j[mask]))
+    den = float(np.sum(ct.p_j[mask] * ct.pi_j[mask]))
+    beta = num / den
+    a = ct.assignments[rows]
+    y = ds.y[rows]
+    d = ds.d[rows].astype(float)
+    z = ds.z[rows].astype(float)
+    p_scale = ct.p_j[mask].sum()
+    num_s = num / p_scale
+    den_s = den / p_scale
+    q = ct.q_j[a]
+    psi_num = (z * (y - ct.mean_y1_j[a]) / q - (1 - z) * (y - ct.mean_y0_j[a]) / (1 - q)
+               + ct.dy_j[a] - num_s)
+    psi_den = (z * (d - ct.mean_d1_j[a]) / q - (1 - z) * (d - ct.mean_d0_j[a]) / (1 - q)
+               + ct.pi_j[a] - den_s)
+    infl = (psi_num - beta * psi_den) / den_s
+    return beta, _influence_se(infl, cluster if se_type == "cluster" else None)
 
 
 def cell_weights_by_hand(y, d, z, cell):

@@ -385,6 +385,8 @@ def test_saturated_commands_do_not_load_scipy(trial_csv):
     data = ["--input", str(trial_csv), *TRIAL_ARGS, "--json"]
     runs = [["weights", *data, "--min-arm", "1"],
             ["estimate", *data, "--min-arm", "1"],
+            ["estimate", *data, "--min-arm", "1", "--saturated", "yes",
+             "--link", "probit"],
             ["manyiv", *data],
             ["validity", *data, "--min-arm", "1", "--reps", "99"]]
     code = (f"import sys\nfrom ivhet.cli import main\n"

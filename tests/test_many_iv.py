@@ -5,9 +5,9 @@ from ivhet.cells import build_cells
 from ivhet.data_model import Dataset
 from ivhet.errors import DomainError, IdentificationError, LeverageError
 from ivhet.estimators import _centered_iv, estimate_beta_ai
-from ivhet.many_iv import _loo_fitted, _loo_means, jive, many_tsls, ujive
+from ivhet.many_iv import _loo_fitted, jive, many_tsls, ujive
 
-from oracles import loo_fitted_refit
+from oracles import loo_fitted_refit, loo_means
 from test_estimators import (
     PIN_KINDS,
     pinning_cells,
@@ -49,8 +49,8 @@ def test_loo_fitted_matches_literal_refits():
     d = ds.d.astype(float)
     dummies = (cell[:, None] == np.arange(3)[None, :]).astype(float)
     w = np.column_stack([dummies, dummies * ds.z[:, None]])
-    for got, design in ((_loo_means(d, 2 * cell + ds.z), w),
-                        (_loo_means(d, cell), dummies)):
+    for got, design in ((loo_means(d, 2 * cell + ds.z), w),
+                        (loo_means(d, cell), dummies)):
         dense, hmax = _loo_fitted(d, design, "test")
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, loo_fitted_refit(d, design),
@@ -168,9 +168,10 @@ def test_metadata_counts(hand_ct):
 
 
 def test_just_identified_helper_error_paths(hand_ct):
-    z = hand_ct.source.z.astype(float)
+    # one instrument value per (z, cell, d) bin: z, and the cell's index
+    z = np.array([0.0, 1.0])[:, None, None]
     with pytest.raises(IdentificationError, match="zero first stage"):
-        _centered_iv(hand_ct, hand_ct.source.x[:, 0], "hc0")
+        _centered_iv(hand_ct, np.arange(2.0)[:, None], "hc0")
     with pytest.raises(DomainError, match="unknown se_type"):
         _centered_iv(hand_ct, z, "hc3")
     with pytest.raises(DomainError, match="no cluster labels"):

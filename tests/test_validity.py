@@ -91,6 +91,24 @@ def test_partition_auto_switches_on_support_size():
     assert len(OutcomeSetPartition.auto(y_cont).cut_points) == 11
 
 
+@pytest.mark.parametrize("values", [
+    np.arange(12.0), np.arange(13.0), np.repeat([-1.5, 0.0, 2.0], 40),
+    np.linspace(-1, 1, 500) ** 3, np.concatenate([np.zeros(300), np.arange(11.0)]),
+    np.array([4.0, 4.0]),
+])
+def test_auto_partition_equals_unique_rule(values):
+    """OutcomeSetPartition.auto takes the support when y has at most 12
+    distinct values and the deciles otherwise, with the cut points of the
+    np.unique rule, in any row order."""
+    rng = np.random.default_rng(9)
+    for y in (values, rng.permutation(values)):
+        if np.unique(y).size <= 12:
+            want = OutcomeSetPartition.from_support(y)
+        else:
+            want = OutcomeSetPartition.from_deciles(y)
+        assert OutcomeSetPartition.auto(y).cut_points == want.cut_points
+
+
 def test_ensure_covers_extends():
     p = OutcomeSetPartition((0.0, 1.0))
     y = np.array([-1.0, 0.5, 2.0])
