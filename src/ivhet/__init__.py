@@ -55,7 +55,7 @@ from .propensity import (IPWReport, PropensityFit, fit_binary_index,
                          fit_cell_propensity, ipw_late)
 from .regression import RegressionFit, hat_diagonals, ols, tsls
 from .spec_tests import TestReport, reset_binary_index, reset_linear
-from .special import erf, erfc, erfcx, normal_cdf, normal_log_cdf, normal_pdf
+from .special import normal_cdf, normal_log_cdf
 from .validity import (
     OutcomeSetPartition,
     ValidityReport,
@@ -104,9 +104,6 @@ __all__ = [
     "build_cells",
     "cell_stats_table",
     "decompose_weights",
-    "erf",
-    "erfc",
-    "erfcx",
     "estimate_beta_ai",
     "estimate_beta_iv",
     "estimate_beta_late_saturated",
@@ -122,7 +119,6 @@ __all__ = [
     "mw_test",
     "normal_cdf",
     "normal_log_cdf",
-    "normal_pdf",
     "ols",
     "reference_population",
     "reference_trial",

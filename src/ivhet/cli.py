@@ -48,34 +48,6 @@ _DEFAULT_TRIM = "0.01,0.99"
 _ROLES = ("outcome", "treatment", "instrument", "covariates", "cluster")
 
 
-def _add_data_args(p: argparse.ArgumentParser):
-    p.add_argument("--input", required=True, help="CSV file with the sample")
-    p.add_argument("--config", help="JSON file mapping column roles to names")
-    p.add_argument("--outcome", "-y", help="outcome column")
-    p.add_argument("--treatment", "-d", help="treatment column (0/1)")
-    p.add_argument("--instrument", "-z", help="instrument column (0/1)")
-    p.add_argument("--covariates", "-x",
-                   help="comma separated covariate columns")
-    p.add_argument("--cluster", help="cluster label column")
-
-
-def _add_cell_args(p: argparse.ArgumentParser):
-    p.add_argument("--min-arm", type=int, default=DEFAULT_MIN_ARM_SIZE,
-                   help="smallest instrument arm a usable cell may have "
-                        f"(default {DEFAULT_MIN_ARM_SIZE})")
-    p.add_argument("--min-cell", type=int, default=DEFAULT_MIN_CELL_SIZE,
-                   help="smallest usable cell "
-                        f"(default {DEFAULT_MIN_CELL_SIZE})")
-    p.add_argument("--saturated", choices=("auto", "yes", "no"),
-                   default="auto",
-                   help="treat covariates as discrete cells (default: auto)")
-
-
-def _add_output_args(p: argparse.ArgumentParser):
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--output", help="write the report to this file")
-
-
 def _column_map(args) -> ColumnMap:
     base = {}
     if args.config:
@@ -397,69 +369,75 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", help="point estimates of the three "
-                                            "IV estimands")
-    _add_data_args(p_est)
-    _add_cell_args(p_est)
-    p_est.add_argument("--se", choices=("hc1", "cluster"), default=None)
-    p_est.add_argument("--link", choices=("logit", "probit", "linear"),
-                       default=None,
-                       help="also report the propensity reweighted estimate")
-    p_est.add_argument("--trim", default=_DEFAULT_TRIM,
-                       help=f"propensity trimming window (default {_DEFAULT_TRIM})")
-    _add_output_args(p_est)
-    p_est.set_defaults(func=_cmd_estimate)
+    def command(name, func, about, data=True, cells=True, se=("hc1", "cluster")):
+        """Subcommand name, run by func, with --json and --output and, unless
+        data is false, the data flags, the cell flags when cells is true and
+        --se with the choices se when given."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.add_argument("--output", help="write the report to this file")
+        if not data:
+            return p
+        p.add_argument("--input", required=True, help="CSV file with the sample")
+        p.add_argument("--config", help="JSON file mapping column roles to names")
+        p.add_argument("--outcome", "-y", help="outcome column")
+        p.add_argument("--treatment", "-d", help="treatment column (0/1)")
+        p.add_argument("--instrument", "-z", help="instrument column (0/1)")
+        p.add_argument("--covariates", "-x",
+                       help="comma separated covariate columns")
+        p.add_argument("--cluster", help="cluster label column")
+        if cells:
+            p.add_argument("--min-arm", type=int, default=DEFAULT_MIN_ARM_SIZE,
+                           help="smallest instrument arm a usable cell may have "
+                                f"(default {DEFAULT_MIN_ARM_SIZE})")
+            p.add_argument("--min-cell", type=int, default=DEFAULT_MIN_CELL_SIZE,
+                           help="smallest usable cell "
+                                f"(default {DEFAULT_MIN_CELL_SIZE})")
+            p.add_argument("--saturated", choices=("auto", "yes", "no"),
+                           default="auto",
+                           help="treat covariates as discrete cells (default: auto)")
+        if se:
+            p.add_argument("--se", choices=se, default=None)
+        return p
 
-    p_w = sub.add_parser("weights", help="per-cell decomposition weights")
-    _add_data_args(p_w)
-    _add_cell_args(p_w)
-    p_w.add_argument("--se", choices=("hc1", "cluster"), default=None)
-    _add_output_args(p_w)
-    p_w.set_defaults(func=_cmd_weights)
+    p = command("estimate", _cmd_estimate,
+                "point estimates of the three IV estimands")
+    p.add_argument("--link", choices=("logit", "probit", "linear"), default=None,
+                   help="also report the propensity reweighted estimate")
+    p.add_argument("--trim", default=_DEFAULT_TRIM,
+                   help=f"propensity trimming window (default {_DEFAULT_TRIM})")
 
-    p_r = sub.add_parser("reset", help="functional form checks")
-    _add_data_args(p_r)
-    p_r.add_argument("--equation", choices=("outcome", "assignment"),
-                     default=None,
-                     help="which equation to check (default: assignment "
-                          "when --link is given, outcome otherwise)")
-    p_r.add_argument("--link", choices=("logit", "probit"), default=None)
-    p_r.add_argument("--powers", default="2,3",
-                     help="comma separated powers (default 2,3)")
-    p_r.add_argument("--se", choices=("hc1", "cluster"), default=None)
-    _add_output_args(p_r)
-    p_r.set_defaults(func=_cmd_reset)
+    command("weights", _cmd_weights, "per-cell decomposition weights")
 
-    p_v = sub.add_parser("validity", help="testable implications of "
-                                          "instrument validity")
-    _add_data_args(p_v)
-    _add_cell_args(p_v)
-    p_v.add_argument("--cuts", default="auto",
-                     help="auto, deciles, support, or comma separated cut "
-                          "points (default auto)")
-    p_v.add_argument("--reps", type=int, default=999)
-    p_v.add_argument("--seed", type=int, default=0)
-    _add_output_args(p_v)
-    p_v.set_defaults(func=_cmd_validity)
+    p = command("reset", _cmd_reset, "functional form checks", cells=False)
+    p.add_argument("--equation", choices=("outcome", "assignment"), default=None,
+                   help="which equation to check (default: assignment "
+                        "when --link is given, outcome otherwise)")
+    p.add_argument("--link", choices=("logit", "probit"), default=None)
+    p.add_argument("--powers", default="2,3",
+                   help="comma separated powers (default 2,3)")
 
-    p_m = sub.add_parser("manyiv", help="interacted 2SLS and jackknife IV")
-    _add_data_args(p_m)
-    _add_cell_args(p_m)
-    p_m.add_argument("--se", choices=("hc0", "hc1", "cluster"), default=None)
-    _add_output_args(p_m)
-    p_m.set_defaults(func=_cmd_manyiv)
+    p = command("validity", _cmd_validity,
+                "testable implications of instrument validity", se=None)
+    p.add_argument("--cuts", default="auto",
+                   help="auto, deciles, support, or comma separated cut "
+                        "points (default auto)")
+    p.add_argument("--reps", type=int, default=999)
+    p.add_argument("--seed", type=int, default=0)
 
-    p_s = sub.add_parser("simulate", help="draw a sample from a latent-type "
-                                          "population spec")
-    p_s.add_argument("--spec", required=True, help="JSON population spec")
-    p_s.add_argument("--n", type=int, required=True)
-    p_s.add_argument("--seed", type=int, default=None,
-                     help="override the seed in the spec file")
-    p_s.add_argument("--data", required=True, help="output CSV path")
-    p_s.add_argument("--oracle", help="write ground truth JSON here")
-    p_s.add_argument("--latent", help="write the latent table CSV here")
-    _add_output_args(p_s)
-    p_s.set_defaults(func=_cmd_simulate)
+    command("manyiv", _cmd_manyiv, "interacted 2SLS and jackknife IV",
+            se=("hc0", "hc1", "cluster"))
+
+    p = command("simulate", _cmd_simulate,
+                "draw a sample from a latent-type population spec", data=False)
+    p.add_argument("--spec", required=True, help="JSON population spec")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the seed in the spec file")
+    p.add_argument("--data", required=True, help="output CSV path")
+    p.add_argument("--oracle", help="write ground truth JSON here")
+    p.add_argument("--latent", help="write the latent table CSV here")
     return parser
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data_model import Dataset, _read_json
 from .errors import ConfigError, DomainError
-from .estimators import WeightTable, _normalize
+from .estimators import WeightTable, _weight_table
 from .tables import write_columns
 
 CTYPES = ("complier", "always", "never", "defier")
@@ -239,16 +239,7 @@ def brute_force_weights(lt: LatentTable) -> WeightTable:
         pi[idx] = (compliers.sum() - defiers.sum()) / nj
         if compliers.any():
             tau[idx] = np.mean(lt.y1[compliers] - lt.y0[compliers])
-    var = q * (1.0 - q)
-    degenerate = pi == 0.0
-    mask = ~degenerate
-    w_late, late_ok = _normalize(p * pi, mask)
-    w_iv, iv_ok = _normalize(p * pi * var, mask)
-    w_ai, ai_ok = _normalize(p * pi * pi * var, mask)
-    return WeightTable(
-        w_late=w_late, w_iv=w_iv, w_ai=w_ai, tau=tau, degenerate=degenerate,
-        late_defined=late_ok, iv_defined=iv_ok, ai_defined=ai_ok,
-    )
+    return _weight_table(p, q * (1.0 - q), pi, tau, pi == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ row-by-row SE formulas as the reference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +90,6 @@ class WeightTable:
             for j in range(self.n_cells)
         ]
 
-    def to_json(self) -> str:
-        return json.dumps(json_safe(self.to_records()), indent=2)
-
 
 def _normalize(raw: np.ndarray, mask: np.ndarray):
     """Normalize raw weights over the mask; returns (weights, defined)."""
@@ -105,24 +101,26 @@ def _normalize(raw: np.ndarray, mask: np.ndarray):
     return out, True
 
 
+def _weight_table(p, var, pi, tau, degenerate) -> WeightTable:
+    """The three weight families p pi, p pi var and p pi^2 var, normalized
+    over the cells that are not degenerate."""
+    mask = ~degenerate
+    w_late, late_ok = _normalize(p * pi, mask)
+    w_iv, iv_ok = _normalize(p * pi * var, mask)
+    w_ai, ai_ok = _normalize(p * pi * pi * var, mask)
+    return WeightTable(
+        w_late=w_late, w_iv=w_iv, w_ai=w_ai, tau=tau, degenerate=degenerate,
+        late_defined=late_ok, iv_defined=iv_ok, ai_defined=ai_ok,
+    )
+
+
 def decompose_weights(ct: CellTable) -> WeightTable:
     """Cell weights for the three estimands from cell statistics alone."""
     mask = ct.retained
     if not mask.any():
         raise IdentificationError("no non-degenerate cells")
-    pi = np.where(mask, ct.pi_j, 0.0)
-    raw_late = ct.p_j * pi
-    raw_iv = ct.p_j * pi * ct.var_z_j
-    raw_ai = ct.p_j * pi * pi * ct.var_z_j
-    w_late, late_ok = _normalize(raw_late, mask)
-    w_iv, iv_ok = _normalize(raw_iv, mask)
-    w_ai, ai_ok = _normalize(raw_ai, mask)
-    return WeightTable(
-        w_late=w_late, w_iv=w_iv, w_ai=w_ai,
-        tau=ct.tau_j.copy(),
-        degenerate=ct.degenerate.copy(),
-        late_defined=late_ok, iv_defined=iv_ok, ai_defined=ai_ok,
-    )
+    return _weight_table(ct.p_j, ct.var_z_j, np.where(mask, ct.pi_j, 0.0),
+                         ct.tau_j.copy(), ct.degenerate.copy())
 
 
 _D = np.array([0.0, 1.0])       # d along the last axis of a bin array

@@ -51,6 +51,7 @@ from .validity import _check_bootstrap
 
 LINKS = ("logit", "probit", "linear")
 
+_MAX_ITER = 100
 _MAX_ABS_COEF = 30.0
 _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times this
 _LL_RTOL = 1e-10
@@ -131,7 +132,6 @@ def fit_binary_index(
     z: np.ndarray,
     X: np.ndarray,
     link: str = "logit",
-    max_iter: int = 100,
     start: np.ndarray | None = None,
 ) -> PropensityFit:
     """Fit P(z=1|x) = G(x'b) by maximum likelihood (or OLS for linear G)."""
@@ -153,11 +153,10 @@ def fit_binary_index(
         X = np.column_stack([np.ones(z.shape[0]), X]) if X.size else np.ones((z.shape[0], 1))
 
     kept, _ = screen_columns(X)
-    return _fit_screened(z, X[:, kept], link, start, None, max_iter,
-                         intercept_added)
+    return _fit_screened(z, X[:, kept], link, start, None, intercept_added)
 
 
-def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
+def _fit_screened(z, X, link, start, m, intercept_added=False):
     """The fit on a full-rank design, each row counted m times (once when m
     is None): weighted least squares for the linear link, else damped Newton."""
     n = X.shape[0] if m is None else float(m.sum())  # rows with multiplicity
@@ -198,7 +197,7 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
     # likewise a step is "no worse" only relative to the loglik's own size
     score_gate = _SCORE_TOL * n
     ll_noise = 1e-12 * (1.0 + abs(ll))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if np.max(np.abs(score)) < score_gate:
             converged = True
             it -= 1
@@ -239,7 +238,7 @@ def _fit_screened(z, X, link, start, m, max_iter=100, intercept_added=False):
             break
     if not converged:
         raise ConvergenceError(
-            f"{link} fit did not converge in {max_iter} iterations "
+            f"{link} fit did not converge in {_MAX_ITER} iterations "
             f"(last loglik {ll:.6g})"
         )
 
@@ -302,9 +301,9 @@ class IPWReport:
 
 def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None):
     """The trimmed Hajek ratio, each row counted m times, with the kept-row
-    mask, the arm means (y_z1, y_z0, d_z1, d_z0) and the kept rows' arm
-    weights. phat and m are given at rows (every row when None); y, d and z
-    are read there."""
+    mask, the arm means (y_z1, y_z0, d_z1, d_z0) and the kept rows' y, d and
+    arm weights. phat and m are given at rows (every row when None); y, d and
+    z are read there."""
     keep = (phat >= lo) & (phat <= hi)
     m, phat = m[keep], phat[keep]
     if m.sum() < 2:
@@ -332,7 +331,7 @@ def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None):
     if den == 0.0 or not np.isfinite(den):
         raise IdentificationError("reweighted first stage is zero; the IPW "
                                   "contrast is undefined")
-    return (my1 - my0) / den, keep, (my1, my0, md1, md0), w1, w0
+    return (my1 - my0) / den, keep, (my1, my0, md1, md0), (y, d, w1, w0)
 
 
 def ipw_late(
@@ -360,16 +359,14 @@ def ipw_late(
     if pf.phat.shape[0] != ds.n:
         raise DomainError("propensity fit and dataset have different lengths")
 
-    d = ds.d.astype(np.float64)
-    est, keep, (my1, my0, md1, md0), w1, w0 = _ipw_ratio(
-        ds.y, d, ds.z.astype(np.float64), pf.phat, np.ones(ds.n), lo, hi)
+    est, keep, (my1, my0, md1, md0), (y, d, w1, w0) = _ipw_ratio(
+        ds.y, ds.d, ds.z, pf.phat, np.ones(ds.n), lo, hi)
     n_used = int(keep.sum())
     n_trimmed = ds.n - n_used
     meta = {"arm_means": {"y_z1": my1, "y_z0": my0, "d_z1": md1, "d_z0": md0}}
 
     if se == "delta":
         # influence function of a ratio of Hajek contrasts, phat held fixed
-        y, d = ds.y[keep], d[keep]
         s1, s0 = w1.sum() / n_used, w0.sum() / n_used
         psi_num = w1 * (y - my1) / s1 - w0 * (y - my0) / s0
         psi_den = w1 * (d - md1) / s1 - w0 * (d - md0) / s0
@@ -420,7 +417,6 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
     first-failure order of failed_by do not depend on the number of CPUs.
     """
     X_full = pf._design
-    d = ds.d.astype(np.float64)
     z = ds.z.astype(np.float64)
     if ds.cluster is not None:
         n_groups, codes = _cluster_codes(ds.cluster)
@@ -439,7 +435,7 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         try:
             kept, _ = screen_columns(X * np.sqrt(mb)[:, None])
             pf_b = _fit_screened(z[rows], X[:, kept], pf.link, pf.coefficients, mb)
-            return _ipw_ratio(ds.y, d, z, pf_b.phat, mb, lo, hi, rows)[0]
+            return _ipw_ratio(ds.y, ds.d, z, pf_b.phat, mb, lo, hi, rows)[0]
         except (ConvergenceError, SeparationError, TrimError,
                 IdentificationError, DomainError) as exc:
             return type(exc).__name__

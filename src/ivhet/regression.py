@@ -50,12 +50,12 @@ class RegressionFit:
         return np.sqrt(np.diag(self.vcov))
 
 
-def screen_columns(X: np.ndarray, rtol: float = PIVOT_RTOL):
+def screen_columns(X: np.ndarray):
     """Greedy design-order rank screen.
 
     Returns (kept, Q) where kept indexes the retained columns and Q is an
     orthonormal basis for their span. Reorthogonalizing twice keeps the
-    basis clean enough that the rtol decision is stable.
+    basis clean enough that the PIVOT_RTOL decision is stable.
     """
     X = np.asarray(X, dtype=np.float64)
     n, k = X.shape
@@ -70,7 +70,7 @@ def screen_columns(X: np.ndarray, rtol: float = PIVOT_RTOL):
         v = col - Q @ (Q.T @ col)
         v -= Q @ (Q.T @ v)
         norm_v = np.linalg.norm(v)
-        if norm_v > rtol * norm0:
+        if norm_v > PIVOT_RTOL * norm0:
             np.divide(v, norm_v, out=basis[:, len(kept)])
             kept.append(j)
     return kept, basis[:, :len(kept)]

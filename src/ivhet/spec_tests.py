@@ -133,7 +133,6 @@ def reset_binary_index(
     X: np.ndarray,
     link: str = "logit",
     powers=(2, 3),
-    max_iter: int = 100,
 ) -> TestReport:
     """Index-power misspecification test for a binary choice model.
 
@@ -144,7 +143,7 @@ def reset_binary_index(
     powers = _check_powers(powers)
     if link not in ("logit", "probit"):
         raise DomainError("reset_binary_index supports logit and probit links")
-    base = fit_binary_index(z, X, link=link, max_iter=max_iter)
+    base = fit_binary_index(z, X, link=link)
     vhat = _standardize(base.index)
     if vhat is None:
         return _trivial("reset_binary_index", "fitted index is constant")
@@ -157,8 +156,7 @@ def reset_binary_index(
     design = np.column_stack([base._design, added])
     start = np.concatenate([base.coefficients, np.zeros(added.shape[1])])
     try:
-        aug = fit_binary_index(z, design, link=link, max_iter=max_iter,
-                               start=start)
+        aug = fit_binary_index(z, design, link=link, start=start)
     except (ConvergenceError, SeparationError) as exc:
         return TestReport(
             test="reset_binary_index", statistic=float("nan"), df=(0,),

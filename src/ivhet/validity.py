@@ -311,26 +311,20 @@ def _max_violation_tests(bins: _Bins, tests, reps: int, seed: int):
     ) for test, o, t in zip(tests, obs, t_star)]
 
 
-def _groups(ds: Dataset, ct: CellTable | None):
-    """Each row's group and the group labels: the retained cells in order,
-    with -1 for rows of excluded cells, or one group "all"."""
-    if ct is None:
-        return np.zeros(ds.n, dtype=np.int64), ["all"]
-    if ct.source is not ds:
-        raise ConfigError("cell table was built from a different dataset; "
-                          "build it from the one being tested")
-    retained = np.flatnonzero(~ct.degenerate)
-    index = np.full(ct.n_cells, -1, dtype=np.int64)
-    index[retained] = np.arange(retained.size)
-    return index[ct.assignments], [ct.key_label(j) for j in retained]
-
-
 def _bins(ds: Dataset, ct: CellTable | None, interval, n_intervals: int) -> _Bins:
-    group, labels = _groups(ds, ct)
+    """Rows binned by (cell, z, d, interval) over every cell, then the
+    retained cells' bins in order; without a cell table, one group "all"."""
+    if ct is None:
+        group, keep, labels = 0, np.ones(1, dtype=bool), ["all"]
+    else:
+        if ct.source is not ds:
+            raise ConfigError("cell table was built from a different dataset; "
+                              "build it from the one being tested")
+        group, keep = ct.assignments, ct.retained
+        labels = [ct.key_label(j) for j in np.flatnonzero(keep)]
     code = ((group * 2 + ds.z) * 2 + ds.d) * n_intervals + interval
-    counts = np.bincount(np.where(group >= 0, code, -1) + 1,
-                         minlength=len(labels) * 4 * n_intervals + 1)[1:]
-    return _Bins(counts, n_intervals, labels)
+    counts = np.bincount(code, minlength=keep.size * 4 * n_intervals)
+    return _Bins(counts.reshape(keep.size, -1)[keep].ravel(), n_intervals, labels)
 
 
 def _candidate_tests(ds: Dataset, ct: CellTable | None,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ivhet
-from ivhet import Dataset, build_cells, reference_trial
+from ivhet import Dataset, SeparationError, build_cells, reference_trial, spec_tests
 
 
 def child_env():
@@ -125,3 +125,16 @@ def cell_ipw_design(kind):
     cluster = rng.integers(0, 20, size=n) if kind == "clustered" else None
     names = ("x0", "x1")[:x.shape[1]]
     return Dataset(y=y, d=d, z=z, x=x, covariate_names=names, cluster=cluster)
+
+
+def fail_augmented_reset_fit(monkeypatch, message="augmented fit separated"):
+    """Make reset_binary_index's warm-started augmented fit raise
+    SeparationError(message); the base fit runs as usual."""
+    real = spec_tests.fit_binary_index
+
+    def fit(z, X, link="logit", start=None):
+        if start is not None:
+            raise SeparationError(message)
+        return real(z, X, link=link)
+
+    monkeypatch.setattr(spec_tests, "fit_binary_index", fit)

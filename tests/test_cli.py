@@ -11,6 +11,7 @@ from ivhet import (
     ColumnMap,
     Dataset,
     DGPSpec,
+    OutcomeSetPartition,
     bp_test,
     build_cells,
     first_stage_nonneg_test,
@@ -26,7 +27,8 @@ from ivhet import (
 from ivhet.cli import build_parser, main
 from ivhet.tables import json_safe
 
-from conftest import cell_ipw_design, child_env, two_cell_dataset, write_csv
+from conftest import (cell_ipw_design, child_env, fail_augmented_reset_fit,
+                      two_cell_dataset, write_csv)
 from oracles import row_write_csv
 
 TRIAL_ARGS = ["-y", "y", "-d", "d", "-z", "z", "-x", "stratum"]
@@ -248,6 +250,18 @@ def test_reset_assignment_defaults_with_link(trial_csv, capsys):
     assert t["p_value"] is None or 0.0 <= t["p_value"] <= 1.0
 
 
+def test_reset_assignment_prints_fit_error(trial_csv, capsys, monkeypatch):
+    """When the augmented fit fails, reset exits 0 with a null p-value and
+    the failure on an error: line (an error key in JSON)."""
+    fail_augmented_reset_fit(monkeypatch)
+    argv = ["reset", "--input", str(trial_csv), *TRIAL_ARGS,
+            "--equation", "assignment"]
+    t = run_json(capsys, [*argv, "--json"])["results"]["test"]
+    assert t["p_value"] is None and t["error"] == "augmented fit separated"
+    assert main(argv) == 0
+    assert "error: augmented fit separated" in capsys.readouterr().out.split("\n")
+
+
 @pytest.mark.parametrize("equation", ["outcome", "assignment"])
 def test_reset_text_prints_validation_notes(tmp_path, capsys, equation):
     """The text report ends with the load warnings as note: lines, after the
@@ -331,6 +345,31 @@ def test_validity_draws_one_multiplier_stream(trial_csv, capsys, monkeypatch,
         json.dumps(json_safe([r.to_dict() for r in separate])))
 
 
+@pytest.mark.parametrize("cuts", ["deciles", "support"])
+def test_validity_named_cuts(trial_csv, capsys, cuts):
+    """--cuts deciles and --cuts support report what validity_family reports
+    on the partition of the same name."""
+    payload = run_json(capsys, [
+        "validity", "--input", str(trial_csv), *TRIAL_ARGS, "--min-arm", "1",
+        "--cuts", cuts, "--reps", "99", "--seed", "3", "--json",
+    ])
+    ds = load_dataset(str(trial_csv), ColumnMap(
+        outcome="y", treatment="d", instrument="z", covariates=["stratum"]))
+    make = {"deciles": OutcomeSetPartition.from_deciles,
+            "support": OutcomeSetPartition.from_support}[cuts]
+    want = validity.validity_family(ds, build_cells(ds, min_arm_size=1),
+                                    make(ds.y), reps=99, seed=3)
+    assert payload["results"]["tests"] == json.loads(
+        json.dumps(json_safe([r.to_dict() for r in want])))
+
+
+def test_validity_unparsable_cuts_exit_2(trial_csv, capsys):
+    code = main(["validity", "--input", str(trial_csv), *TRIAL_ARGS,
+                 "--cuts", "1,x"])
+    assert code == 2
+    assert "--cuts could not parse '1,x'" in capsys.readouterr().err
+
+
 def test_validity_bad_reps_or_seed_exit_2(trial_csv, capsys):
     for flag, value, message in (("--reps", "0", "reps must be at least 1"),
                                  ("--reps", "-1", "reps must be at least 1"),
@@ -355,6 +394,11 @@ def test_bad_trim_or_powers_exit_2(tmp_path, capsys):
     for argv, message in (
             (["estimate", "--link", "logit", "--trim", "0.9,0.1"], "--trim bounds"),
             (["estimate", "--link", "probit", "--trim", "nan,0.5"], "--trim bounds"),
+            (["estimate", "--link", "logit", "--trim", "0.1"],
+             "--trim expects two comma separated numbers"),
+            (["estimate", "--link", "logit", "--trim", "a,b"],
+             "--trim could not parse 'a,b'"),
+            (["reset", "--powers", "2,x"], "--powers could not parse '2,x'"),
             (["reset", "--powers", "5"], "powers must be drawn from"),
             (["reset", "--powers", ""], "at least one power is required")):
         code = main([argv[0], *data, *argv[1:]])

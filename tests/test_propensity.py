@@ -17,6 +17,7 @@ from ivhet import (
     DGPSpec,
     Dataset,
     DomainError,
+    ConvergenceError,
     EmptyDataError,
     SeparationError,
     TrimError,
@@ -229,6 +230,26 @@ def test_intercept_added_when_missing():
     fit2 = fit_binary_index(z, X2, link="logit")
     assert not fit2.intercept_added
     np.testing.assert_allclose(fit.coefficients, fit2.coefficients, atol=1e-8)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "linear"])
+def test_design_with_no_columns_fits_the_intercept_alone(link):
+    z = (np.random.default_rng(8).random(300) < 0.35).astype(float)
+    fit = fit_binary_index(z, np.empty((300, 0)), link=link)
+    assert fit.intercept_added
+    assert fit.coefficients.shape == (1,)
+    # exact for the linear link, to the Newton loop's tolerance otherwise
+    np.testing.assert_allclose(fit.phat, np.full(300, z.mean()), rtol=0,
+                               atol=1e-12 if link == "linear" else 1e-9)
+
+
+def test_iteration_cap_raises_convergence_error(monkeypatch):
+    z, X = _sample(3, n=600)
+    monkeypatch.setattr(propensity, "_MAX_ITER", 1)
+    for link in ("logit", "probit"):
+        with pytest.raises(ConvergenceError,
+                           match=f"{link} fit did not converge in 1 iterations"):
+            fit_binary_index(z, X, link=link)
 
 
 def test_separation_detected():

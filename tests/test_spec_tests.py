@@ -7,7 +7,7 @@ import scipy.stats
 
 from ivhet import DomainError, reset_binary_index, reset_linear
 
-from conftest import child_env
+from conftest import child_env, fail_augmented_reset_fit
 from oracles import dense_ols, dense_ols_vcov
 
 
@@ -147,6 +147,16 @@ def test_index_lr_matches_direct_refit():
     assert abs(rep.statistic - lr_ref) < 1e-6
     p_ref = float(scipy.stats.chi2.sf(lr_ref, 2))
     assert abs(rep.p_value - p_ref) < 1e-8
+
+
+def test_index_reports_augmented_fit_failure(monkeypatch):
+    """A warm-started augmented fit that fails gives no p-value and an error
+    entry naming the failure, rather than raising."""
+    fail_augmented_reset_fit(monkeypatch)
+    z, X = _index_sample(7, n=700)
+    rep = reset_binary_index(z, X, link="probit")
+    assert rep.p_value is None and np.isnan(rep.statistic)
+    assert rep.method["error"] == "augmented fit separated"
 
 
 def test_index_trivial_when_saturated():

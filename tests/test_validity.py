@@ -83,6 +83,13 @@ def test_partition_from_deciles_covers():
     assert len(p.cut_points) == 11
 
 
+def test_partition_from_deciles_of_a_constant_outcome():
+    """Every decile of a constant outcome is the same value, so the grid is
+    that value and the next float above it: one interval holding every row."""
+    p = OutcomeSetPartition.from_deciles(np.full(7, 2.5))
+    assert p.cut_points == (2.5, np.nextafter(2.5, np.inf))
+
+
 def test_partition_auto_switches_on_support_size():
     y_small = np.array([0.0, 1.0, 2.0] * 50)
     assert len(OutcomeSetPartition.auto(y_small).cut_points) == 4
