@@ -23,15 +23,19 @@ d and elementary outcome interval [c_t, c_t+1) of the partition. Arm
 sizes, means and variances follow from the bin counts, and a multiplier
 draw enters a moment only through its per-bin sums, whose sums over any
 candidate interval are differences of prefix sums over t. The sum of a
-bin's count fair 0/1 bits is Binomial(count, 1/2), so each draw is made
-directly as one Binomial per bin, from one random stream in chunks of a
-few MiB. After one bincount of the rows' bin codes no row is touched
-again: the bootstrap costs O(reps x (bins + moments)) and holds no (n x
-moments) or (reps x n) array. The law of the bootstrap is that of the
-dense computation, a (reps, n) Rademacher matrix times the (n x moments)
-matrix of row contributions, which tests/oracles.py keeps as the
-reference; a seed's realisation is not that of per-row draws, so its
-p-values differ from those of versions that drew every row.
+bin's count fair 0/1 bits is Binomial(count, 1/2), and each draw makes
+it directly, in chunks of a few MiB: a bin of at most 512 rows as the
+popcount of count raw random bits (ceil(count / 64) words, the last
+masked), a larger bin as one rng.binomial draw, which costs about as
+much as the popcount of 12 words. After one bincount of the
+rows' bin codes no row is touched again: the bootstrap costs O(reps x
+(bins + words + moments)) and holds no (n x moments) or (reps x n)
+array. The law of the bootstrap is that of the dense computation, a
+(reps, n) Rademacher matrix times the (n x moments) matrix of row
+contributions, which tests/oracles.py keeps as the reference; a seed's
+realisation is not that of per-row draws, so its p-values differ from
+those of versions that drew every row, and from those of versions that
+drew every bin as a Binomial wherever a bin has at most 512 rows.
 
 bp_test and mw_test share their bins, so validity_family, which `ivhet
 validity` calls, evaluates both on one draw; the first-stage test makes
@@ -53,7 +57,9 @@ from .errors import ConfigError, DomainError, UndefinedTestError
 
 _SIGMA_FLOOR = 1e-6
 _MAX_SUPPORT = 12
-_CHUNK_BYTES = 4 << 20      # cap on draws x max(bins, moments) float64s
+_MAX_CANDIDATES = 10**6     # candidate outcome sets one partition may make
+_CHUNK_BYTES = 4 << 20      # cap on draws x max(bins, words, moments) 8-byte values
+_POPCOUNT_ROWS = 512        # bins of up to this many rows draw popcounts
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,9 @@ class OutcomeSetPartition:
 
     cut_points must be strictly increasing with at least two entries; the
     candidate sets are the half-open intervals [c_a, c_b) over all pairs
-    a < b. The widest candidate therefore spans the whole grid.
+    a < b. The widest candidate therefore spans the whole grid. A grid of
+    more than _MAX_CANDIDATES sets (about 1,400 cut points), as the
+    support of a continuous outcome gives, is a ConfigError.
     """
 
     cut_points: tuple[float, ...]
@@ -74,6 +82,11 @@ class OutcomeSetPartition:
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ConfigError("cut points must be strictly increasing")
         object.__setattr__(self, "cut_points", cuts)
+        if self.n_candidates > _MAX_CANDIDATES:
+            raise ConfigError(
+                f"{len(cuts):,} cut points make {self.n_candidates:,} candidate "
+                f"outcome sets, more than {_MAX_CANDIDATES:,}; use fewer cut "
+                "points, such as the deciles (--cuts deciles)")
 
     @property
     def n_candidates(self) -> int:
@@ -132,9 +145,11 @@ class ValidityReport:
     bit-identical cells, go to the one listed first. The p-value is
     (1 + #{draws with maximum >= statistic}) / (reps + 1): a draw whose
     maximum equals the statistic counts as at least as extreme. The draws
-    are per-bin Binomial(count, 1/2) sums of fair bits: the law of a
-    Rademacher multiplier bootstrap over rows, not its realisation, so a
-    seed gives other p-values than row-by-row draws.
+    are per-bin Binomial(count, 1/2) sums of fair bits, popcounts of raw
+    random words in bins of at most 512 rows and rng.binomial draws in
+    larger ones: the law of a Rademacher multiplier bootstrap over rows,
+    not its realisation, so a seed gives other p-values than row-by-row
+    draws.
     """
 
     test: str
@@ -199,8 +214,13 @@ def _arm_sums(prefix, mom: _Moments, z):
     intervals + 1); the result is (..., groups, moments)."""
     def span(d, lo, hi):
         return prefix[..., z, d, hi] - prefix[..., z, d, lo]
-    return (span(0, mom.lo, mom.hi) + span(1, mom.lo, mom.hi),
-            span(mom.d, mom.value_lo, mom.value_hi))
+    if mom.lo.any() or (mom.hi != prefix.shape[-1] - 1).any():
+        total = span(0, mom.lo, mom.hi) + span(1, mom.lo, mom.hi)
+    else:
+        # whole arms: one total per group and arm (prefix[..., 0] is 0)
+        ends = prefix[..., -1]
+        total = (ends[..., 0] + ends[..., 1])[..., z]
+    return total, span(mom.d, mom.value_lo, mom.value_hi)
 
 
 def _arm_stats(prefix, mom: _Moments, z):
@@ -262,20 +282,45 @@ def _observe(pre, test: _Test) -> _Observed:
                      int(np.flatnonzero(kept)[np.argmax(-mhat)]))
 
 
+def _popcount_words(counts: np.ndarray) -> np.ndarray:
+    """The 64-bit words each bin draws per draw: ceil(count / 64) for the
+    bins of 1 to _POPCOUNT_ROWS rows, none for empty and larger bins."""
+    return np.where(counts <= _POPCOUNT_ROWS, -(-counts // 64), 0)
+
+
 def _multipliers(seed: int, reps: int, counts: np.ndarray, rows: int):
-    """Per-bin sums of reps Rademacher draws as 0/1 bits, from one stream
-    in chunks of at most rows draws: the sum of counts[b] fair bits is
-    Binomial(counts[b], 1/2)."""
+    """Per-bin sums of reps Rademacher draws as 0/1 bits, in chunks of at
+    most rows draws. The sum of counts[b] fair bits is Binomial(counts[b],
+    1/2): a bin of more than _POPCOUNT_ROWS rows draws it with
+    rng.binomial from default_rng(seed), any other bin as the popcount of
+    counts[b] raw bits, in whole words from a stream spawned from that
+    generator, its last word masked to its remaining bits. Both streams
+    are read draw by draw, so the chunks change no draw."""
     rng = np.random.default_rng(seed)
+    raw = rng.spawn(1)[0].bit_generator
+    large = counts > _POPCOUNT_ROWS
+    small = np.flatnonzero(_popcount_words(counts))
+    words = _popcount_words(counts[small])
+    first = np.cumsum(words) - words        # each small bin's first word
+    mask = np.full(words.sum(), np.iinfo(np.uint64).max, dtype=np.uint64)
+    mask[first + words - 1] >>= (-counts[small] % 64).astype(np.uint64)
     for start in range(0, reps, rows):
-        yield rng.binomial(counts, 0.5, size=(min(rows, reps - start), counts.size))
+        n_draws = min(rows, reps - start)
+        ones = np.zeros((n_draws, counts.size), dtype=np.int64)
+        ones[:, large] = rng.binomial(counts[large], 0.5,
+                                      size=(n_draws, np.count_nonzero(large)))
+        if small.size:
+            bits = np.bitwise_count(raw.random_raw((n_draws, mask.size)) & mask)
+            ones[:, small] = np.add.reduceat(bits, first, axis=1, dtype=np.int64)
+        yield ones
 
 
 def _bootstrap_maxima(counts, shape, obs, reps: int, seed: int) -> np.ndarray:
     """Each test's maximum recentered, studentized violation in every draw,
     (tests, reps). The arithmetic is per draw, so a draw's maximum depends
     neither on the chunk it falls in nor on the other tests of the call."""
-    size = max(counts.size, *(o.kept.size for o in obs))
+    size = max(counts.size, int(_popcount_words(counts).sum()),
+               *(o.kept.size for o in obs))
     rows = max(1, _CHUNK_BYTES // (8 * size))
     t_star = np.empty((len(obs), reps))
     start = 0
@@ -286,7 +331,8 @@ def _bootstrap_maxima(counts, shape, obs, reps: int, seed: int) -> np.ndarray:
             tot_b, hit_b = _arm_sums(pre, o.mom, 1 - o.mom.z)
             sims = ((hit_a - o.mean_a * tot_a) / o.scale_a
                     - (hit_b - o.mean_b * tot_b) / o.scale_b)
-            out[start:start + len(ones)] = np.max(-sims[:, o.kept], axis=1)
+            sims = sims.reshape(len(ones), -1) if o.kept.all() else sims[:, o.kept]
+            out[start:start + len(ones)] = -np.min(sims, axis=1)
         start += len(ones)
     return t_star
 

@@ -366,10 +366,14 @@ def engine_signs(ds, ct, cut_points, reps, seed):
 
     Each row's bin is its retained cell (or one group), z, d and elementary
     outcome interval [c_t, c_t+1) of cut_points (one interval when None),
-    numbered in the engine's order. The per-bin Binomial(count, 1/2) sums
-    of the 0/1 bits are redrawn from seed in that order; in each bin the
-    first k rows, in row order, get +1 and the rest -1. Rows of excluded
-    cells get -1; no moment reads them."""
+    numbered in the engine's order. The draws are redrawn here, draw by
+    draw and in bin order, from two streams. A bin of more than 512 rows
+    takes a Binomial(count, 1/2) sum k from default_rng(seed), and its
+    first k rows, in row order, get +1 and the rest -1. Every other bin
+    reads ceil(count / 64) raw 64-bit words from the child that
+    SeedSequence(seed) spawns first, and its i-th row, in row order, gets
+    +1 when bit i of those words, least significant bit first, is set.
+    Rows of excluded cells get -1; no moment reads them."""
     group = np.full(ds.n, -1)
     for g, (_, rows) in enumerate(_cell_groups(ds, ct)):
         group[rows] = g
@@ -382,11 +386,25 @@ def engine_signs(ds, ct, cut_points, reps, seed):
     code = ((group * 2 + ds.z) * 2 + ds.d) * n_t + t
     n_bins = n_groups * 4 * n_t
     counts = np.bincount(code[group >= 0], minlength=n_bins)
-    ones = np.random.default_rng(seed).binomial(counts, 0.5, size=(reps, n_bins))
+    large = counts > 512
+    words = [(c + 63) // 64 if not big else 0 for c, big in zip(counts, large)]
+    sums = np.random.default_rng(seed).binomial(
+        counts[large], 0.5, size=(reps, int(large.sum())))
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    raw = np.random.PCG64(child).random_raw((reps, sum(words)))
+    bits = np.unpackbits(raw.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little").reshape(reps, -1, 64)
     signs = -np.ones((reps, ds.n))
+    word, k = 0, 0
     for b in range(n_bins):
         rows = np.flatnonzero((group >= 0) & (code == b))
-        signs[:, rows] = np.where(np.arange(rows.size) < ones[:, [b]], 1.0, -1.0)
+        if large[b]:
+            signs[:, rows] = np.where(np.arange(rows.size) < sums[:, [k]], 1.0, -1.0)
+            k += 1
+        else:
+            row_bits = bits[:, word:word + words[b]].reshape(reps, -1)
+            signs[:, rows] = 2.0 * row_bits[:, :rows.size] - 1.0
+            word += words[b]
     return signs
 
 

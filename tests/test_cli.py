@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -368,6 +369,26 @@ def test_validity_unparsable_cuts_exit_2(trial_csv, capsys):
                  "--cuts", "1,x"])
     assert code == 2
     assert "--cuts could not parse '1,x'" in capsys.readouterr().err
+
+
+def test_validity_support_cuts_of_a_continuous_outcome_exit_2(tmp_path, capsys):
+    """--cuts support on 2,000 distinct outcomes would make about 2·10^6
+    candidate sets per cell; it exits 2 before binning, naming the count
+    and the decile grid."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    z = rng.integers(0, 2, size=n)
+    d = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    path = tmp_path / "continuous.csv"
+    row_write_csv(path, ("y", "d", "z", "cell"),
+                  (rng.normal(size=n), d, z, rng.integers(0, 4, size=n)))
+    start = time.perf_counter()
+    code = main(["validity", "--input", str(path), "-y", "y", "-d", "d",
+                 "-z", "z", "-x", "cell", "--cuts", "support"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "2,001,000 candidate outcome sets" in err and "--cuts deciles" in err
 
 
 def test_validity_bad_reps_or_seed_exit_2(trial_csv, capsys):

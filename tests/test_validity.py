@@ -74,6 +74,17 @@ def test_partition_from_support():
     assert ((y >= lo) & (y < hi)).all()
 
 
+def test_partition_of_too_many_candidate_sets_raises():
+    """1,415 cut points make 1,000,405 candidate sets, past the cap of 10^6;
+    1,414 make 998,991 and are accepted."""
+    assert OutcomeSetPartition(tuple(range(1414))).n_candidates == 998_991
+    with pytest.raises(ConfigError, match="1,000,405 candidate outcome sets"):
+        OutcomeSetPartition(tuple(range(1415)))
+    y = np.random.default_rng(0).normal(size=2000)
+    with pytest.raises(ConfigError, match="--cuts deciles"):
+        OutcomeSetPartition.from_support(y)
+
+
 def test_partition_from_deciles_covers():
     rng = np.random.default_rng(0)
     y = rng.normal(size=500)
@@ -411,6 +422,16 @@ def test_binned_bootstrap_matches_dense_on_fixed_designs():
                   (mw_test, (ds, ct), dense_mw_moments, (ds, ct)),
                   (first_stage_nonneg_test, (ct,), dense_first_stage_moments,
                    (ct,))]
+    # bins on both sides of 512 rows: without cells at 4,001 rows (one of
+    # the five nonempty bins has 507 rows), and the first stage at 6,001
+    ds, _ = generate(valid_spec(seed=2), 4001)
+    cases += [(bp_test, (ds, None), dense_bp_moments, (ds, None)),
+              (mw_test, (ds, None), dense_mw_moments, (ds, None))]
+    ds, _ = generate(valid_spec(seed=2), 6001)
+    ct = build_cells(ds)
+    assert (ct.n_b <= 512).any() and (ct.n_b > 512).any()
+    cases.append((first_stage_nonneg_test, (ct,), dense_first_stage_moments,
+                  (ct,)))
     for case in cases:
         assert _compare(*case, 99, 5) == "same"
 
@@ -441,11 +462,19 @@ def _record_draws(monkeypatch) -> list:
     return draws
 
 
+def _width(counts: np.ndarray) -> int:
+    """The 8-byte values one draw with these bins holds, moments aside:
+    max(bins, words), where each bin of 1 to 512 rows draws ceil(count /
+    64) 64-bit words."""
+    small = (counts > 0) & (counts <= 512)
+    return max(counts.size, int(np.sum((counts[small] + 63) // 64)))
+
+
 def _three_row_cap(draw: _Draw, report) -> int:
     """The chunk cap under which a draw with these bins, for a test with
     the report's moments, comes in chunks of 3 draws: the cap holds rows x
-    max(bins, moments) float64s."""
-    return 8 * 3 * max(draw.counts.size, report.n_moments + report.n_skipped)
+    max(bins, words, moments) 8-byte values."""
+    return 8 * 3 * max(_width(draw.counts), report.n_moments + report.n_skipped)
 
 
 def test_chunked_draws_match_single_chunk(monkeypatch):
@@ -467,6 +496,68 @@ def test_chunked_draws_match_single_chunk(monkeypatch):
     assert len(draws) == 8
     # at least one p-value away from both ends, where any draw counts
     assert any(1 / 51 < r.p_value < 1 for r in whole)
+
+
+def test_chunked_draws_match_single_chunk_with_mixed_bins(monkeypatch):
+    """Bins of up to 512 rows draw popcounts and larger bins Binomials,
+    from two streams read draw by draw: chunks of 3 rows give the same
+    per-bin sums as one chunk, and the same reports, on designs whose
+    bins fall on both sides of 512 rows."""
+    counts = np.array([0, 1, 63, 64, 65, 512, 513, 10_000, 7, 0, 600])
+    whole = list(validity._multipliers(9, 50, counts, 50))
+    assert len(whole) == 1
+    chunks = list(validity._multipliers(9, 50, counts, 3))
+    assert [len(chunk) for chunk in chunks] == [3] * 16 + [2]
+    assert np.array_equal(np.concatenate(chunks), whole[0])
+
+    # rows per (cell, z, d, y) bin, and so per (cell, z, d) bin, on both
+    # sides of 512
+    counts = np.array([[[[179, 625], [262, 194]], [[204, 462], [592, 316]]],
+                       [[[480, 408], [170, 281]], [[680, 518], [226, 334]]]])
+    cell, z, d, y = (a.ravel() for a in np.indices(counts.shape))
+    rows = counts.ravel()
+    ds = Dataset(y=np.repeat(y, rows).astype(float), d=np.repeat(d, rows),
+                 z=np.repeat(z, rows), x=np.repeat(cell, rows).astype(float))
+    ct = build_cells(ds)
+    calls = [lambda: bp_test(ds, ct, reps=50, seed=4),
+             lambda: mw_test(ds, ct, reps=50, seed=4),
+             lambda: first_stage_nonneg_test(ct, reps=50, seed=4)]
+    draws = _record_draws(monkeypatch)
+    want = [call() for call in calls]
+    for draw in draws:
+        assert (draw.counts > 512).any()
+        assert ((draw.counts > 0) & (draw.counts <= 512)).any()
+    for call, report, draw in zip(calls, want, list(draws)):
+        monkeypatch.setattr(validity, "_CHUNK_BYTES", _three_row_cap(draw, report))
+        assert call() == report
+        assert [len(chunk) for chunk in draws[-1].chunks] == [3] * 16 + [2]
+    # p-values away from both ends, where any draw counts
+    assert all(1 / 51 < r.p_value < 1 for r in want)
+
+
+def test_bins_above_512_rows_keep_their_binomial_draws():
+    """A design whose every nonempty bin has more than 512 rows draws only
+    Binomials, from default_rng(seed) as before bins of up to 512 rows drew
+    popcounts: its reports, p-values included, are pinned."""
+    counts = np.array([[[[758, 698], [663, 595]], [[606, 531], [541, 524]]],
+                       [[[569, 0], [701, 0]], [[661, 0], [791, 0]]]])
+    cell, z, d, y = (a.ravel() for a in np.indices(counts.shape))
+    rows = counts.ravel()
+    ds = Dataset(y=np.repeat(y, rows).astype(float), d=np.repeat(d, rows),
+                 z=np.repeat(z, rows), x=np.repeat(cell, rows).astype(float))
+    ct = build_cells(ds)
+    got = [bp_test(ds, ct, reps=99, seed=3), mw_test(ds, ct, reps=99, seed=3),
+           first_stage_nonneg_test(ct, reps=99, seed=3),
+           bp_test(ds, None, reps=99, seed=3), mw_test(ds, None, reps=99, seed=3)]
+    assert [(r.statistic, r.p_value, r.worst_set, r.n_moments, r.n_skipped)
+            for r in got] == [
+        (0.37659672685821854, 0.82, "[0, 1) | (1), treated", 12, 0),
+        (0.37659672685821854, 0.73, "[0, 1) | (1)", 5, 1),
+        (0.37659672685821854, 0.71, "(1)", 2, 0),
+        (1.2587738179065942, 0.33, "[0, 1), untreated", 6, 0),
+        (-0.4094311528069236, 0.9, "[0, 1)", 3, 0),
+    ]
+    assert validity_family(ds, ct, reps=99, seed=3) == got[:3]
 
 
 def _separate(ds, ct, partition, reps, seed):
@@ -548,7 +639,7 @@ def test_family_equals_separate_calls_on_fixed_designs(monkeypatch):
         assert [len(chunk) for chunk in draws[0].chunks] == [3] * 16 + [2]
         if cells is not None:
             # the first-stage test draws on its own coarse bins
-            rows = caps[key] // (8 * draws[1].counts.size)
+            rows = caps[key] // (8 * _width(draws[1].counts))
             assert 1 < rows < 50
             assert len(draws[1].chunks) == -(-50 // rows)
 
@@ -556,20 +647,22 @@ def test_family_equals_separate_calls_on_fixed_designs(monkeypatch):
 def test_per_bin_draws_have_the_law_of_summed_fair_bits(monkeypatch):
     """Each bin's draw is the sum of count fair bits: over 4,000 draws its
     mean is count/2 and its variance count/4, within 4 standard errors,
-    and bins are uncorrelated. Bins of 0, 1, 5 and 10^4 rows; the rows of
-    an excluded cell are in no bin."""
-    cell = np.repeat([0, 0, 0, 0, 1, 1, 1, 2], [5, 1, 5, 10_000, 5, 1, 5, 3])
-    z = np.repeat([0, 0, 1, 1, 0, 1, 1, 1], [5, 1, 5, 10_000, 5, 1, 5, 3])
-    d = np.repeat([0, 1, 0, 1, 0, 0, 1, 1], [5, 1, 5, 10_000, 5, 1, 5, 3])
+    and bins are uncorrelated. Bins of 0, 1, 5, 63, 64, 65, 512, 513 and
+    10^4 rows, on both sides of the 512-row switch from popcounts to
+    Binomials and of every word boundary; the rows of an excluded cell are
+    in no bin."""
+    # bins ((cell * 2 + z) * 2 + d); cell 3 has no z = 0 row and is excluded
+    count = np.array([63, 1, 64, 10_000, 65, 512, 513, 5, 5, 0, 1, 5, 0, 0, 3, 0])
+    cell, z, d = (np.repeat(a.ravel(), count)
+                  for a in np.indices((count.size // 4, 2, 2)))
     ds = Dataset(y=d.astype(float), d=d, z=z, x=cell.astype(float))
     ct = build_cells(ds, min_cell_size=2, min_arm_size=1)
-    assert ct.degenerate.tolist() == [False, False, True]
+    assert ct.degenerate.tolist() == [False, False, False, True]
+    count = count[:12]
     draws = _record_draws(monkeypatch)
     reps = 4000
     first_stage_nonneg_test(ct, reps=reps, seed=11)
     (draw,) = draws
-    # bins ((cell * 2 + z) * 2 + d) over the retained cells
-    count = np.array([5, 1, 5, 10_000, 5, 0, 1, 5])
     assert draw.counts.tolist() == count.tolist()
     sums = np.concatenate(draw.chunks)
     assert sums.shape == (reps, count.size)
