@@ -24,7 +24,7 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import ConfigError, IdentificationError
-from .tables import format_table, json_safe
+from .tables import fmt3, format_table, json_safe
 
 DEFAULT_MIN_CELL_SIZE = 1
 DEFAULT_MIN_ARM_SIZE = 3
@@ -231,17 +231,9 @@ class CellStatsReport:
         if not self.records:
             return "(no cells)"
         headers = list(self.records[0].keys())
-        rows = []
-        for rec in self.records:
-            row = []
-            for key in headers:
-                val = rec[key]
-                if isinstance(val, float):
-                    row.append("." if not np.isfinite(val) else f"{val:.3f}")
-                else:
-                    row.append(str(val))
-            rows.append(row)
-        return format_table(headers, rows)
+        return format_table(headers, [
+            [fmt3(v) if isinstance(v, float) else str(v) for v in map(rec.get, headers)]
+            for rec in self.records])
 
     def to_json(self) -> str:
         return json.dumps(json_safe(list(self.records)), indent=2)

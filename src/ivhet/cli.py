@@ -37,14 +37,14 @@ from .estimators import (
     estimate_beta_late_saturated,
 )
 from .many_iv import jive, many_tsls, ujive
-from .propensity import fit_binary_index, fit_cell_propensity, ipw_late
+from .propensity import DEFAULT_TRIM, fit_binary_index, fit_cell_propensity, ipw_late
 from .regression import _resolve_se, tsls
 from .spec_tests import _check_powers, reset_binary_index, reset_linear
 from .tables import fmt3, fmtp, format_table, json_safe, write_columns
 from .validity import OutcomeSetPartition, validity_family
 
 _MAX_LEVELS = 20
-_DEFAULT_TRIM = "0.01,0.99"
+_DEFAULT_TRIM = ",".join(map(str, DEFAULT_TRIM))
 _ROLES = ("outcome", "treatment", "instrument", "covariates", "cluster")
 
 
@@ -196,7 +196,7 @@ def _cmd_estimate(args) -> int:
     if ct is not None:
         reports = _saturated_reports(ct, args.se)
         pf = fit_cell_propensity(ct, args.link) if args.link else None
-        if pf is None and trim != _parse_trim(_DEFAULT_TRIM):
+        if pf is None and trim != DEFAULT_TRIM:
             warnings.append("--trim has no effect in saturated mode without "
                             "--link, which adds the reweighted estimate")
     else:

@@ -194,13 +194,6 @@ class ValidationReport:
     errors: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "errors": list(self.errors),
-            "warnings": list(self.warnings),
-        }
-
 
 def _parse_binary(token: str, column: str):
     token = token.strip()

@@ -60,11 +60,8 @@ class CellSpec:
     value: float | None = None                    # covariate value; cell index if None
 
     def __post_init__(self):
-        object.__setattr__(self, "types", _as_type_vector(self.types, "types"))
-        object.__setattr__(self, "y0", _as_type_vector(self.y0, "y0"))
-        object.__setattr__(self, "y1", _as_type_vector(self.y1, "y1"))
-        object.__setattr__(self, "noise0", _as_type_vector(self.noise0, "noise0"))
-        object.__setattr__(self, "noise1", _as_type_vector(self.noise1, "noise1"))
+        for name in ("types", "y0", "y1", "noise0", "noise1"):
+            object.__setattr__(self, name, _as_type_vector(getattr(self, name), name))
         if self.share <= 0:
             raise ConfigError("cell share must be positive")
         if not 0.0 < self.q < 1.0:
@@ -113,11 +110,11 @@ class DGPSpec:
                 cells.append(CellSpec(
                     share=float(c["share"]),
                     q=float(c["q"]),
-                    types=_as_type_vector(c["types"], "types"),
-                    y0=_as_type_vector(c.get("y0"), "y0"),
-                    y1=_as_type_vector(c.get("y1"), "y1"),
-                    noise0=_as_type_vector(c.get("noise0", c.get("noise")), "noise0"),
-                    noise1=_as_type_vector(c.get("noise1", c.get("noise")), "noise1"),
+                    types=c["types"],
+                    y0=c.get("y0"),
+                    y1=c.get("y1"),
+                    noise0=c.get("noise0", c.get("noise")),
+                    noise1=c.get("noise1", c.get("noise")),
                     value=c.get("value"),
                 ))
             except KeyError as exc:

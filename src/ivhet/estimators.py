@@ -29,7 +29,7 @@ import numpy as np
 from .cells import CellTable
 from .errors import DomainError, IdentificationError
 from .regression import PIVOT_RTOL, _check_se_args, _factor, _meat, _resolve_se
-from .tables import json_safe
+from .tables import json_safe, record
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,7 @@ class EstimateReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return json_safe({
-            "estimand": self.estimand,
-            "estimate": self.estimate,
-            "se": self.se,
-            "se_type": self.se_type,
-            "n_used": self.n_used,
-            "cells_used": self.cells_used,
-            "metadata": dict(self.metadata),
-        })
+        return json_safe(record(self))
 
 
 @dataclass(frozen=True)

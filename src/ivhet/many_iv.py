@@ -32,6 +32,7 @@ from .cells import CellTable
 from .errors import DomainError, LeverageError
 from .estimators import _D, _bins, _centered_iv, estimate_beta_ai
 from .regression import _resolve_se, hat_diagonals, ols
+from .tables import record
 
 _LEVERAGE_CAP = 1.0 - 1e-8
 
@@ -49,17 +50,7 @@ class ManyIVFit:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "estimate": self.estimate,
-            "se": self.se,
-            "se_type": self.se_type,
-            "n_instruments": self.n_instruments,
-            "n_controls": self.n_controls,
-            "leverage_max": self.leverage_max,
-            "n_used": self.n_used,
-            **self.metadata,
-        }
+        return record(self, "metadata")
 
 
 def _check_leverage(hmax: float, what: str) -> float:

@@ -47,9 +47,11 @@ from .errors import (
 )
 from .regression import _cluster_codes, _influence_se, _solve_ols, screen_columns
 from .special import normal_cdf, normal_log_cdf
+from .tables import record
 from .validity import _check_bootstrap
 
 LINKS = ("logit", "probit", "linear")
+DEFAULT_TRIM = (0.01, 0.99)
 
 _MAX_ITER = 100
 _MAX_ABS_COEF = 30.0
@@ -286,17 +288,7 @@ class IPWReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "estimand": "beta_late_ipw",
-            "estimate": self.estimate,
-            "se": self.se,
-            "se_type": self.se_type,
-            "n_used": self.n_used,
-            "n_trimmed": self.n_trimmed,
-            "link": self.link,
-            "trim": list(self.trim),
-            **self.metadata,
-        }
+        return {"estimand": "beta_late_ipw", **record(self, "metadata")}
 
 
 def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None):
@@ -337,7 +329,7 @@ def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None):
 def ipw_late(
     ds: Dataset,
     pf: PropensityFit,
-    trim: tuple[float, float] = (0.01, 0.99),
+    trim: tuple[float, float] = DEFAULT_TRIM,
     se: str = "delta",
     reps: int = 500,
     seed: int = 0,

@@ -171,12 +171,16 @@ def _embed_matrix(vk: np.ndarray, kept: list[int], k: int) -> np.ndarray:
     return out
 
 
+def _columns(a) -> np.ndarray:
+    """float64, and a 1-D array becomes one column."""
+    a = np.asarray(a, dtype=np.float64)
+    return a[:, None] if a.ndim == 1 else a
+
+
 def ols(y, X, se_type: str = "hc1", cluster=None) -> RegressionFit:
     """Minimum-norm least squares of y on the columns of X."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _columns(X)
     n, k = X.shape
     if n == 0:
         raise EmptyDataError("no rows to fit")
@@ -220,12 +224,7 @@ def tsls(y, X_exog, d_endog, Z_inst, se_type: str = "hc1", cluster=None) -> Regr
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     d = np.asarray(d_endog, dtype=np.float64).ravel()
-    X_exog = np.asarray(X_exog, dtype=np.float64)
-    if X_exog.ndim == 1:
-        X_exog = X_exog[:, None]
-    Z_inst = np.asarray(Z_inst, dtype=np.float64)
-    if Z_inst.ndim == 1:
-        Z_inst = Z_inst[:, None]
+    X_exog, Z_inst = _columns(X_exog), _columns(Z_inst)
     n = y.shape[0]
     if n == 0:
         raise EmptyDataError("no rows to fit")
@@ -283,9 +282,7 @@ def hat_diagonals(X) -> np.ndarray:
     X must have full column rank; a rank-deficient design raises RankError
     because leave-one-out algebra downstream would silently lose meaning.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _columns(X)
     n, k = X.shape
     if n == 0:
         raise EmptyDataError("no rows")

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SeparationError
 from .propensity import fit_binary_index
 from .regression import ols
+from .tables import record
 
 _SPAN_TOL = 1e-8
 _ALLOWED_POWERS = (2, 3, 4)
@@ -38,13 +39,7 @@ class TestReport:
     method: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "df": list(self.df),
-            "p_value": self.p_value,
-            **self.method,
-        }
+        return record(self, "method")
 
 
 def _check_powers(powers) -> tuple[int, ...]:
@@ -149,9 +144,9 @@ def reset_binary_index(
         return _trivial("reset_binary_index", "fitted index is constant")
     added = np.column_stack([vhat**p for p in powers])
     added = _residualize(added, base._design)
+    note = "index powers add no direction outside the design span"
     if added.shape[1] == 0:
-        return _trivial("reset_binary_index", "index powers add no direction "
-                                              "outside the design span")
+        return _trivial("reset_binary_index", note)
 
     design = np.column_stack([base._design, added])
     start = np.concatenate([base.coefficients, np.zeros(added.shape[1])])
@@ -163,10 +158,10 @@ def reset_binary_index(
             p_value=None,
             method={"powers": list(powers), "link": link, "error": str(exc)},
         )
+    # on an ill-conditioned design the screen can drop what _residualize kept
     q = aug._design.shape[1] - base._design.shape[1]
     if q <= 0:
-        return _trivial("reset_binary_index", "index powers add no direction "
-                                              "outside the design span")
+        return _trivial("reset_binary_index", note)
     lr = 2.0 * (aug.loglik - base.loglik)
     # the warm start makes the augmented likelihood no worse; clip noise
     lr = max(lr, 0.0)

@@ -1,10 +1,20 @@
-"""Small helpers for aligned text tables, JSON-safe values and CSV output."""
+"""Small helpers for report records, aligned text tables, JSON-safe values
+and CSV output."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 _CSV_ROWS = 1 << 15     # rows formatted per write; bounds the strings held
+
+
+def record(obj, spread: str | None = None) -> dict:
+    """A dataclass's fields in declaration order, tuples as lists; given
+    spread, that dict field is left out and its items follow the rest."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != spread}
+    out = {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+    return {**out, **getattr(obj, spread)} if spread else out
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

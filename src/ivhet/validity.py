@@ -47,13 +47,14 @@ call gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cells import CellTable
 from .data_model import Dataset
 from .errors import ConfigError, DomainError, UndefinedTestError
+from .tables import record
 
 _SIGMA_FLOOR = 1e-6
 _MAX_SUPPORT = 12
@@ -94,10 +95,11 @@ class OutcomeSetPartition:
         return m * (m - 1) // 2
 
     def candidates(self):
-        cuts = self.cut_points
-        for a in range(len(cuts) - 1):
-            for b in range(a + 1, len(cuts)):
-                yield cuts[a], cuts[b], f"[{cuts[a]:g}, {cuts[b]:g})"
+        for a, b in zip(*np.triu_indices(len(self.cut_points), 1)):
+            yield self.cut_points[a], self.cut_points[b], self._label(a, b)
+
+    def _label(self, a: int, b: int) -> str:
+        return f"[{self.cut_points[a]:g}, {self.cut_points[b]:g})"
 
     def ensure_covers(self, y: np.ndarray) -> "OutcomeSetPartition":
         """Extend the grid so the widest candidate contains every outcome."""
@@ -163,17 +165,7 @@ class ValidityReport:
     method: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "worst_set": self.worst_set,
-            "bootstrap_reps": self.bootstrap_reps,
-            "seed": self.seed,
-            "n_moments": self.n_moments,
-            "n_skipped": self.n_skipped,
-            **self.method,
-        }
+        return record(self, "method")
 
 
 def _check_bootstrap(reps: int, seed: int) -> None:
@@ -234,11 +226,11 @@ def _arm_stats(prefix, mom: _Moments, z):
 
 class _Test(NamedTuple):
     """One test on the shared bins: the moments every group carries, the
-    labels of all of them, group-major, and the report's method record."""
+    label of moment k of all of them, group-major, and the report's method."""
 
     name: str
     mom: _Moments
-    labels: list
+    label: Callable[[int], str]
     method: dict
 
 
@@ -351,7 +343,7 @@ def _max_violation_tests(bins: _Bins, tests, reps: int, seed: int):
     return [ValidityReport(
         test=test.name, statistic=o.statistic,
         p_value=float((1 + np.sum(t >= o.statistic)) / (reps + 1)),
-        worst_set=test.labels[o.worst], bootstrap_reps=reps, seed=seed,
+        worst_set=test.label(o.worst), bootstrap_reps=reps, seed=seed,
         n_moments=int(o.kept.sum()), n_skipped=int(o.kept.size - o.kept.sum()),
         method=dict(test.method),
     ) for test, o, t in zip(tests, obs, t_star)]
@@ -385,8 +377,11 @@ def _candidate_tests(ds: Dataset, ct: CellTable | None,
     bins = _bins(ds, ct, np.searchsorted(cuts, ds.y, side="right") - 1,
                  cuts.size - 1)
     lo, hi = np.triu_indices(cuts.size, 1)
-    sets = [label for _, _, label in partition.candidates()]
-    tags = [s if g == "all" else f"{s} | {g}" for g in bins.groups for s in sets]
+
+    def tag(k):     # candidate set k % lo.size, in group k // lo.size
+        g, s = divmod(k, lo.size)
+        where = "" if bins.groups[g] == "all" else f" | {bins.groups[g]}"
+        return partition._label(lo[s], hi[s]) + where
     method = {"cut_points": list(partition.cut_points),
               "conditioning": "cells" if ct is not None else "none"}
     # bp, per candidate set: the treated moment (Z = 1 arm, D = 1 rows), then
@@ -395,9 +390,9 @@ def _candidate_tests(ds: Dataset, ct: CellTable | None,
     bp = _Test("bp_test",
                _Moments(side, side, 0, bins.n_intervals, np.repeat(lo, 2),
                         np.repeat(hi, 2)),
-               [f"{tag}, {kind}" for tag in tags
-                for kind in ("treated", "untreated")], method)
-    mw = _Test("mw_test", _Moments(1, 1, lo, hi, lo, hi), tags, method)
+               lambda k: f"{tag(k // 2)}, {('treated', 'untreated')[k % 2]}",
+               method)
+    mw = _Test("mw_test", _Moments(1, 1, lo, hi, lo, hi), tag, method)
     return bins, bp, mw
 
 
@@ -447,7 +442,7 @@ def first_stage_nonneg_test(
     bins = _Bins(ct.n_b[:, retained].transpose(1, 0, 2).ravel(), 1,
                  [ct.key_label(j) for j in np.flatnonzero(retained)])
     test = _Test("first_stage_nonneg_test", _Moments(1, 1, 0, 1, 0, 1),
-                 bins.groups, {"conditioning": "cells"})
+                 bins.groups.__getitem__, {"conditioning": "cells"})
     return _max_violation_tests(bins, [test], reps, seed)[0]
 
 

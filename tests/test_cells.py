@@ -247,3 +247,22 @@ def test_cell_table_equals_masked_bincount_reference():
             assert np.array_equal(ct.p_j, ct.n_j / n)
             checked += 1
     assert checked >= 100
+
+
+def test_cell_stats_text_formats_floats_to_three_decimals():
+    """Floats print with three decimals and undefined ones as ".", any other
+    value as str(); an empty report prints "(no cells)"."""
+    from ivhet import CellStatsReport
+    rep = CellStatsReport(records=(
+        {"cell": "(0)", "n": 12, "p": 0.25, "tau": float("nan"), "degenerate": True},
+        {"cell": "(1)", "n": 7, "p": 1.0 / 3.0, "tau": -2.5, "degenerate": False},
+        {"cell": "(2)", "n": 3, "p": 2.0, "tau": float("inf"), "degenerate": False},
+    ), warnings=())
+    assert rep.to_text().splitlines() == [
+        "cell   n      p     tau  degenerate",
+        "----  --  -----  ------  ----------",
+        " (0)  12  0.250       .        True",
+        " (1)   7  0.333  -2.500       False",
+        " (2)   3  2.000       .       False",
+    ]
+    assert CellStatsReport(records=(), warnings=()).to_text() == "(no cells)"

@@ -893,3 +893,28 @@ def test_saturated_ipw_memory_bounded(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_simulate_oracle_without_compliers_has_null_late(tmp_path, capsys):
+    """A population with no compliers has no LATE: the oracle file and the
+    JSON payload both say null, and the run still succeeds."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"cells": [
+        {"share": 1.0, "q": 0.5, "types": {"always": 0.5, "never": 0.5}, "y1": 1.0}]}))
+    oracle = tmp_path / "truth.json"
+    payload = run_json(capsys, ["simulate", "--spec", str(spec), "--n", "60",
+                                "--data", str(tmp_path / "draw.csv"),
+                                "--oracle", str(oracle), "--json"])
+    truth = json.loads(oracle.read_text())
+    assert truth["late"] is None and payload["results"]["oracle"]["late"] is None
+    assert truth["cells"][0]["degenerate"] is True
+    assert truth["n"] == 60
+
+
+def test_estimate_help_names_the_library_trim_default(capsys):
+    from ivhet.propensity import DEFAULT_TRIM
+    with pytest.raises(SystemExit):
+        main(["estimate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert DEFAULT_TRIM == (0.01, 0.99)
+    assert "propensity trimming window (default 0.01,0.99)" in text

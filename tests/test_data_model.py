@@ -220,3 +220,34 @@ def test_column_map_from_json_unreadable_is_config_error(tmp_path):
     p.write_text("{outcome: y}")
     with pytest.raises(ConfigError, match="is not JSON"):
         ColumnMap.from_json(str(p))
+
+
+def _dataset_args(n=4, **overrides):
+    args = {"y": np.arange(n, dtype=float), "d": [0, 1] * (n // 2),
+            "z": [1, 0] * (n // 2), "x": np.zeros((n, 1))}
+    return {**args, **overrides}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"x": np.zeros((4, 1, 2))}, "covariate matrix must be two dimensional"),
+    ({"d": [0, 1, 1]}, "column lengths differ"),
+    ({"z": [0, 1, 1]}, "column lengths differ"),
+    ({"x": np.zeros((3, 1))}, "column lengths differ"),
+    ({"z": [0, 1, 2, 1]}, r"instrument takes values outside \{0, 1\}"),
+    ({"covariate_names": ("a", "b")}, "covariate_names length does not match x"),
+    ({"cluster": np.arange(3)}, "cluster column length differs"),
+])
+def test_dataset_rejects_malformed_columns(overrides, message):
+    with pytest.raises(DomainError, match=message):
+        Dataset(**_dataset_args(**overrides))
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "column map file must hold a JSON object"),
+    ('{"outcome": "y", "treatment": "d"}', "column map file is missing key 'instrument'"),
+])
+def test_column_map_from_json_rejects_malformed_objects(tmp_path, content, message):
+    path = tmp_path / "map.json"
+    path.write_text(content)
+    with pytest.raises(ConfigError, match=message):
+        ColumnMap.from_json(str(path))

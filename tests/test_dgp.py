@@ -252,3 +252,52 @@ def test_write_columns_crafted_values(tmp_path, monkeypatch):
                                                   "5e-324,7,c"]
     tables.write_columns(str(got), ("f",), (floats[:0],))
     assert got.read_text() == "f\n"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"types": (0.5, 0.5)}, "types must have one entry per compliance type"),
+    ({"types": 0.25, "y1": [1.0, 2.0, 3.0]}, "y1 must have one entry per compliance type"),
+    ({"types": (1.25, -0.25, 0.0, 0.0)}, "type shares must be nonnegative"),
+    ({"types": {"complier": 1.0, "saint": 0.0}}, "unknown compliance types in types"),
+])
+def test_cell_spec_rejects_bad_type_vectors(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        CellSpec(share=1.0, q=0.5, **kwargs)
+
+
+def test_spec_needs_a_cell_and_generate_two_rows():
+    with pytest.raises(ConfigError, match="a DGP spec needs at least one cell"):
+        DGPSpec(cells=())
+    with pytest.raises(ConfigError, match="n must be at least 2"):
+        generate(simple_spec(), 1)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1, 2], "DGP spec file must be a JSON object with a 'cells' list"),
+    ({"seed": 3}, "DGP spec file must be a JSON object with a 'cells' list"),
+    ({"cells": []}, "a DGP spec needs at least one cell"),
+    ({"cells": [{"share": 1, "q": 0.5, "types": [0.5, 0.5]}]},
+     "types must have one entry per compliance type"),
+    ({"cells": [{"share": 1, "q": 0.5, "types": 0.25, "noise": -1}]},
+     "noise scales must be nonnegative"),
+])
+def test_spec_json_rejections(tmp_path, raw, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=message):
+        DGPSpec.from_json(str(path))
+
+
+def test_spec_json_fills_type_vectors_like_the_constructor(tmp_path):
+    """Scalars, partial mappings, lists and absent keys become the same
+    4-tuples whether they come from a file or are given to CellSpec."""
+    cell = {"share": 1.0, "q": 0.4, "types": {"complier": 0.75, "never": 0.25},
+            "y1": [3, 2, 1, 0], "noise": 0.5, "noise1": {"always": 2}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"cells": [cell], "seed": 4}))
+    spec = DGPSpec.from_json(str(path))
+    assert spec.cells == (CellSpec(share=1.0, q=0.4, types=(0.75, 0.0, 0.25, 0.0),
+                                   y1=(3.0, 2.0, 1.0, 0.0), noise0=0.5,
+                                   noise1=(0.0, 2.0, 0.0, 0.0)),)
+    assert spec.cells[0].y0 == (0.0, 0.0, 0.0, 0.0)
+    assert spec.seed == 4

@@ -332,3 +332,15 @@ def test_report_to_dict(trial_ct):
     assert d["estimand"] == "beta_iv"
     assert d["n_used"] == 58
     assert d["cells_used"] == 3
+
+
+def test_classical_se_without_residual_degrees_of_freedom_raises():
+    """One cell of one row per arm leaves n - cells - 1 = 0 degrees of
+    freedom; the classical SE refuses, the other types do not need them."""
+    ds = Dataset(y=[1.0, 0.0], d=[1, 0], z=[1, 0], x=[0.0, 0.0])
+    ct = build_cells(ds, min_arm_size=1)
+    for estimate in (estimate_beta_iv, estimate_beta_ai):
+        with pytest.raises(DomainError, match="no residual degrees of freedom "
+                                              "for classical se"):
+            estimate(ct, se_type="classical")
+        assert estimate(ct, se_type="hc0").estimate == 1.0

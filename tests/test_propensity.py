@@ -975,3 +975,32 @@ def test_worker_count_shares_cpus_among_blas_threads(env, workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     assert propensity._worker_count() == workers
+
+
+def test_fit_and_ipw_input_checks():
+    z, X = _sample(2, n=200)
+    with pytest.raises(DomainError, match="design and response have different lengths"):
+        fit_binary_index(z, X[:150])
+    ds = _bootstrap_design(0, "overlap", False)
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+    with pytest.raises(DomainError, match="propensity fit and dataset have different lengths"):
+        ipw_late(ds.subset(np.arange(ds.n) > 0), pf)
+    with pytest.raises(DomainError, match="se must be 'delta' or 'bootstrap'"):
+        ipw_late(ds, pf, se="jackknife")
+
+
+def test_bootstrap_with_fewer_than_two_completed_resamples_raises(monkeypatch):
+    """Every refit failing leaves no variance to estimate: an
+    IdentificationError that counts the failures, from every block."""
+    from ivhet import IdentificationError
+    ds = _bootstrap_design(0, "overlap", False)
+    pf = fit_binary_index(ds.z, ds.x, link="logit")
+
+    def refit_fails(*args):
+        raise ConvergenceError("refit did not converge")
+
+    monkeypatch.setattr(propensity, "_fit_screened", refit_fails)
+    with pytest.raises(IdentificationError, match="bootstrap failed in 7 of 7 "
+                                                  "resamples; no variance"):
+        ipw_late(ds, pf, se="bootstrap", reps=7, seed=0)
+    assert multiprocessing.active_children() == []

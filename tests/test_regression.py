@@ -290,3 +290,38 @@ def test_screen_columns_matches_stacked_basis():
         if gap in (0.0, 1.0):
             np.testing.assert_allclose(Q, Q_ref, rtol=0, atol=1e-12)
     assert collinear > 50
+
+
+def _one_column_design(seed=3, n=50):
+    rng = np.random.default_rng(seed)
+    z = (rng.random(n) < 0.5).astype(float)
+    d = (rng.random(n) < 0.2 + 0.6 * z).astype(float)
+    return rng.normal(size=n) + d, d, z, rng.normal(size=n)
+
+
+def test_one_dimensional_designs_are_one_column():
+    """ols, tsls (both X_exog and Z_inst) and hat_diagonals read a 1-D
+    array as the single column it holds."""
+    y, d, z, x = _one_column_design()
+    fits = [(ols(y, x), ols(y, x[:, None])),
+            (tsls(y, np.ones(y.size), d, z), tsls(y, np.ones((y.size, 1)), d, z[:, None]))]
+    for one, two in fits:
+        assert np.array_equal(one.coefficients, two.coefficients)
+        assert np.array_equal(one.vcov, two.vcov)
+    assert np.array_equal(hat_diagonals(x), hat_diagonals(x[:, None]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda y, d, z, x: ols(y, x, se_type="cluster", cluster=np.arange(y.size - 1)),
+     DomainError, "cluster labels must align with the rows"),
+    (lambda y, d, z, x: ols(y[1:], x), DomainError, "y and X disagree on the number of rows"),
+    (lambda y, d, z, x: tsls(y[:0], x[:0], d[:0], z[:0]), EmptyDataError, "no rows to fit"),
+    (lambda y, d, z, x: tsls(y, x, d[1:], z), DomainError,
+     "rows of y, X_exog, d_endog and Z_inst disagree"),
+    (lambda y, d, z, x: tsls(y, x, d, z[1:]), DomainError,
+     "rows of y, X_exog, d_endog and Z_inst disagree"),
+    (lambda y, d, z, x: hat_diagonals(np.empty((0, 2))), EmptyDataError, "no rows"),
+])
+def test_fit_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call(*_one_column_design())

@@ -199,3 +199,26 @@ def test_import_does_not_load_multiprocessing():
             "loaded = [m for m in sys.modules if m.startswith('multiprocessing')]\n"
             "assert not loaded, loaded\n")
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+
+
+def test_reset_input_checks():
+    y, X, _ = _linear_sample(4)
+    with pytest.raises(DomainError, match="design and response have different lengths"):
+        reset_linear(y[:-1], X)
+    z, Xz = _index_sample(4)
+    with pytest.raises(DomainError, match="reset_binary_index supports logit and probit"):
+        reset_binary_index(z, Xz, link="linear")
+
+
+def test_index_trivial_when_screen_drops_every_added_column(monkeypatch):
+    """When the augmented fit's rank screen keeps none of the added columns
+    (an in-span column that passed the residual tolerance), the report is the
+    trivial one rather than a chi-squared with zero degrees of freedom."""
+    import ivhet.spec_tests as spec_tests
+
+    monkeypatch.setattr(spec_tests, "_residualize", lambda cols, X: 2.0 * X[:, 1:])
+    z, X = _index_sample(5)
+    rep = reset_binary_index(z, X, link="logit")
+    assert (rep.statistic, rep.df, rep.p_value) == (0.0, (0,), 1.0)
+    assert rep.method == {"note": "index powers add no direction outside "
+                                  "the design span"}

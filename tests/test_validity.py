@@ -738,3 +738,9 @@ def test_family_memory_bounded():
         tracemalloc.stop()
     assert [r.n_moments + r.n_skipped for r in reports] == [220, 110, 2]
     assert peak < 64 * 2**20, peak / 2**20
+
+
+def test_support_partition_of_no_outcomes_raises():
+    from ivhet import DomainError
+    with pytest.raises(DomainError, match="no outcome values to partition"):
+        OutcomeSetPartition.from_support(np.array([]))
