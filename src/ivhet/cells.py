@@ -24,7 +24,7 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import ConfigError, IdentificationError
-from .tables import fmt3, format_table, json_safe
+from .tables import fmt3, format_table, json_safe, rows
 
 DEFAULT_MIN_CELL_SIZE = 1
 DEFAULT_MIN_ARM_SIZE = 3
@@ -245,21 +245,9 @@ def cell_stats_table(ct: CellTable, weights=None) -> CellStatsReport:
     weights, when given, is the WeightTable from decompose_weights; its
     three columns are appended to each row.
     """
-    records = []
-    for j in range(ct.n_cells):
-        rec = {
-            "cell": ct.key_label(j),
-            "n": int(ct.n_j[j]),
-            "p": float(ct.p_j[j]),
-            "q": float(ct.q_j[j]),
-            "var_z": float(ct.var_z_j[j]),
-            "pi": float(ct.pi_j[j]) if np.isfinite(ct.pi_j[j]) else float("nan"),
-            "tau": float(ct.tau_j[j]) if np.isfinite(ct.tau_j[j]) else float("nan"),
-            "degenerate": bool(ct.degenerate[j]),
-        }
-        if weights is not None:
-            rec["w_late"] = float(weights.w_late[j])
-            rec["w_iv"] = float(weights.w_iv[j])
-            rec["w_ai"] = float(weights.w_ai[j])
-        records.append(rec)
+    w = {} if weights is None else {
+        "w_late": weights.w_late, "w_iv": weights.w_iv, "w_ai": weights.w_ai}
+    records = rows(cell=[ct.key_label(j) for j in range(ct.n_cells)], n=ct.n_j,
+                   p=ct.p_j, q=ct.q_j, var_z=ct.var_z_j, pi=ct.pi_j, tau=ct.tau_j,
+                   degenerate=ct.degenerate, **w)
     return CellStatsReport(records=tuple(records), warnings=ct.warnings)

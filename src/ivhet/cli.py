@@ -70,16 +70,7 @@ def _column_map(args) -> ColumnMap:
     return ColumnMap(**base)
 
 
-def _load(args):
-    cmap = _column_map(args)
-    ds = load_dataset(args.input, cmap)
-    report = validate(ds)
-    if report.errors:
-        raise DataError("; ".join(report.errors))
-    return ds, cmap, list(report.warnings)
-
-
-def _cells(args, ds: Dataset, command: str, warnings: list) -> CellTable | None:
+def _cells(args, ds: Dataset, warnings: list) -> CellTable | None:
     """The cell table, or None when the covariates are not taken as cells.
 
     --saturated auto takes them as cells when every column is integral and
@@ -96,15 +87,15 @@ def _cells(args, ds: Dataset, command: str, warnings: list) -> CellTable | None:
                 or len(keyed.keys) > max(1, ds.n // 4)):
             keyed = None
     if keyed is None:
-        if command not in ("weights", "manyiv"):
+        if args.command not in ("weights", "manyiv"):
             return None
         if args.saturated == "no":
             raise ConfigError(
-                f"{command} needs discrete covariate cells; "
+                f"{args.command} needs discrete covariate cells; "
                 "rerun with --saturated yes if the covariates are discrete"
             )
         raise ConfigError(
-            f"{command} needs discrete covariate cells, but the covariates "
+            f"{args.command} needs discrete covariate cells, but the covariates "
             "do not look discrete; rerun with --saturated yes to override"
         )
     ct = _table(ds, keyed, args.min_cell, args.min_arm)
@@ -150,19 +141,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(out)
 
 
-def _payload(command: str, args, cmap: ColumnMap, warnings, results) -> dict:
-    return {
-        "command": command,
-        "config_echo": {
-            "input": args.input,
-            "columns": {role: getattr(cmap, role) for role in _ROLES},
-        },
-        "results": results,
-        "warnings": list(warnings),
-        "version": __version__,
-    }
-
-
 def _estimate_rows(reports) -> str:
     headers = ["estimand", "estimate", "se", "se_type", "n", "cells"]
     rows = []
@@ -181,22 +159,11 @@ def _saturated_reports(ct: CellTable, se_type) -> list[EstimateReport]:
         estimate_beta_late_saturated, estimate_beta_iv, estimate_beta_ai)]
 
 
-def _ipw_late(args, ds, pf, trim):
-    """The IPW LATE, with a cluster SE only when --se resolves to cluster."""
-    if ds.cluster is not None and _resolve_se(args.se, ds.cluster) != "cluster":
-        ds = replace(ds, cluster=None)
-    return ipw_late(ds, pf, trim=trim)
-
-
-def _cmd_estimate(args) -> int:
-    # a bad window is a flag error, on every run, before the data is read
-    trim = _parse_trim(args.trim)
-    ds, cmap, warnings = _load(args)
-    ct = _cells(args, ds, "estimate", warnings)
+def _cmd_estimate(args, ds, ct, warnings):
     if ct is not None:
         reports = _saturated_reports(ct, args.se)
         pf = fit_cell_propensity(ct, args.link) if args.link else None
-        if pf is None and trim != DEFAULT_TRIM:
+        if pf is None and args.trim != DEFAULT_TRIM:
             warnings.append("--trim has no effect in saturated mode without "
                             "--link, which adds the reweighted estimate")
     else:
@@ -212,17 +179,16 @@ def _cmd_estimate(args) -> int:
         )]
         pf = fit_binary_index(ds.z, ds.x, link=args.link or "logit")
     if pf is not None:
-        reports.append(_ipw_late(args, ds, pf, trim))
+        # a cluster SE only when --se resolves to cluster
+        if ds.cluster is not None and _resolve_se(args.se, ds.cluster) != "cluster":
+            ds = replace(ds, cluster=None)
+        reports.append(ipw_late(ds, pf, trim=args.trim))
     results = {"mode": "saturated" if ct is not None else "linear",
                "estimates": [rep.to_dict() for rep in reports]}
-    _emit(args, _payload("estimate", args, cmap, warnings, results),
-          _estimate_rows(reports))
-    return 0
+    return results, _estimate_rows(reports)
 
 
-def _cmd_weights(args) -> int:
-    ds, cmap, warnings = _load(args)
-    ct = _cells(args, ds, "weights", warnings)
+def _cmd_weights(args, ds, ct, warnings):
     wt = decompose_weights(ct)
     stats = cell_stats_table(ct, weights=wt)
     reports = _saturated_reports(ct, args.se)
@@ -233,26 +199,22 @@ def _cmd_weights(args) -> int:
             "late": wt.dot("late"), "iv": wt.dot("iv"), "ai": wt.dot("ai"),
         },
     }
-    text = stats.to_text() + "\n\n" + _estimate_rows(reports)
-    _emit(args, _payload("weights", args, cmap, warnings, results), text)
-    return 0
+    return results, stats.to_text() + "\n\n" + _estimate_rows(reports)
 
 
-def _cmd_reset(args) -> int:
-    powers = _parse_powers(args.powers)
-    ds, cmap, warnings = _load(args)
+def _cmd_reset(args, ds, ct, warnings):
     equation = args.equation
     if equation is None:
         equation = "assignment" if args.link else "outcome"
     if equation == "outcome":
         X = _design_with_intercept(ds)
-        rep = reset_linear(ds.y, X, powers=powers,
+        rep = reset_linear(ds.y, X, powers=args.powers,
                            se_type=_resolve_se(args.se, ds.cluster),
                            cluster=ds.cluster)
     else:
         link = args.link or "logit"
         rep = reset_binary_index(ds.z, ds.x if ds.k else np.ones((ds.n, 1)),
-                                 link=link, powers=powers)
+                                 link=link, powers=args.powers)
     d = rep.to_dict()
     text = format_table(
         ["test", "statistic", "df", "p"],
@@ -263,8 +225,7 @@ def _cmd_reset(args) -> int:
         text += f"\nnote: {d['note']}"
     if "error" in d:
         text += f"\nerror: {d['error']}"
-    _emit(args, _payload("reset", args, cmap, warnings, {"test": d}), text)
-    return 0
+    return {"test": d}, text
 
 
 def _parse_cuts(text: str, y: np.ndarray) -> OutcomeSetPartition | None:
@@ -281,12 +242,9 @@ def _parse_cuts(text: str, y: np.ndarray) -> OutcomeSetPartition | None:
     return OutcomeSetPartition(cuts)
 
 
-def _cmd_validity(args) -> int:
-    ds, cmap, warnings = _load(args)
-    partition = _parse_cuts(args.cuts, ds.y)
-    ct = _cells(args, ds, "validity", warnings)
-    reports = validity_family(ds, ct, partition, reps=args.reps,
-                              seed=args.seed)
+def _cmd_validity(args, ds, ct, warnings):
+    reports = validity_family(ds, ct, _parse_cuts(args.cuts, ds.y),
+                              reps=args.reps, seed=args.seed)
     if ct is None:
         warnings.append(
             "first stage nonnegativity runs per cell; skipped because the "
@@ -295,15 +253,11 @@ def _cmd_validity(args) -> int:
     results = {"tests": [r.to_dict() for r in reports]}
     rows = [[r.test, fmt3(r.statistic), fmtp(r.p_value), r.worst_set,
              str(r.n_moments), str(r.n_skipped)] for r in reports]
-    text = format_table(
+    return results, format_table(
         ["test", "statistic", "p", "worst set", "moments", "skipped"], rows)
-    _emit(args, _payload("validity", args, cmap, warnings, results), text)
-    return 0
 
 
-def _cmd_manyiv(args) -> int:
-    ds, cmap, warnings = _load(args)
-    ct = _cells(args, ds, "manyiv", warnings)
+def _cmd_manyiv(args, ds, ct, warnings):
     fits = []
     errors = {}
     fits.append(many_tsls(ct, se_type=args.se))
@@ -319,11 +273,10 @@ def _cmd_manyiv(args) -> int:
         ["estimator", "estimate", "se", "instruments", "max leverage"], rows)
     for name, msg in errors.items():
         text += f"\n{name}: {msg}"
-    _emit(args, _payload("manyiv", args, cmap, warnings, results), text)
-    return 0
+    return results, text
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, ds, ct, warnings):
     spec = DGPSpec.from_json(args.spec)
     ds, lt = generate(spec, args.n, seed=args.seed)
     write_columns(args.data, ("y", "d", "z", "cell"),
@@ -348,15 +301,7 @@ def _cmd_simulate(args) -> int:
         with open(args.oracle, "w", encoding="utf-8") as fh:
             json.dump(json_safe(oracle), fh, indent=2, sort_keys=True)
         messages.append(f"wrote oracle to {args.oracle}")
-    payload = {
-        "command": "simulate",
-        "config_echo": {"spec": args.spec, "n": args.n, "seed": args.seed},
-        "results": {"messages": messages, "oracle": oracle},
-        "warnings": [],
-        "version": __version__,
-    }
-    _emit(args, payload, "\n".join(messages))
-    return 0
+    return {"messages": messages, "oracle": oracle}, "\n".join(messages)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "point estimates of the three IV estimands")
     p.add_argument("--link", choices=("logit", "probit", "linear"), default=None,
                    help="also report the propensity reweighted estimate")
-    p.add_argument("--trim", default=_DEFAULT_TRIM,
+    p.add_argument("--trim", type=_parse_trim, default=_DEFAULT_TRIM,
                    help=f"propensity trimming window (default {_DEFAULT_TRIM})")
 
     command("weights", _cmd_weights, "per-cell decomposition weights")
@@ -415,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which equation to check (default: assignment "
                         "when --link is given, outcome otherwise)")
     p.add_argument("--link", choices=("logit", "probit"), default=None)
-    p.add_argument("--powers", default="2,3",
+    p.add_argument("--powers", type=_parse_powers, default="2,3",
                    help="comma separated powers (default 2,3)")
 
     p = command("validity", _cmd_validity,
@@ -442,16 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse the flags, load and validate the data and key the cells when
+    the subcommand takes them, run it, and emit its envelope. A bad --trim
+    or --powers raises ConfigError from its flag type, before any load."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        ds = ct = None
+        warnings = []
+        if args.command == "simulate":
+            echo = {"spec": args.spec, "n": args.n, "seed": args.seed}
+        else:
+            cmap = _column_map(args)
+            ds = load_dataset(args.input, cmap)
+            report = validate(ds)
+            if report.errors:
+                raise DataError("; ".join(report.errors))
+            warnings = list(report.warnings)
+            echo = {"input": args.input,
+                    "columns": {role: getattr(cmap, role) for role in _ROLES}}
+            if "saturated" in args:
+                ct = _cells(args, ds, warnings)
+        results, text = args.func(args, ds, ct, warnings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(args, {"command": args.command, "config_echo": echo, "results": results,
+                 "warnings": warnings, "version": __version__}, text)
+    return 0
 
 
 if __name__ == "__main__":

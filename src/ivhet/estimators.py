@@ -29,7 +29,7 @@ import numpy as np
 from .cells import CellTable
 from .errors import DomainError, IdentificationError
 from .regression import PIVOT_RTOL, _check_se_args, _factor, _meat, _resolve_se
-from .tables import json_safe, record
+from .tables import json_safe, record, rows
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class WeightTable:
     w_ai: np.ndarray
     tau: np.ndarray
     degenerate: np.ndarray
-    late_defined: bool
-    iv_defined: bool
-    ai_defined: bool
 
     @property
     def n_cells(self) -> int:
@@ -70,40 +67,26 @@ class WeightTable:
         return float(np.sum(w[mask] * self.tau[mask]))
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "cell": int(j),
-                "w_late": float(self.w_late[j]),
-                "w_iv": float(self.w_iv[j]),
-                "w_ai": float(self.w_ai[j]),
-                "tau": float(self.tau[j]),
-                "degenerate": bool(self.degenerate[j]),
-            }
-            for j in range(self.n_cells)
-        ]
+        return rows(cell=range(self.n_cells), w_late=self.w_late, w_iv=self.w_iv,
+                    w_ai=self.w_ai, tau=self.tau, degenerate=self.degenerate)
 
 
-def _normalize(raw: np.ndarray, mask: np.ndarray):
-    """Normalize raw weights over the mask; returns (weights, defined)."""
+def _normalize(raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """raw over its sum on the mask, NaN off it, and all NaN when that sum
+    is zero or not finite."""
     out = np.full(raw.shape, np.nan)
     total = raw[mask].sum()
-    if total == 0.0 or not np.isfinite(total):
-        return out, False
-    out[mask] = raw[mask] / total
-    return out, True
+    if total != 0.0 and np.isfinite(total):
+        out[mask] = raw[mask] / total
+    return out
 
 
 def _weight_table(p, var, pi, tau, degenerate) -> WeightTable:
     """The three weight families p pi, p pi var and p pi^2 var, normalized
     over the cells that are not degenerate."""
     mask = ~degenerate
-    w_late, late_ok = _normalize(p * pi, mask)
-    w_iv, iv_ok = _normalize(p * pi * var, mask)
-    w_ai, ai_ok = _normalize(p * pi * pi * var, mask)
-    return WeightTable(
-        w_late=w_late, w_iv=w_iv, w_ai=w_ai, tau=tau, degenerate=degenerate,
-        late_defined=late_ok, iv_defined=iv_ok, ai_defined=ai_ok,
-    )
+    return WeightTable(_normalize(p * pi, mask), _normalize(p * pi * var, mask),
+                       _normalize(p * pi * pi * var, mask), tau, degenerate)
 
 
 def decompose_weights(ct: CellTable) -> WeightTable:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
+import numpy as np
+
 _CSV_ROWS = 1 << 15     # rows formatted per write; bounds the strings held
 
 
@@ -15,6 +17,13 @@ def record(obj, spread: str | None = None) -> dict:
     out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != spread}
     out = {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
     return {**out, **getattr(obj, spread)} if spread else out
+
+
+def rows(**columns) -> list[dict]:
+    """One dict per position of equal-length columns, keyed in argument
+    order, each value the Python scalar that .tolist() gives."""
+    values = (np.asarray(col).tolist() for col in columns.values())
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

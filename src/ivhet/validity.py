@@ -94,10 +94,6 @@ class OutcomeSetPartition:
         m = len(self.cut_points)
         return m * (m - 1) // 2
 
-    def candidates(self):
-        for a, b in zip(*np.triu_indices(len(self.cut_points), 1)):
-            yield self.cut_points[a], self.cut_points[b], self._label(a, b)
-
     def _label(self, a: int, b: int) -> str:
         return f"[{self.cut_points[a]:g}, {self.cut_points[b]:g})"
 

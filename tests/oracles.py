@@ -408,6 +408,16 @@ def engine_signs(ds, ct, cut_points, reps, seed):
     return signs
 
 
+def candidate_sets(partition):
+    """(lo, hi, label) of every candidate set [c_a, c_b), a < b, of the
+    partition's cut points, a major, each labelled "[lo, hi)" with both
+    ends in the :g format."""
+    cuts = partition.cut_points
+    for a in range(len(cuts)):
+        for b in range(a + 1, len(cuts)):
+            yield cuts[a], cuts[b], f"[{cuts[a]:g}, {cuts[b]:g})"
+
+
 def dense_bp_moments(ds, ct=None, partition=None):
     """bp_test's moment list, built row by row, and its method record."""
     if partition is None:
@@ -418,7 +428,7 @@ def dense_bp_moments(ds, ct=None, partition=None):
         z_row = ds.z[rows]
         idx_z1 = rows[z_row == 1]
         idx_z0 = rows[z_row == 0]
-        for lo, hi, set_label in partition.candidates():
+        for lo, hi, set_label in candidate_sets(partition):
             in_a = (ds.y >= lo) & (ds.y < hi)
             f1 = (in_a & (ds.d == 1)).astype(np.float64)
             f0 = (in_a & (ds.d == 0)).astype(np.float64)
@@ -438,7 +448,7 @@ def dense_mw_moments(ds, ct=None, partition=None):
     moments = []
     for cell_label, rows in _cell_groups(ds, ct):
         z_row = ds.z[rows]
-        for lo, hi, set_label in partition.candidates():
+        for lo, hi, set_label in candidate_sets(partition):
             in_a = (ds.y[rows] >= lo) & (ds.y[rows] < hi)
             idx_a = rows[in_a & (z_row == 1)]
             idx_b = rows[in_a & (z_row == 0)]

@@ -222,14 +222,36 @@ def test_flags_override_config(tmp_path, capsys):
     assert payload["config_echo"]["columns"]["outcome"] == "y"
 
 
-def test_output_flag_writes_file(trial_csv, tmp_path, capsys):
-    dest = tmp_path / "report.json"
-    code = main(["estimate", "--input", str(trial_csv), *TRIAL_ARGS,
-                 "--min-arm", "1", "--json", "--output", str(dest)])
+# subcommand -> its flags after the data flags (None: simulate)
+_OUTPUT_RUNS = {"estimate": ["--min-arm", "1", "--link", "logit"],
+                "weights": ["--min-arm", "1"], "reset": [],
+                "validity": ["--min-arm", "1", "--reps", "19"],
+                "manyiv": ["--min-arm", "1"], "simulate": None}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(_OUTPUT_RUNS))
+def test_output_flag_writes_file(command, fmt, trial_csv, tmp_path, capsys):
+    """--output prints nothing and writes exactly the bytes that the same
+    run prints to stdout without it."""
+    if command == "simulate":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC))
+        argv = ["simulate", "--spec", str(spec), "--n", "50",
+                "--data", str(tmp_path / "draw.csv"), "--oracle",
+                str(tmp_path / "truth.json"), *fmt]
+    else:
+        argv = [command, "--input", str(trial_csv), *TRIAL_ARGS,
+                *_OUTPUT_RUNS[command], *fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    dest = tmp_path / "report.out"
+    code = main([*argv, "--output", str(dest)])
     assert code == 0
     assert capsys.readouterr().out == ""
-    payload = json.loads(dest.read_text())
-    assert payload["command"] == "estimate"
+    assert dest.read_bytes() == want.encode()
+    if fmt:
+        assert json.loads(dest.read_text())["command"] == command
 
 
 def test_reset_outcome_json(trial_csv, capsys):

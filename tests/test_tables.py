@@ -3,11 +3,12 @@ helpers of ivhet.tables."""
 
 import math
 
+import numpy as np
 import pytest
 
 import ivhet    # ivhet.TestReport, which pytest would try to collect if imported
 from ivhet import EstimateReport, IPWReport, ManyIVFit, ValidityReport
-from ivhet.tables import fmt3, fmtp, record
+from ivhet.tables import fmt3, fmtp, record, rows
 
 NAN = float("nan")
 
@@ -82,3 +83,17 @@ def test_record_spread_overrides_a_field_in_its_place():
 def test_fmt3_and_fmtp(value, three, p):
     assert fmt3(value) == three
     assert fmtp(value) == p
+
+
+def test_rows_give_python_scalars_in_column_order():
+    """One dict per position, keyed in argument order: int64 becomes int,
+    float64 (NaN included) float, bool_ bool, and a range gives ints."""
+    out = rows(cell=range(3), n=np.array([4, 5, 6], dtype=np.int64),
+               w=np.array([0.5, NAN, 2.0]), degenerate=np.array([False, True, False]))
+    assert len(out) == 3
+    assert [list(rec) for rec in out] == [["cell", "n", "w", "degenerate"]] * 3
+    for rec in out:
+        assert [type(v) for v in rec.values()] == [int, int, float, bool]
+    assert out[0] == {"cell": 0, "n": 4, "w": 0.5, "degenerate": False}
+    assert out[2] == {"cell": 2, "n": 6, "w": 2.0, "degenerate": False}
+    assert math.isnan(out[1]["w"]) and out[1]["degenerate"] is True

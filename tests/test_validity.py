@@ -23,6 +23,7 @@ from ivhet import (
 from ivhet.validity import validity_family
 
 from oracles import (
+    candidate_sets,
     dense_bootstrap,
     dense_bp_moments,
     dense_first_stage_moments,
@@ -59,7 +60,7 @@ def test_partition_validation():
 
 def test_partition_candidates_all_pairs():
     p = OutcomeSetPartition((0.0, 1.0, 2.0))
-    cands = list(p.candidates())
+    cands = list(candidate_sets(p))
     assert len(cands) == 3 == p.n_candidates
     assert (0.0, 2.0) in [(a, b) for a, b, _ in cands]
 

@@ -17,7 +17,11 @@ and prints one line per result:
   tests, and the cell statistics table as text and JSON;
 * DGPSpec.from_json on good and bad spec files;
 * the stdout, stderr and exit code of `ivhet` run in process for every
-  subcommand but simulate, in text and with --json, and of each --help.
+  subcommand, in text and with --json, and of each --help; the data
+  subcommands also with --config and with --output, and with a bad --trim
+  or --powers on a missing --input; after each run, the bytes of every file
+  it was asked to write (--output, and simulate's --data, --oracle and
+  --latent), which are then removed.
 
 An error a call raises is printed in place of its result. The two dumps
 are then compared line by line: the tool prints `identical` and exits 0,
@@ -121,17 +125,31 @@ def run(argv):
             code = exc.code
     return out.getvalue(), err.getvalue(), code
 
+def written(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    os.remove(path)
+    return data
+
 ROLES = ["-y", "y", "-d", "d", "-z", "z"]
+FILES = ("--output", "--data", "--oracle", "--latent")
 for line in open(f"{workdir}/commands.txt"):
     argv = line.split()
-    if "--help" not in argv:
+    if argv[1:2] == ["--input"]:
         argv[2] = f"{workdir}/{argv[2]}"
-        argv[3:3] = ROLES
+        if "--config" not in argv:
+            argv[3:3] = ROLES
+    paths = [argv[i + 1] for i, a in enumerate(argv) if a in FILES]
     for extra in ([], ["--json"]) if "--help" not in argv else ([],):
-        print("cli", line.strip(), *extra, repr(run(argv + extra)))
+        result = run(argv + extra)
+        print("cli", line.strip(), *extra, repr(result),
+              repr([written(path) for path in paths]))
 """
 
-# each line: subcommand, --input, a CSV under the workdir, then flags
+# each line: a subcommand and its flags; a data subcommand's --input comes
+# first, a CSV under the workdir, and gets -y/-d/-z unless --config is given
 COMMANDS = """
 estimate --input cells.csv -x x1
 estimate --input cells.csv -x x1 --cluster g
@@ -148,17 +166,27 @@ estimate --input linear.csv -x x1,x2 --cluster g --se hc1 --link linear
 estimate --input thin.csv -x x1 --min-arm 5
 estimate --input bad.csv -x x1
 estimate --input missing.csv -x x1
+estimate --input missing.csv -x x1 --trim a,b
+estimate --input cells.csv --config columns.cfg
+estimate --input cells.csv --config columns.cfg -x x1 --se hc1 --link logit
+estimate --input cells.csv -x x1 --output report.out
+estimate --input bad.csv -x x1 --output report.out
 weights --input cells.csv -x x1
 weights --input cells.csv -x x1 --se cluster --cluster g
 weights --input thin.csv -x x1 --min-arm 5
 weights --input linear.csv -x x1,x2
 weights --input cells.csv -x x1 --saturated no
+weights --input cells.csv --config columns.cfg
+weights --input cells.csv -x x1 --output report.out
 reset --input cells.csv -x x1
 reset --input cells.csv -x x1 --link logit
 reset --input linear.csv -x x1,x2 --link probit --powers 2,3,4
 reset --input linear.csv -x x1,x2 --equation outcome --cluster g
 reset --input linear.csv -x x1,x2 --powers 5
 reset --input linear.csv
+reset --input missing.csv --powers=
+reset --input cells.csv --config columns.cfg
+reset --input linear.csv -x x1,x2 --link logit --output report.out
 validity --input cells.csv -x x1 --reps 99 --seed 3
 validity --input cells.csv -x x1 --reps 49 --cuts deciles
 validity --input discrete.csv -x x1 --reps 49 --cuts support
@@ -167,11 +195,20 @@ validity --input discrete.csv -x x1 --reps 49 --saturated no
 validity --input linear.csv -x x1,x2 --reps 49
 validity --input thin.csv -x x1 --min-arm 5 --reps 49
 validity --input cells.csv -x x1 --cuts a,b
+validity --input cells.csv --config columns.cfg --reps 49
+validity --input discrete.csv -x x1 --reps 49 --cuts support --output report.out
 manyiv --input cells.csv -x x1
 manyiv --input cells.csv -x x1 --se hc0
 manyiv --input cells.csv -x x1 --se cluster --cluster g
 manyiv --input thin.csv -x x1 --min-arm 1
 manyiv --input linear.csv -x x1,x2
+manyiv --input cells.csv --config columns.cfg
+manyiv --input cells.csv -x x1 --output report.out
+simulate --spec good.json --n 40 --data sim.csv
+simulate --spec good.json --n 40 --seed 5 --data sim.csv --oracle oracle.out --latent latent.out
+simulate --spec defiers.json --n 30 --data sim.csv --oracle oracle.out --output report.out
+simulate --spec bad_type.json --n 30 --data sim.csv --oracle oracle.out
+simulate --spec absent.json --n 30 --data sim.csv
 --help
 estimate --help
 weights --help
@@ -241,6 +278,9 @@ def write_inputs(workdir: Path) -> None:
                                       "x1": xt.tolist()})
     _write_csv(workdir / "bad.csv", {"y": [0.5, 1.5, 2.0], "d": [0, 2, 1],
                                      "z": [0, 1, 1], "x1": [0, 0, 1]})
+    (workdir / "columns.cfg").write_text(json.dumps({
+        "outcome": "y", "treatment": "d", "instrument": "z", "covariates": ["x1"],
+        "cluster": "g"}), encoding="utf-8")
     for name, spec in SPECS.items():
         (workdir / name).write_text(json.dumps(spec), encoding="utf-8")
     (workdir / "commands.txt").write_text(COMMANDS.strip() + "\n", encoding="utf-8")
