@@ -24,7 +24,7 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import ConfigError, IdentificationError
-from .tables import fmt3, format_table, json_safe, rows
+from .tables import fmt3, fmtg, format_table, json_safe, rows
 
 DEFAULT_MIN_CELL_SIZE = 1
 DEFAULT_MIN_ARM_SIZE = 3
@@ -71,7 +71,7 @@ class CellTable:
         key = self.keys[j]
         if not key:
             return "(all)"
-        return "(" + ", ".join(f"{v:g}" for v in key) + ")"
+        return "(" + ", ".join(map(fmtg, key)) + ")"
 
 
 class _Keyed(NamedTuple):

@@ -56,6 +56,13 @@ def fmt3(x: float) -> str:
     return f"{x:.3f}" if isinstance(x, (int, float)) and math.isfinite(x) else "."
 
 
+def fmtg(v: float) -> str:
+    """v in the :g format when that reads back as v, else its repr, so
+    that no two floats share a label."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
+
+
 def fmtp(p) -> str:
     """Three significant figures for p-values."""
     if p is None or (isinstance(p, float) and not math.isfinite(p)):

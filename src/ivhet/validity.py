@@ -54,7 +54,7 @@ import numpy as np
 from .cells import CellTable
 from .data_model import Dataset
 from .errors import ConfigError, DomainError, UndefinedTestError
-from .tables import record
+from .tables import fmtg, record
 
 _SIGMA_FLOOR = 1e-6
 _MAX_SUPPORT = 12
@@ -95,7 +95,7 @@ class OutcomeSetPartition:
         return m * (m - 1) // 2
 
     def _label(self, a: int, b: int) -> str:
-        return f"[{self.cut_points[a]:g}, {self.cut_points[b]:g})"
+        return f"[{fmtg(self.cut_points[a])}, {fmtg(self.cut_points[b])})"
 
     def ensure_covers(self, y: np.ndarray) -> "OutcomeSetPartition":
         """Extend the grid so the widest candidate contains every outcome."""

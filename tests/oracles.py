@@ -410,12 +410,15 @@ def engine_signs(ds, ct, cut_points, reps, seed):
 
 def candidate_sets(partition):
     """(lo, hi, label) of every candidate set [c_a, c_b), a < b, of the
-    partition's cut points, a major, each labelled "[lo, hi)" with both
-    ends in the :g format."""
+    partition's cut points, a major, each labelled "[lo, hi)" with each end
+    in the :g format, or as its repr where :g reads back as another float."""
+    def end(v):
+        return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
     cuts = partition.cut_points
     for a in range(len(cuts)):
         for b in range(a + 1, len(cuts)):
-            yield cuts[a], cuts[b], f"[{cuts[a]:g}, {cuts[b]:g})"
+            yield cuts[a], cuts[b], f"[{end(cuts[a])}, {end(cuts[b])})"
 
 
 def dense_bp_moments(ds, ct=None, partition=None):

@@ -266,3 +266,16 @@ def test_cell_stats_text_formats_floats_to_three_decimals():
         " (2)   3  2.000       .       False",
     ]
     assert CellStatsReport(records=(), warnings=()).to_text() == "(no cells)"
+
+
+def test_cell_labels_tell_apart_keys_that_agree_to_six_digits():
+    """Keys print in the :g format where that reads back as the key, and as
+    their repr otherwise: 1234567 and 1234568 both print as 1.23457e+06 in
+    :g, so they get their reprs; -0.0 keys read as 0."""
+    x = np.array([[1234567.0, 0.5], [1234568.0, -0.0], [3.0, 0.0]] * 4)
+    ds = Dataset(y=np.arange(12.0), d=np.arange(12) % 2, z=(np.arange(12) // 3) % 2,
+                 x=x)
+    ct = build_cells(ds, min_arm_size=1)
+    labels = [ct.key_label(j) for j in range(ct.n_cells)]
+    assert labels == ["(3, 0)", "(1234567.0, 0.5)", "(1234568.0, 0)"]
+    assert [rec["cell"] for rec in cell_stats_table(ct).records] == labels

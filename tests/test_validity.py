@@ -65,6 +65,21 @@ def test_partition_candidates_all_pairs():
     assert (0.0, 2.0) in [(a, b) for a, b, _ in cands]
 
 
+def test_partition_labels_tell_apart_the_top_cut():
+    """The top cut of a support partition, nextafter(max y), prints as its
+    repr, since its :g form reads back as max y: the set that holds y = 2
+    is not labelled like [1, 2), and no two candidate sets share a label."""
+    p = OutcomeSetPartition.from_support(np.array([-1.0, 0.0, 1.0, 2.0]))
+    top = repr(float(np.nextafter(2.0, np.inf)))
+    assert top == "2.0000000000000004"
+    assert p._label(2, 3) == "[1, 2)"
+    assert p._label(2, 4) == f"[1, {top})"
+    assert p._label(3, 4) == f"[2, {top})"
+    labels = [p._label(a, b) for a, b in zip(*np.triu_indices(5, 1))]
+    assert len(set(labels)) == len(labels) == p.n_candidates
+    assert labels == [label for _, _, label in candidate_sets(p)]
+
+
 def test_partition_from_support():
     y = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
     p = OutcomeSetPartition.from_support(y)
