@@ -27,7 +27,6 @@ from .cells import (
     cell_stats_table,
 )
 from .data_model import ColumnMap, Dataset, load_dataset, validate
-from .dgp import DGPSpec, brute_force_late, brute_force_weights, generate
 from .errors import ConfigError, DataError, DomainError, LeverageError
 from .estimators import (
     EstimateReport,
@@ -36,15 +35,13 @@ from .estimators import (
     estimate_beta_iv,
     estimate_beta_late_saturated,
 )
-from .many_iv import jive, many_tsls, ujive
-from .propensity import DEFAULT_TRIM, fit_binary_index, fit_cell_propensity, ipw_late
 from .regression import _resolve_se, tsls
-from .spec_tests import _check_powers, reset_binary_index, reset_linear
 from .tables import fmt3, fmtp, format_table, json_safe, write_columns
-from .validity import OutcomeSetPartition, validity_family
 
+# dgp, many_iv, propensity, spec_tests and validity are imported by the
+# subcommands that run them, so a process loads only what it uses
 _MAX_LEVELS = 20
-_DEFAULT_TRIM = ",".join(map(str, DEFAULT_TRIM))
+_DEFAULT_TRIM = (0.01, 0.99)    # propensity.DEFAULT_TRIM, which a test holds equal
 _ROLES = ("outcome", "treatment", "instrument", "covariates", "cluster")
 
 
@@ -121,6 +118,7 @@ def _parse_trim(text: str) -> tuple[float, float]:
 
 
 def _parse_powers(text: str) -> tuple[int, ...]:
+    from .spec_tests import _check_powers
     try:
         return _check_powers(int(p) for p in text.split(",") if p.strip())
     except DomainError as exc:
@@ -162,8 +160,7 @@ def _saturated_reports(ct: CellTable, se_type) -> list[EstimateReport]:
 def _cmd_estimate(args, ds, ct, warnings):
     if ct is not None:
         reports = _saturated_reports(ct, args.se)
-        pf = fit_cell_propensity(ct, args.link) if args.link else None
-        if pf is None and args.trim != DEFAULT_TRIM:
+        if not args.link and args.trim != _DEFAULT_TRIM:
             warnings.append("--trim has no effect in saturated mode without "
                             "--link, which adds the reweighted estimate")
     else:
@@ -177,8 +174,10 @@ def _cmd_estimate(args, ds, ct, warnings):
             n_used=ds.n, cells_used=0,
             metadata={"estimator": "2sls_linear"},
         )]
-        pf = fit_binary_index(ds.z, ds.x, link=args.link or "logit")
-    if pf is not None:
+    if ct is None or args.link:
+        from .propensity import fit_binary_index, fit_cell_propensity, ipw_late
+        pf = (fit_cell_propensity(ct, args.link) if ct is not None
+              else fit_binary_index(ds.z, ds.x, link=args.link or "logit"))
         # a cluster SE only when --se resolves to cluster
         if ds.cluster is not None and _resolve_se(args.se, ds.cluster) != "cluster":
             ds = replace(ds, cluster=None)
@@ -203,6 +202,7 @@ def _cmd_weights(args, ds, ct, warnings):
 
 
 def _cmd_reset(args, ds, ct, warnings):
+    from .spec_tests import reset_binary_index, reset_linear
     equation = args.equation
     if equation is None:
         equation = "assignment" if args.link else "outcome"
@@ -228,7 +228,8 @@ def _cmd_reset(args, ds, ct, warnings):
     return {"test": d}, text
 
 
-def _parse_cuts(text: str, y: np.ndarray) -> OutcomeSetPartition | None:
+def _parse_cuts(text: str, y: np.ndarray):
+    from .validity import OutcomeSetPartition
     if text == "auto":
         return None
     if text == "deciles":
@@ -243,8 +244,8 @@ def _parse_cuts(text: str, y: np.ndarray) -> OutcomeSetPartition | None:
 
 
 def _cmd_validity(args, ds, ct, warnings):
-    reports = validity_family(ds, ct, _parse_cuts(args.cuts, ds.y),
-                              reps=args.reps, seed=args.seed)
+    from .validity import validity_family
+    reports = validity_family(ds, ct, args.cuts, reps=args.reps, seed=args.seed)
     if ct is None:
         warnings.append(
             "first stage nonnegativity runs per cell; skipped because the "
@@ -258,6 +259,7 @@ def _cmd_validity(args, ds, ct, warnings):
 
 
 def _cmd_manyiv(args, ds, ct, warnings):
+    from .many_iv import jive, many_tsls, ujive
     fits = []
     errors = {}
     fits.append(many_tsls(ct, se_type=args.se))
@@ -277,6 +279,7 @@ def _cmd_manyiv(args, ds, ct, warnings):
 
 
 def _cmd_simulate(args, ds, ct, warnings):
+    from .dgp import DGPSpec, brute_force_late, brute_force_weights, generate
     spec = DGPSpec.from_json(args.spec)
     ds, lt = generate(spec, args.n, seed=args.seed)
     write_columns(args.data, ("y", "d", "z", "cell"),
@@ -350,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "point estimates of the three IV estimands")
     p.add_argument("--link", choices=("logit", "probit", "linear"), default=None,
                    help="also report the propensity reweighted estimate")
-    p.add_argument("--trim", type=_parse_trim, default=_DEFAULT_TRIM,
-                   help=f"propensity trimming window (default {_DEFAULT_TRIM})")
+    trim = ",".join(map(str, _DEFAULT_TRIM))
+    p.add_argument("--trim", default=trim,
+                   help=f"propensity trimming window (default {trim})")
 
     command("weights", _cmd_weights, "per-cell decomposition weights")
 
@@ -360,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which equation to check (default: assignment "
                         "when --link is given, outcome otherwise)")
     p.add_argument("--link", choices=("logit", "probit"), default=None)
-    p.add_argument("--powers", type=_parse_powers, default="2,3",
+    p.add_argument("--powers", default="2,3",
                    help="comma separated powers (default 2,3)")
 
     p = command("validity", _cmd_validity,
@@ -388,10 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse the flags, load and validate the data and key the cells when
-    the subcommand takes them, run it, and emit its envelope. A bad --trim
-    or --powers raises ConfigError from its flag type, before any load."""
+    the subcommand takes them, run it, and emit its envelope. --trim and
+    --powers are read before the data is loaded, and --cuts after it but
+    before the cells are keyed."""
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
+        if "trim" in args:
+            args.trim = _parse_trim(args.trim)
+        if "powers" in args:
+            args.powers = _parse_powers(args.powers)
         ds = ct = None
         warnings = []
         if args.command == "simulate":
@@ -405,6 +414,8 @@ def main(argv=None) -> int:
             warnings = list(report.warnings)
             echo = {"input": args.input,
                     "columns": {role: getattr(cmap, role) for role in _ROLES}}
+            if "cuts" in args:
+                args.cuts = _parse_cuts(args.cuts, ds.y)
             if "saturated" in args:
                 ct = _cells(args, ds, warnings)
         results, text = args.func(args, ds, ct, warnings)

@@ -28,14 +28,14 @@ a miscoded binary token. EmptyDataError (exit 1): an empty file, or fewer
 than two usable rows.
 
 How the body is read. Lines come in chunks of _CHUNK_ROWS, and numpy's C
-tokenizer converts a chunk column by column: real columns as float64,
-binary columns as four-character strings compared with the accepted forms,
-the cluster column as strings. A chunk takes the row rules (csv.reader
-plus _parse_real and _parse_binary, one row at a time) instead when it
-holds anything the column path does not decide the same way: non-ASCII
-text, NUL, whitespace inside a line, a line longer than the csv field
-limit, a token numpy will not convert, or a binary token outside the
-accepted forms. A quoted field open at the end of a chunk takes lines
+tokenizer converts a chunk in one pass into records of the mapped columns:
+real columns as float64, binary columns as four-byte strings compared, as
+uint32 words, with the accepted forms, the cluster column as strings. A
+chunk takes the row rules (csv.reader plus _parse_real and _parse_binary,
+one row at a time) instead when it holds anything the column path does
+not decide the same way: non-ASCII text, NUL, whitespace inside a line, a
+line longer than the csv field limit, a token numpy will not convert, or
+a binary token outside the accepted forms. A quoted field open at the end of a chunk takes lines
 from the next ones until its record ends, so a quoted newline may span
 chunks; the column path resumes after that record. Chunks are taken in
 file order, so drops, codes, errors and messages are those of
@@ -54,6 +54,9 @@ import numpy as np
 from .errors import ConfigError, DomainError, EmptyDataError
 
 _BINARY_FORMS = {"0": 0, "1": 1, "0.0": 0, "1.0": 1}
+# each form as the uint32 word of its NUL-padded four bytes, one row per value
+_FORM_WORDS = np.array([[f for f, v in _BINARY_FORMS.items() if v == b]
+                        for b in (0, 1)], dtype="S4").view(np.uint32)
 _CHUNK_ROWS = 32_768        # body lines converted per chunk
 # A chunk with any of these goes through the row rules: the quote, NUL,
 # and every ASCII character that str.strip removes (line ends aside,
@@ -254,6 +257,12 @@ class _Columns:
         self.binary_pos = [positions[cmap.treatment], positions[cmap.instrument]]
         self.cluster_pos = None if cmap.cluster is None else positions[cmap.cluster]
         self.max_pos = max(positions.values())
+        self.dtype = [("real", np.float64, (len(self.real_pos),)),
+                      ("binary", "S4", (2,))]
+        self.usecols = [*self.real_pos, *self.binary_pos]
+        if self.cluster_pos is not None:
+            self.dtype.append(("label", object))
+            self.usecols.append(self.cluster_pos)
         self.reals: list[np.ndarray] = []     # (kept, 1 + k): outcome, covariates
         self.binaries: list[np.ndarray] = []  # (kept, 2) bool: treatment, instrument
         self.codes: list[np.ndarray] = []
@@ -284,25 +293,22 @@ class _Columns:
         rows = len(lines) - sum(lines.count(end) for end in ("\n", "\r\n", "\r"))
         if rows == 0:
             return True
-        read = dict(delimiter=",", comments=None, ndmin=2)
         try:
-            reals = np.loadtxt(lines, usecols=self.real_pos, **read)
-            # four characters hold every accepted form and expose longer tokens
-            tokens = np.loadtxt(lines, dtype="U4", usecols=self.binary_pos, **read)
-            labels = None
-            if self.cluster_pos is not None:
-                labels = np.loadtxt(lines, dtype=object, usecols=[self.cluster_pos],
-                                    **read)[:, 0]
+            table = np.loadtxt(lines, dtype=self.dtype, usecols=self.usecols,
+                               delimiter=",", comments=None, ndmin=1)
         except ValueError:
             return False
-        if not np.isin(tokens, list(_BINARY_FORMS)).all():
+        # four bytes hold every accepted form and expose longer tokens
+        words = table["binary"].view(np.uint32)
+        zeros, ones = ((words == w0) | (words == w1) for w0, w1 in _FORM_WORDS)
+        if not (zeros | ones).all():
             return False
-        ones = np.isin(tokens, [t for t, v in _BINARY_FORMS.items() if v])
-        keep = np.isfinite(reals).all(axis=1)
-        if labels is not None:
-            keep &= labels != ""
-            labels = labels[keep]
-        self._append(rows, reals[keep], ones[keep], labels)
+        keep = np.isfinite(table["real"]).all(axis=1)
+        labels = None
+        if self.cluster_pos is not None:
+            keep &= table["label"] != ""
+            labels = table["label"][keep]
+        self._append(rows, table["real"][keep], ones[keep], labels)
         return True
 
     def add_rows(self, rows) -> None:

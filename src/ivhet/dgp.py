@@ -178,9 +178,9 @@ def generate(spec: DGPSpec, n: int, seed: int | None = None) -> tuple[Dataset, L
     m1 = np.array([c.y1 for c in spec.cells])
     s0 = np.array([c.noise0 for c in spec.cells])
     s1 = np.array([c.noise1 for c in spec.cells])
-    from scipy.special import ndtri
-    e0 = ndtri(u[:, 3])
-    e1 = ndtri(u[:, 4])
+    from statistics import NormalDist   # the stdlib's C quantile: no scipy
+    e0, e1 = (np.fromiter(map(NormalDist().inv_cdf, u[:, c].tolist()), float, n)
+              for c in (3, 4))
     y0 = m0[cell, ctype] + s0[cell, ctype] * e0
     y1 = m1[cell, ctype] + s1[cell, ctype] * e1
 

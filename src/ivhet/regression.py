@@ -150,11 +150,11 @@ def _sandwich(design: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray,
 
 
 def _solve_ols(y: np.ndarray, Xk: np.ndarray):
-    """Coefficients and (X'X)^-1 for a full-rank design via thin QR."""
-    from scipy.linalg import qr, solve_triangular
-    Q, R = qr(Xk, mode="economic")
-    coef = solve_triangular(R, Q.T @ y)
-    rinv = solve_triangular(R, np.eye(R.shape[0]))
+    """Coefficients and (X'X)^-1 for a full-rank design via thin QR. R is
+    upper triangular, so LAPACK's LU solves take no pivot and back-substitute."""
+    Q, R = np.linalg.qr(Xk)
+    coef = np.linalg.solve(R, Q.T @ y)
+    rinv = np.linalg.solve(R, np.eye(R.shape[0]))
     xtx_inv = rinv @ rinv.T
     return coef, xtx_inv
 

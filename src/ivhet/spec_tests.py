@@ -27,6 +27,7 @@ from .regression import ols
 from .tables import record
 
 _SPAN_TOL = 1e-8
+_EXACT_FIT_TOL = 1e-10      # a base residual norm below this times ||y|| is rounding
 _ALLOWED_POWERS = (2, 3, 4)
 
 
@@ -102,6 +103,9 @@ def reset_linear(
     if added.shape[1] == 0:
         return _trivial("reset_linear", "fitted-value powers add no direction "
                                         "outside the design span")
+    if np.linalg.norm(base.residuals) <= _EXACT_FIT_TOL * np.linalg.norm(y):
+        return _trivial("reset_linear", "the design fits the response exactly; "
+                                        "the residuals are rounding noise")
 
     design = np.column_stack([X, added])
     aug = ols(y, design, se_type=se_type, cluster=cluster)
@@ -109,11 +113,11 @@ def reset_linear(
     sl = slice(X.shape[1], X.shape[1] + q)
     gamma = aug.coefficients[sl]
     vg = aug.vcov[sl, sl]
-    import scipy.linalg
     from scipy.special import fdtrc
-    try:
-        stat = float(gamma @ scipy.linalg.solve(vg, gamma, assume_a="pos")) / q
-    except scipy.linalg.LinAlgError:
+    try:    # gamma' vg^-1 gamma through the Cholesky factor vg = L L'
+        w = np.linalg.solve(np.linalg.cholesky(vg), gamma)
+        stat = float(w @ w) / q
+    except np.linalg.LinAlgError:   # vg is not positive definite
         stat = float(gamma @ np.linalg.pinv(vg) @ gamma) / q
     p = float(fdtrc(q, aug.df_resid, stat))
     return TestReport(

@@ -449,6 +449,28 @@ def test_bad_trim_or_powers_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_flag_errors_keep_their_precedence(tmp_path, capsys):
+    """--trim and --powers are read after argparse's own checks, and --cuts
+    after the data is loaded but before the cells are keyed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "-y", "y", "-d", "d", "-z", "z", "--trim", "a,b"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --input" in err
+    assert "--trim" not in err.split("error:")[-1]
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--trim", "a,b", "--help"])
+    assert exc.value.code == 0
+    assert "propensity trimming window" in capsys.readouterr().out
+    # every cell is degenerate at --min-arm 1000, yet the bad --cuts is named
+    path = write_csv(tmp_path / "cells.csv", two_cell_dataset())
+    data = ["--input", str(path), "-y", "y", "-d", "d", "-z", "z", "-x", "g"]
+    assert main(["validity", *data, "--min-arm", "1000", "--reps", "9"]) == 1
+    assert "degenerate" in capsys.readouterr().err
+    assert main(["validity", *data, "--min-arm", "1000", "--cuts", "a,b"]) == 2
+    assert "--cuts could not parse 'a,b'" in capsys.readouterr().err
+
+
 def test_trim_checked_without_link_in_saturated_mode(trial_csv, capsys):
     """--trim is checked on every estimate run: a bad window exits 2 even
     where no reweighted estimate is made, and a valid window other than the
@@ -484,6 +506,44 @@ def test_saturated_commands_do_not_load_scipy(trial_csv):
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"command"') == len(runs)
+
+
+def _modules_after(runs):
+    """The ivhet and scipy modules a fresh process holds after running the
+    CLI on each argv of runs in turn (none: after `import ivhet` alone)."""
+    code = ("import json, sys\nimport ivhet\n"
+            + (f"from ivhet.cli import main\nfor argv in {runs!r}:\n"
+               "    assert main(argv) == 0, argv\n" if runs else "")
+            + "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] in ('ivhet', 'scipy'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv):
+    """The import budget of a CLI process: `import ivhet` loads no submodule,
+    simulate no scipy, a saturated estimate neither dgp nor validity, and no
+    subcommand scipy.linalg."""
+    assert _modules_after([]) == {"ivhet"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    simulate = ["simulate", "--spec", str(spec), "--n", "50",
+                "--data", str(tmp_path / "sim.csv"), "--oracle",
+                str(tmp_path / "oracle.json"), "--json"]
+    loaded = _modules_after([simulate])
+    assert not {m for m in loaded if m.startswith("scipy")}, loaded
+    data = ["--input", str(trial_csv), *TRIAL_ARGS, "--json"]
+    cells = [*data, "--min-arm", "1"]
+    loaded = _modules_after([["estimate", *cells]])
+    assert not loaded & {"ivhet.dgp", "ivhet.validity"}, loaded
+    runs = [["estimate", *cells, "--link", "probit"],
+            ["estimate", *cells, "--saturated", "no", "--link", "probit"],
+            ["weights", *cells], ["manyiv", *cells], ["validity", *cells, "--reps", "9"],
+            ["reset", *data], ["reset", *data, "--link", "probit"], simulate]
+    loaded = _modules_after(runs)
+    assert "scipy.special" in loaded and "scipy.linalg" not in loaded, loaded
 
 
 def test_manyiv_reports_leverage_errors(trial_csv, capsys):
@@ -934,9 +994,10 @@ def test_simulate_oracle_without_compliers_has_null_late(tmp_path, capsys):
 
 
 def test_estimate_help_names_the_library_trim_default(capsys):
+    from ivhet import cli
     from ivhet.propensity import DEFAULT_TRIM
     with pytest.raises(SystemExit):
         main(["estimate", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert DEFAULT_TRIM == (0.01, 0.99)
+    assert DEFAULT_TRIM == (0.01, 0.99) == cli._DEFAULT_TRIM
     assert "propensity trimming window (default 0.01,0.99)" in text

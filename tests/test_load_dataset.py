@@ -174,6 +174,37 @@ def test_loader_matches_row_reference_on_edge_files(tmp_path, text):
     _assert_same(str(path), ColumnMap("y", "d", "z", cluster=cluster))
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("column", [1, 2])
+@pytest.mark.parametrize("token", ["1.00", "01", "1e0", "+1", " 1", '"1"', '"0.0"',
+                                   "0.0", "1.0", "1"])
+def test_binary_token_in_one_pass(tmp_path, monkeypatch, paths, token, column,
+                                  ending):
+    """One binary token in a first chunk that also holds an empty cluster
+    label, then a chunk of quoted fields: the accepted forms keep the first
+    chunk on the one-pass column path, any other token sends it to the row
+    rules, and either way the outcome is the row reference's."""
+    monkeypatch.setattr(data_model, "_CHUNK_ROWS", 3)
+    rows = [["1.5", "1", "0", "a"], ["2.5", "0", "1", ""], ["3.5", "1", "1", "b"],
+            ['"4.5"', "0", '"0"', "a"], ["5.5", "0", "1", '"c,d"']]
+    rows[2][column] = token
+    path = tmp_path / "tokens.csv"
+    path.write_bytes((ending.join(["y,d,z,c", *map(",".join, rows)]) + ending).encode())
+    result = _assert_same(str(path), ColumnMap("y", "d", "z", cluster="c"))
+    assert paths[0] == ("lines", token in ("0", "1", "0.0", "1.0"))
+    if token in ("1.00", "01", "1e0", "+1"):
+        assert result == (data_model.DomainError,
+                          f"column '{'dz'[column - 1]}' holds '{token}'; only 0/1 "
+                          "(or 0.0/1.0) are accepted")
+        return
+    assert paths[-2:] == [("lines", False), ("rows", 2)]   # the quoted chunk
+    assert result.dropped == 1              # the empty cluster label
+    value = int(float(token.strip(' "')))
+    assert (result.d[1], result.z[1]) == ((value, 1) if column == 1 else (1, value))
+    assert list(result.y) == [1.5, 3.5, 4.5, 5.5]
+    assert list(result.cluster) == [0, 1, 0, 2]
+
+
 def test_chunk_boundaries(tmp_path, monkeypatch, paths):
     monkeypatch.setattr(data_model, "_CHUNK_ROWS", 3)
     body = [

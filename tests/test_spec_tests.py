@@ -110,6 +110,23 @@ def test_linear_trivial_when_fitted_constant():
     assert rep.p_value == 1.0
 
 
+@pytest.mark.parametrize("se_type", ["hc1", "cluster"])
+def test_linear_trivial_when_design_fits_exactly(se_type):
+    """y is a column of the design, so the base residuals are rounding
+    noise: the F on them once read p = 0.001 on such a design. The report
+    is the trivial one, and a residual just above the tolerance is tested."""
+    y, X, _ = _linear_sample(6)
+    cluster = np.arange(y.size) % 25
+    rep = reset_linear(y, np.column_stack([X, y]), se_type=se_type, cluster=cluster)
+    assert (rep.statistic, rep.df, rep.p_value) == (0.0, (0,), 1.0)
+    assert rep.method == {"note": "the design fits the response exactly; the "
+                                  "residuals are rounding noise"}
+    rng = np.random.default_rng(7)
+    yb = X @ np.array([0.5, 1.2]) + 1e-6 * rng.normal(size=y.size)
+    rep = reset_linear(yb, X, se_type=se_type, cluster=cluster)
+    assert rep.df[0] == 2 and 0.0 < rep.p_value < 1.0
+
+
 def test_index_null_not_rejected_on_fixed_seeds():
     ps = []
     for s in range(5):

@@ -18,14 +18,16 @@ and prints one line per result:
 * DGPSpec.from_json on good and bad spec files;
 * the stdout, stderr and exit code of `ivhet` run in process for every
   subcommand, in text and with --json, and of each --help; the data
-  subcommands also with --config and with --output, and with a bad --trim
-  or --powers on a missing --input; after each run, the bytes of every file
-  it was asked to write (--output, and simulate's --data, --oracle and
-  --latent), which are then removed.
+  subcommands also with --config and with --output, with a bad --trim or
+  --powers on a missing --input, and with a bad flag value next to
+  another error (no --input, --help, all cells degenerate); after each
+  run, the bytes of every file it was asked to write (--output, and
+  simulate's --data, --oracle and --latent), which are then removed.
 
 An error a call raises is printed in place of its result. The two dumps
 are then compared line by line: the tool prints `identical` and exits 0,
-or prints the first line that differs, from both sides, and exits 1.
+or prints the first line that differs (every one with --all), from both
+sides, and exits 1.
 Every child runs single-threaded BLAS.
 """
 
@@ -167,6 +169,7 @@ estimate --input thin.csv -x x1 --min-arm 5
 estimate --input bad.csv -x x1
 estimate --input missing.csv -x x1
 estimate --input missing.csv -x x1 --trim a,b
+estimate -x x1 --trim a,b
 estimate --input cells.csv --config columns.cfg
 estimate --input cells.csv --config columns.cfg -x x1 --se hc1 --link logit
 estimate --input cells.csv -x x1 --output report.out
@@ -195,6 +198,7 @@ validity --input discrete.csv -x x1 --reps 49 --saturated no
 validity --input linear.csv -x x1,x2 --reps 49
 validity --input thin.csv -x x1 --min-arm 5 --reps 49
 validity --input cells.csv -x x1 --cuts a,b
+validity --input thin.csv -x x1 --min-arm 1000 --cuts a,b
 validity --input cells.csv --config columns.cfg --reps 49
 validity --input discrete.csv -x x1 --reps 49 --cuts support --output report.out
 manyiv --input cells.csv -x x1
@@ -211,6 +215,7 @@ simulate --spec bad_type.json --n 30 --data sim.csv --oracle oracle.out
 simulate --spec absent.json --n 30 --data sim.csv
 --help
 estimate --help
+estimate --trim a,b --help
 weights --help
 reset --help
 validity --help
@@ -301,6 +306,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, action="append", required=True,
                     help="a package source directory; give it twice")
+    ap.add_argument("--all", action="store_true",
+                    help="print every differing line, not just the first")
     args = ap.parse_args(argv)
     if len(args.src) != 2:
         ap.error("give --src exactly twice")
@@ -308,10 +315,12 @@ def main(argv=None) -> int:
         workdir = Path(tmp).resolve()
         write_inputs(workdir)
         a, b = (dump(src, workdir) for src in args.src)
-    for i, (la, lb) in enumerate(zip(a, b), start=1):
-        if la != lb:
-            print(f"line {i} differs:\n{args.src[0]}: {la}\n{args.src[1]}: {lb}")
-            return 1
+    differ = [(i, la, lb) for i, (la, lb) in enumerate(zip(a, b), start=1)
+              if la != lb]
+    for i, la, lb in differ if args.all else differ[:1]:
+        print(f"line {i} differs:\n{args.src[0]}: {la}\n{args.src[1]}: {lb}")
+    if differ:
+        return 1
     if len(a) != len(b):
         print(f"line {min(len(a), len(b)) + 1} differs: {args.src[0]} has "
               f"{len(a)} lines, {args.src[1]} {len(b)}")
