@@ -35,13 +35,12 @@ from .estimators import (
     estimate_beta_iv,
     estimate_beta_late_saturated,
 )
-from .regression import _resolve_se, tsls
+from .regression import DEFAULT_TRIM, _resolve_se, tsls
 from .tables import fmt3, fmtp, format_table, json_safe, write_columns
 
 # dgp, many_iv, propensity, spec_tests and validity are imported by the
 # subcommands that run them, so a process loads only what it uses
 _MAX_LEVELS = 20
-_DEFAULT_TRIM = (0.01, 0.99)    # propensity.DEFAULT_TRIM, which a test holds equal
 _ROLES = ("outcome", "treatment", "instrument", "covariates", "cluster")
 
 
@@ -160,7 +159,7 @@ def _saturated_reports(ct: CellTable, se_type) -> list[EstimateReport]:
 def _cmd_estimate(args, ds, ct, warnings):
     if ct is not None:
         reports = _saturated_reports(ct, args.se)
-        if not args.link and args.trim != _DEFAULT_TRIM:
+        if not args.link and args.trim != DEFAULT_TRIM:
             warnings.append("--trim has no effect in saturated mode without "
                             "--link, which adds the reweighted estimate")
     else:
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "point estimates of the three IV estimands")
     p.add_argument("--link", choices=("logit", "probit", "linear"), default=None,
                    help="also report the propensity reweighted estimate")
-    trim = ",".join(map(str, _DEFAULT_TRIM))
+    trim = ",".join(map(str, DEFAULT_TRIM))
     p.add_argument("--trim", default=trim,
                    help=f"propensity trimming window (default {trim})")
 

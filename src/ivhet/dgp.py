@@ -22,6 +22,7 @@ import numpy as np
 from .data_model import Dataset, _read_json
 from .errors import ConfigError, DomainError
 from .estimators import WeightTable, _weight_table
+from .special import normal_quantile
 from .tables import write_columns
 
 CTYPES = ("complier", "always", "never", "defier")
@@ -178,9 +179,7 @@ def generate(spec: DGPSpec, n: int, seed: int | None = None) -> tuple[Dataset, L
     m1 = np.array([c.y1 for c in spec.cells])
     s0 = np.array([c.noise0 for c in spec.cells])
     s1 = np.array([c.noise1 for c in spec.cells])
-    from statistics import NormalDist   # the stdlib's C quantile: no scipy
-    e0, e1 = (np.fromiter(map(NormalDist().inv_cdf, u[:, c].tolist()), float, n)
-              for c in (3, 4))
+    e0, e1 = normal_quantile(u[:, 3]), normal_quantile(u[:, 4])
     y0 = m0[cell, ctype] + s0[cell, ctype] * e0
     y1 = m1[cell, ctype] + s1[cell, ctype] * e1
 

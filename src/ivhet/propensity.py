@@ -45,13 +45,13 @@ from .errors import (
     SeparationError,
     TrimError,
 )
-from .regression import _cluster_codes, _influence_se, _solve_ols, screen_columns
-from .special import normal_cdf, normal_log_cdf
+from .regression import (
+    DEFAULT_TRIM, _cluster_codes, _influence_se, _solve_ols, screen_columns)
+from .special import normal_cdf, normal_log_cdf, normal_quantile
 from .tables import record
 from .validity import _check_bootstrap
 
 LINKS = ("logit", "probit", "linear")
-DEFAULT_TRIM = (0.01, 0.99)
 
 _MAX_ITER = 100
 _MAX_ABS_COEF = 30.0
@@ -267,8 +267,7 @@ def fit_cell_propensity(ct: CellTable, link: str = "logit") -> PropensityFit:
         if link == "logit":
             coef = np.log(p / (1.0 - p))
         else:
-            from statistics import NormalDist   # not at import: it costs ~3 ms
-            coef = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+            coef = normal_quantile(p)
         ll = float(ct.n1_j @ np.log(q, out=np.zeros_like(q), where=q > 0.0)
                    + ct.n0_j @ np.log1p(-q, out=np.zeros_like(q), where=q < 1.0))
     return PropensityFit(link, coef, coef[a], p[a], converged=True, iterations=0,

@@ -25,6 +25,8 @@ PIVOT_RTOL = 1e-10
 
 SE_TYPES = ("classical", "hc0", "hc1", "cluster")
 
+DEFAULT_TRIM = (0.01, 0.99)   # the propensity trimming window
+
 
 @dataclass(frozen=True)
 class RegressionFit:

@@ -27,7 +27,7 @@ from .regression import ols
 from .tables import record
 
 _SPAN_TOL = 1e-8
-_EXACT_FIT_TOL = 1e-10      # a base residual norm below this times ||y|| is rounding
+_EXACT_FIT_TOL = 1e-12  # base residual norm / uncentered ||y|| below this is rounding
 _ALLOWED_POWERS = (2, 3, 4)
 
 

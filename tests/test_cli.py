@@ -994,10 +994,9 @@ def test_simulate_oracle_without_compliers_has_null_late(tmp_path, capsys):
 
 
 def test_estimate_help_names_the_library_trim_default(capsys):
-    from ivhet import cli
     from ivhet.propensity import DEFAULT_TRIM
     with pytest.raises(SystemExit):
         main(["estimate", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert DEFAULT_TRIM == (0.01, 0.99) == cli._DEFAULT_TRIM
+    assert DEFAULT_TRIM == (0.01, 0.99)
     assert "propensity trimming window (default 0.01,0.99)" in text

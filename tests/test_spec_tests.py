@@ -114,7 +114,8 @@ def test_linear_trivial_when_fitted_constant():
 def test_linear_trivial_when_design_fits_exactly(se_type):
     """y is a column of the design, so the base residuals are rounding
     noise: the F on them once read p = 0.001 on such a design. The report
-    is the trivial one, and a residual just above the tolerance is tested."""
+    is the trivial one, also for an exact fit under a large offset, and
+    resolved noise is tested, also under a large offset."""
     y, X, _ = _linear_sample(6)
     cluster = np.arange(y.size) % 25
     rep = reset_linear(y, np.column_stack([X, y]), se_type=se_type, cluster=cluster)
@@ -124,6 +125,11 @@ def test_linear_trivial_when_design_fits_exactly(se_type):
     rng = np.random.default_rng(7)
     yb = X @ np.array([0.5, 1.2]) + 1e-6 * rng.normal(size=y.size)
     rep = reset_linear(yb, X, se_type=se_type, cluster=cluster)
+    assert rep.df[0] == 2 and 0.0 < rep.p_value < 1.0
+    exact = reset_linear(1e10 + X @ np.array([0.5, 1.2]), X, se_type=se_type,
+                         cluster=cluster)
+    assert exact.method["note"].startswith("the design fits the response exactly")
+    rep = reset_linear(1e10 + y, X, se_type=se_type, cluster=cluster)
     assert rep.df[0] == 2 and 0.0 < rep.p_value < 1.0
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from ivhet.special import normal_cdf, normal_log_cdf
+from ivhet.special import normal_cdf, normal_log_cdf, normal_quantile
 
 GRID = np.concatenate([
     np.linspace(-40.0, 40.0, 4001),
@@ -19,6 +19,25 @@ def test_normal_cdf_matches_scipy():
     ok = ref > 1e-300
     rel = np.abs(got[ok] - ref[ok]) / ref[ok]
     assert rel.max() < 1e-12
+
+
+def test_normal_quantile_matches_the_stdlib():
+    """Equal to NormalDist().inv_cdf but for a few ulp where numpy's log
+    differs, across the three AS241 regions, their edges, both tails and
+    more than one block; and within 2e-15 of scipy's ndtri."""
+    from statistics import NormalDist
+    from scipy.special import ndtri
+    rng = np.random.default_rng(11)
+    edges = [0.075, 0.925, np.exp(-25.0), -np.expm1(-25.0), 0.5]
+    p = np.concatenate([rng.random(100_000), 10.0 ** -rng.uniform(0, 300, 2_000),
+                        1.0 - 10.0 ** -rng.uniform(0, 15, 2_000),
+                        [np.finfo(float).tiny, np.nextafter(1.0, 0.0)],
+                        np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+    ref = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+    x = normal_quantile(p)
+    ulps = np.abs(x - ref) / np.spacing(np.abs(ref))
+    assert ulps.max() <= 8 and (ulps > 0).mean() < 1e-3
+    np.testing.assert_allclose(x, ndtri(p), rtol=2e-15, atol=0)
 
 
 def test_normal_log_cdf_deep_tail():

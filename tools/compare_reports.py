@@ -26,8 +26,7 @@ and prints one line per result:
 
 An error a call raises is printed in place of its result. The two dumps
 are then compared line by line: the tool prints `identical` and exits 0,
-or prints the first line that differs (every one with --all), from both
-sides, and exits 1.
+or prints every line that differs, from both sides, and exits 1.
 Every child runs single-threaded BLAS.
 """
 
@@ -306,8 +305,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, action="append", required=True,
                     help="a package source directory; give it twice")
-    ap.add_argument("--all", action="store_true",
-                    help="print every differing line, not just the first")
     args = ap.parse_args(argv)
     if len(args.src) != 2:
         ap.error("give --src exactly twice")
@@ -315,15 +312,15 @@ def main(argv=None) -> int:
         workdir = Path(tmp).resolve()
         write_inputs(workdir)
         a, b = (dump(src, workdir) for src in args.src)
-    differ = [(i, la, lb) for i, (la, lb) in enumerate(zip(a, b), start=1)
-              if la != lb]
-    for i, la, lb in differ if args.all else differ[:1]:
-        print(f"line {i} differs:\n{args.src[0]}: {la}\n{args.src[1]}: {lb}")
-    if differ:
-        return 1
+    same = len(a) == len(b)
+    for i, (la, lb) in enumerate(zip(a, b), start=1):
+        if la != lb:
+            same = False
+            print(f"line {i} differs:\n{args.src[0]}: {la}\n{args.src[1]}: {lb}")
     if len(a) != len(b):
         print(f"line {min(len(a), len(b)) + 1} differs: {args.src[0]} has "
               f"{len(a)} lines, {args.src[1]} {len(b)}")
+    if not same:
         return 1
     print("identical")
     return 0
