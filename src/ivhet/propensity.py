@@ -46,10 +46,10 @@ from .errors import (
     TrimError,
 )
 from .regression import (
-    DEFAULT_TRIM, _cluster_codes, _influence_se, _solve_ols, screen_columns)
+    DEFAULT_TRIM, _check_bootstrap, _cluster_codes, _influence_se, _solve_ols,
+    screen_columns)
 from .special import normal_cdf, normal_log_cdf, normal_quantile
 from .tables import record
-from .validity import _check_bootstrap
 
 LINKS = ("logit", "probit", "linear")
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyDataError, IdentificationError, RankError
+from .errors import (
+    ConfigError, DomainError, EmptyDataError, IdentificationError, RankError)
 
 PIVOT_RTOL = 1e-10
 
@@ -95,6 +96,14 @@ def _resolve_se(se_type: str | None, cluster) -> str:
     if se_type is not None:
         return se_type
     return "cluster" if cluster is not None else "hc1"
+
+
+def _check_bootstrap(reps: int, seed: int) -> None:
+    """The reps and seed checks of the validity and IPW bootstraps."""
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
 def _cluster_codes(labels):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SeparationError
-from .propensity import fit_binary_index
 from .regression import ols
+from .special import chi2_sf, f_sf
 from .tables import record
 
 _SPAN_TOL = 1e-8
@@ -113,13 +113,12 @@ def reset_linear(
     sl = slice(X.shape[1], X.shape[1] + q)
     gamma = aug.coefficients[sl]
     vg = aug.vcov[sl, sl]
-    from scipy.special import fdtrc
     try:    # gamma' vg^-1 gamma through the Cholesky factor vg = L L'
         w = np.linalg.solve(np.linalg.cholesky(vg), gamma)
         stat = float(w @ w) / q
     except np.linalg.LinAlgError:   # vg is not positive definite
         stat = float(gamma @ np.linalg.pinv(vg) @ gamma) / q
-    p = float(fdtrc(q, aug.df_resid, stat))
+    p = f_sf(stat, q, aug.df_resid)
     return TestReport(
         test="reset_linear", statistic=stat, df=(q, aug.df_resid), p_value=p,
         method={"powers": list(powers), "se_type": se_type,
@@ -139,6 +138,7 @@ def reset_binary_index(
     started at the base solution, and compares twice the log likelihood
     gain to a chi-squared with one degree of freedom per surviving column.
     """
+    from .propensity import fit_binary_index  # here, so reset_linear loads no scipy
     powers = _check_powers(powers)
     if link not in ("logit", "probit"):
         raise DomainError("reset_binary_index supports logit and probit links")
@@ -169,8 +169,7 @@ def reset_binary_index(
     lr = 2.0 * (aug.loglik - base.loglik)
     # the warm start makes the augmented likelihood no worse; clip noise
     lr = max(lr, 0.0)
-    from scipy.special import chdtrc
-    p = float(chdtrc(q, lr))
+    p = chi2_sf(lr, q)
     return TestReport(
         test="reset_binary_index", statistic=lr, df=(q,), p_value=p,
         method={"powers": list(powers), "link": link,

@@ -54,6 +54,7 @@ import numpy as np
 from .cells import CellTable
 from .data_model import Dataset
 from .errors import ConfigError, DomainError, UndefinedTestError
+from .regression import _check_bootstrap
 from .tables import fmtg, record
 
 _SIGMA_FLOOR = 1e-6
@@ -162,13 +163,6 @@ class ValidityReport:
 
     def to_dict(self) -> dict:
         return record(self, "method")
-
-
-def _check_bootstrap(reps: int, seed: int) -> None:
-    if reps < 1:
-        raise ConfigError(f"reps must be at least 1, got {reps}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
 class _Moments(NamedTuple):

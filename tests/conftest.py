@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ivhet
-from ivhet import Dataset, SeparationError, build_cells, reference_trial, spec_tests
+from ivhet import Dataset, SeparationError, build_cells, propensity, reference_trial
 
 
 def child_env():
@@ -129,12 +129,14 @@ def cell_ipw_design(kind):
 
 def fail_augmented_reset_fit(monkeypatch, message="augmented fit separated"):
     """Make reset_binary_index's warm-started augmented fit raise
-    SeparationError(message); the base fit runs as usual."""
-    real = spec_tests.fit_binary_index
+    SeparationError(message); the base fit runs as usual. reset_binary_index
+    imports fit_binary_index from propensity when called, so it is patched
+    there."""
+    real = propensity.fit_binary_index
 
     def fit(z, X, link="logit", start=None):
         if start is not None:
             raise SeparationError(message)
         return real(z, X, link=link)
 
-    monkeypatch.setattr(spec_tests, "fit_binary_index", fit)
+    monkeypatch.setattr(propensity, "fit_binary_index", fit)

@@ -524,8 +524,10 @@ def _modules_after(runs):
 
 def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv):
     """The import budget of a CLI process: `import ivhet` loads no submodule,
-    simulate no scipy, a saturated estimate neither dgp nor validity, and no
-    subcommand scipy.linalg."""
+    simulate and the outcome reset no scipy, a saturated estimate neither dgp
+    nor validity, the outcome reset neither propensity nor validity, a linear
+    estimate and the assignment reset no validity, and no subcommand
+    scipy.linalg."""
     assert _modules_after([]) == {"ivhet"}
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC))
@@ -538,6 +540,12 @@ def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv)
     cells = [*data, "--min-arm", "1"]
     loaded = _modules_after([["estimate", *cells]])
     assert not loaded & {"ivhet.dgp", "ivhet.validity"}, loaded
+    loaded = _modules_after([["reset", *data]])
+    assert not {m for m in loaded if m.startswith("scipy")}, loaded
+    assert not loaded & {"ivhet.propensity", "ivhet.validity"}, loaded
+    loaded = _modules_after([["estimate", *cells, "--saturated", "no", "--link", "probit"],
+                             ["reset", *data, "--link", "probit"]])
+    assert "scipy.special" in loaded and "ivhet.validity" not in loaded, loaded
     runs = [["estimate", *cells, "--link", "probit"],
             ["estimate", *cells, "--saturated", "no", "--link", "probit"],
             ["weights", *cells], ["manyiv", *cells], ["validity", *cells, "--reps", "9"],

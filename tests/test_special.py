@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from ivhet.special import normal_cdf, normal_log_cdf, normal_quantile
+from ivhet.special import chi2_sf, f_sf, normal_cdf, normal_log_cdf, normal_quantile
 
 GRID = np.concatenate([
     np.linspace(-40.0, 40.0, 4001),
@@ -80,3 +81,59 @@ def test_extreme_arguments_saturate():
     assert normal_cdf(50.0) == 1.0
     assert normal_cdf(-50.0) == 0.0
     assert np.isfinite(normal_log_cdf(np.array([-400.0]))[0])
+
+
+# RESET's F has df1 = q in 1-3 and df2 = n - k - q, from the smallest samples
+# to n = 4e6, where y = df2 / (df2 + q F) lies within 1e-6 of 1
+F_STATS = np.logspace(-6.0, 4.0, 601)
+
+
+@pytest.mark.parametrize("df1", [1, 2, 3])
+@pytest.mark.parametrize("df2", [5, 100, 1996, 49996, 4_000_000])
+def test_f_sf_matches_scipy(df1, df2):
+    ref = scipy.stats.f.sf(F_STATS, df1, df2)
+    got = np.array([f_sf(v, df1, df2) for v in F_STATS])
+    ok = ref >= 1e-300
+    rel = np.abs(got[ok] - ref[ok]) / ref[ok]
+    assert rel.max() <= (1e-12 if df2 <= 100_000 else 1e-10)
+    if df1 == 2:    # I_y(df2/2, 1) = y^(df2/2) exactly
+        exact = np.exp(-0.5 * df2 * np.log1p(2.0 * F_STATS[ok] / df2))
+        np.testing.assert_allclose(got[ok], exact, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3])
+def test_chi2_sf_matches_scipy(df):
+    # scipy's chdtrc is itself 3e-14 off the exact tail near x = 2 for df = 1;
+    # past x = 100 erfc and exp turn an ulp of x into x/2 ulp of the tail
+    x = np.logspace(-6.0, 3.2, 601)
+    ref = scipy.stats.chi2.sf(x, df)
+    got = np.array([chi2_sf(v, df) for v in x])
+    ok = ref >= 1e-300
+    rel = np.abs(got[ok] - ref[ok]) / ref[ok]
+    assert np.all(rel <= 5e-14 + x[ok] * np.finfo(float).eps)
+
+
+def test_chi2_sf_matches_the_exact_tail():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for df in (1, 2, 3):
+        for x in np.logspace(-6.0, 1.0, 50):
+            exact = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2,
+                                    regularized=True)
+            assert abs(chi2_sf(x, df) - exact) <= 2e-15 * exact
+
+
+def test_tails_match_scipy_at_the_edges():
+    """Statistic 0 gives 1, +inf gives 0, NaN or negative gives NaN, and so
+    does a df that is not positive, as in scipy.special."""
+    from scipy.special import chdtrc, fdtrc
+    stats = (0.0, np.inf, np.nan, -1.0)
+    bad_df = [(1, 0), (1, -1), (0, 10)]
+    for df1, df2 in [(1, 10), (2, 7), (3, 4_000_000), *bad_df]:
+        for s in stats:
+            np.testing.assert_equal(f_sf(s, df1, df2), fdtrc(df1, df2, s))
+    for df1, df2 in bad_df:
+        assert np.isnan(f_sf(1.0, df1, df2)) and np.isnan(fdtrc(df1, df2, 1.0))
+    for df in (1, 2, 3):
+        for s in stats:
+            np.testing.assert_equal(chi2_sf(s, df), chdtrc(df, s))
