@@ -32,7 +32,6 @@ _MODULES = {
                   "ipw_late",
     "regression": "RegressionFit hat_diagonals ols tsls",
     "spec_tests": "TestReport reset_binary_index reset_linear",
-    "special": "normal_cdf normal_log_cdf",
     "validity": "OutcomeSetPartition ValidityReport bp_test "
                 "first_stage_nonneg_test mw_test",
 }

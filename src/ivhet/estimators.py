@@ -91,10 +91,7 @@ def _weight_table(p, var, pi, tau, degenerate) -> WeightTable:
 
 def decompose_weights(ct: CellTable) -> WeightTable:
     """Cell weights for the three estimands from cell statistics alone."""
-    mask = ct.retained
-    if not mask.any():
-        raise IdentificationError("no non-degenerate cells")
-    return _weight_table(ct.p_j, ct.var_z_j, np.where(mask, ct.pi_j, 0.0),
+    return _weight_table(ct.p_j, ct.var_z_j, np.where(ct.retained, ct.pi_j, 0.0),
                          ct.tau_j.copy(), ct.degenerate.copy())
 
 

@@ -48,7 +48,6 @@ from .errors import (
 from .regression import (
     DEFAULT_TRIM, _check_bootstrap, _cluster_codes, _influence_se, _solve_ols,
     screen_columns)
-from .special import normal_cdf, normal_log_cdf, normal_quantile
 from .tables import record
 
 LINKS = ("logit", "probit", "linear")
@@ -99,12 +98,13 @@ def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
     # Each row is worked on the sides of t = Phi(-|eta|), whose log-CDFs are
     # log t (small) and log1p(-t) (large): zs = 1 marks z on the small side,
     # and the score flips sign where eta > 0. Buffers are reused through out=.
+    from scipy.special import log_ndtr, ndtr   # here, so logit fits load no scipy
     a = np.negative(np.abs(eta))
-    log_s = normal_cdf(a)
+    log_s = ndtr(a)
     log_l = np.log1p(np.negative(log_s))
     far = a <= -37.0
     np.log(log_s, out=log_s, where=~far)
-    log_s[far] = normal_log_cdf(a[far])
+    log_s[far] = log_ndtr(a[far])
     pos = eta > 0.0
     zs = np.abs(z - pos)
     zl = np.subtract(1.0, zs)
@@ -175,8 +175,7 @@ def _fit_screened(z, X, link, start, m, intercept_added=False):
             intercept_added=intercept_added, phat_in_unit=inside, _design=X,
         )
 
-    parts, cdf = ((_logit_parts, _logistic) if link == "logit"
-                  else (_probit_parts, normal_cdf))
+    parts = _logit_parts if link == "logit" else _probit_parts
     k = X.shape[1]
     if start is not None and start.shape[0] == k:
         beta = start.astype(np.float64).copy()
@@ -245,8 +244,12 @@ def _fit_screened(z, X, link, start, m, intercept_added=False):
         )
 
     eta = X @ beta
-    eps = np.finfo(np.float64).tiny
-    phat = np.clip(cdf(eta), eps, 1.0 - eps)
+    if link == "logit":
+        phat = _logistic(eta)
+    else:
+        from scipy.special import ndtr
+        phat = ndtr(eta)
+    phat = np.maximum(phat, np.finfo(np.float64).tiny)    # no cap: 1 - tiny == 1
     return PropensityFit(
         link=link, coefficients=beta, index=eta, phat=phat,
         converged=True, iterations=it, loglik=ll,
@@ -267,7 +270,8 @@ def fit_cell_propensity(ct: CellTable, link: str = "logit") -> PropensityFit:
         if link == "logit":
             coef = np.log(p / (1.0 - p))
         else:
-            coef = normal_quantile(p)
+            from statistics import NormalDist    # AS241, as dgp.normal_quantile
+            coef = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
         ll = float(ct.n1_j @ np.log(q, out=np.zeros_like(q), where=q > 0.0)
                    + ct.n0_j @ np.log1p(-q, out=np.zeros_like(q), where=q < 1.0))
     return PropensityFit(link, coef, coef[a], p[a], converged=True, iterations=0,

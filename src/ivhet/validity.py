@@ -55,7 +55,7 @@ from .cells import CellTable
 from .data_model import Dataset
 from .errors import ConfigError, DomainError, UndefinedTestError
 from .regression import _check_bootstrap
-from .tables import fmtg, record
+from .tables import record
 
 _SIGMA_FLOOR = 1e-6
 _MAX_SUPPORT = 12
@@ -95,8 +95,20 @@ class OutcomeSetPartition:
         m = len(self.cut_points)
         return m * (m - 1) // 2
 
+    def _text(self, i: int) -> str:
+        """Cut i with the fewest significant digits, at least 6, at which it
+        reads unlike each neighbouring cut and not as the float just below
+        it (a top cut nextafter(max y) must not read as max y, left out)."""
+        c = self.cut_points
+        near = [c[k] for k in (i - 1, i + 1) if 0 <= k < len(c)]
+        for p in range(6, 18):    # 17 digits tell any two floats apart
+            text = f"{c[i]:.{p}g}"
+            if float(text) != np.nextafter(c[i], -np.inf) and all(
+                    f"{v:.{p}g}" != text for v in near):
+                return text
+
     def _label(self, a: int, b: int) -> str:
-        return f"[{fmtg(self.cut_points[a])}, {fmtg(self.cut_points[b])})"
+        return f"[{self._text(a)}, {self._text(b)})"
 
     def ensure_covers(self, y: np.ndarray) -> "OutcomeSetPartition":
         """Extend the grid so the widest candidate contains every outcome."""

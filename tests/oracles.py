@@ -411,14 +411,23 @@ def engine_signs(ds, ct, cut_points, reps, seed):
 def candidate_sets(partition):
     """(lo, hi, label) of every candidate set [c_a, c_b), a < b, of the
     partition's cut points, a major, each labelled "[lo, hi)" with each end
-    in the :g format, or as its repr where :g reads back as another float."""
-    def end(v):
-        return f"{v:g}" if float(f"{v:g}") == v else repr(v)
-
+    rounded to the fewest significant digits, at least 6, that keep it apart
+    from the cuts next to it and from the float just below it, and printed in
+    the :g format at that precision."""
     cuts = partition.cut_points
+
+    def end(i):
+        near = cuts[max(i - 1, 0):i] + cuts[i + 1:i + 2]
+        digits = 6
+        while (float(f"{cuts[i]:.{digits - 1}e}") == np.nextafter(cuts[i], -np.inf)
+               or any(float(f"{v:.{digits - 1}e}") == float(f"{cuts[i]:.{digits - 1}e}")
+                      for v in near)):
+            digits += 1
+        return f"{cuts[i]:.{digits}g}"
+
     for a in range(len(cuts)):
         for b in range(a + 1, len(cuts)):
-            yield cuts[a], cuts[b], f"[{end(cuts[a])}, {end(cuts[b])})"
+            yield cuts[a], cuts[b], f"[{end(a)}, {end(b)})"
 
 
 def dense_bp_moments(ds, ct=None, partition=None):

@@ -525,9 +525,9 @@ def _modules_after(runs):
 def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv):
     """The import budget of a CLI process: `import ivhet` loads no submodule,
     simulate and the outcome reset no scipy, a saturated estimate neither dgp
-    nor validity, the outcome reset neither propensity nor validity, a linear
-    estimate and the assignment reset no validity, and no subcommand
-    scipy.linalg."""
+    nor validity, and with --link probit no scipy either, the outcome reset
+    neither propensity nor validity, a linear estimate and the assignment
+    reset no validity, and no subcommand scipy.linalg or ivhet.special."""
     assert _modules_after([]) == {"ivhet"}
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC))
@@ -540,6 +540,9 @@ def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv)
     cells = [*data, "--min-arm", "1"]
     loaded = _modules_after([["estimate", *cells]])
     assert not loaded & {"ivhet.dgp", "ivhet.validity"}, loaded
+    loaded = _modules_after([["estimate", *cells, "--link", "probit"]])
+    assert not {m for m in loaded if m.startswith("scipy")}, loaded
+    assert "ivhet.propensity" in loaded and "ivhet.dgp" not in loaded, loaded
     loaded = _modules_after([["reset", *data]])
     assert not {m for m in loaded if m.startswith("scipy")}, loaded
     assert not loaded & {"ivhet.propensity", "ivhet.validity"}, loaded
@@ -552,6 +555,7 @@ def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv)
             ["reset", *data], ["reset", *data, "--link", "probit"], simulate]
     loaded = _modules_after(runs)
     assert "scipy.special" in loaded and "scipy.linalg" not in loaded, loaded
+    assert "ivhet.special" not in loaded, loaded
 
 
 def test_manyiv_reports_leverage_errors(trial_csv, capsys):

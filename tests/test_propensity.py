@@ -674,6 +674,22 @@ def test_ipw_bootstrap_rejects_bad_reps_and_seed(kwargs, message):
         ipw_late(ds, pf, se="bootstrap", **kwargs)
 
 
+def test_fit_started_far_on_one_side_stalls():
+    """Started at an intercept of 50, every row's logistic p rounds to 1.0,
+    so each information p(1 - p) sits at the 1e-12 floor and the Newton step
+    is ~1e12 long: 30 halvings still overshoot, no trial step is uphill, and
+    the score is far above 10x its gate, a ConvergenceError. From zeros the
+    same fit converges."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=200)
+    z = (x + rng.normal(size=200) > 0).astype(float)
+    assert fit_binary_index(z, x).converged
+    # the rejected trial steps put eta past -709, where exp(-eta) overflows
+    with np.errstate(over="ignore"), pytest.raises(
+            ConvergenceError, match=r"logit fit stalled after 1 iterations .* max score 107"):
+        fit_binary_index(z, x, start=np.array([50.0, 0.0]))
+
+
 @pytest.mark.parametrize("link", ["logit", "probit", "linear"])
 def test_fit_rejects_empty_sample(link):
     with pytest.raises(EmptyDataError, match="no rows to fit"):

@@ -22,6 +22,16 @@ from oracles import (
 )
 
 
+def test_classical_se_needs_residual_degrees_of_freedom():
+    """With as many rows as the rank, the residuals are all zero and the
+    classical variance s^2 (X'X)^-1 divides by n - rank = 0."""
+    X = np.column_stack([np.ones(3), [0.0, 1.0, 3.0], [1.0, 0.0, 2.0]])
+    y = np.array([1.0, 2.0, 0.5])
+    assert ols(y, X, se_type="hc0").df_resid == 0
+    with pytest.raises(DomainError, match="no residual degrees of freedom"):
+        ols(y, X, se_type="classical")
+
+
 def _random_instance(rng, n=60, k=4):
     X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
     beta = rng.normal(size=k)

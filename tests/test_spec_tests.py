@@ -200,7 +200,7 @@ def test_report_to_dict():
 
 
 def test_import_does_not_load_scipy_stats():
-    # p-values come from ivhet.special's own F and chi-squared tails;
+    # the RESET p-values come from spec_tests' own F and chi-squared tails;
     # scipy.stats would cost more than the rest of the package to import
     code = "import sys, ivhet; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())

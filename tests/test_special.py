@@ -1,9 +1,14 @@
+"""The probit kernel's normal CDF terms from scipy.special, the AS241 normal
+quantile of the noise draws, and the F and chi-squared tails of RESET."""
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from ivhet.special import chi2_sf, f_sf, normal_cdf, normal_log_cdf, normal_quantile
+from ivhet.dgp import normal_quantile
+from ivhet.propensity import _probit_parts
+from ivhet.spec_tests import chi2_sf, f_sf
 
 GRID = np.concatenate([
     np.linspace(-40.0, 40.0, 4001),
@@ -12,14 +17,20 @@ GRID = np.concatenate([
 ])
 
 
+def row_parts(eta, z=1.0):
+    """_probit_parts of each eta alone, as a one-row sample with response z:
+    the row's loglik log Phi(+-eta), its score u and its weight w."""
+    out = [_probit_parts(np.array([v]), np.array([z])) for v in np.ravel(eta)]
+    return tuple(np.array([o[k] if k == 0 else o[k][0] for o in out]) for k in range(3))
+
+
 def test_normal_cdf_matches_scipy():
-    ref = scipy.stats.norm.cdf(GRID)
-    got = normal_cdf(GRID)
-    # compare over the normal range; below ~1e-300 the reference itself is
-    # subnormal and the implementation flushes to zero
-    ok = ref > 1e-300
-    rel = np.abs(got[ok] - ref[ok]) / ref[ok]
-    assert rel.max() < 1e-12
+    """Each row's loglik is log Phi(eta) for z = 1 and log Phi(-eta) for
+    z = 0, to 1e-12 relative, across the |eta| = 37 switch to log_ndtr."""
+    for z, sign in ((1.0, 1.0), (0.0, -1.0)):
+        ref = scipy.stats.norm.logcdf(sign * GRID)
+        got = row_parts(GRID, z)[0]
+        assert (np.abs(got - ref) <= 1e-12 * np.abs(ref)).all()
 
 
 def test_normal_quantile_matches_the_stdlib():
@@ -44,7 +55,7 @@ def test_normal_quantile_matches_the_stdlib():
 def test_normal_log_cdf_deep_tail():
     x = np.array([-1.0, -5.0, -10.0, -20.0, -37.0, -100.0, -300.0])
     ref = scipy.stats.norm.logcdf(x)
-    got = normal_log_cdf(x)
+    got = row_parts(x)[0]
     rel = np.abs(got - ref) / np.abs(ref)
     assert rel.max() < 1e-12
 
@@ -52,35 +63,47 @@ def test_normal_log_cdf_deep_tail():
 def test_normal_log_cdf_right_tail():
     # log Phi(x) for large positive x is a tiny negative number; the naive
     # log(cdf) loses all precision here
-    x = np.array([1.0, 3.0, 5.0, 7.9, 8.0])
+    x = np.array([1.0, 3.0, 5.0, 7.9, 8.0, 37.0, 300.0])
     ref = scipy.stats.norm.logcdf(x)
-    got = normal_log_cdf(x)
+    got = row_parts(x)[0]
     ok = np.abs(ref) > 1e-300
     rel = np.abs(got[ok] - ref[ok]) / np.abs(ref[ok])
     assert rel.max() < 1e-10
+    assert (np.abs(got[~ok]) <= 1e-300).all()
 
 
 def test_scalar_and_array_paths_agree():
-    for v in (-3.5, -0.2, 0.0, 0.7, 9.0):
-        assert normal_cdf(v) == normal_cdf(np.array([v]))[0]
+    """A sample's u and w are its rows' own, and its loglik their sum."""
+    eta = np.array([-3.5, -0.2, 0.0, 0.7, 9.0, -40.0, 40.0])
+    z = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    ll, u, w = _probit_parts(eta, z)
+    rows = [row_parts(e, v) for e, v in zip(eta, z)]
+    np.testing.assert_allclose(u, [r[1][0] for r in rows], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(w, [r[2][0] for r in rows], rtol=1e-15, atol=0)
+    assert ll == pytest.approx(sum(r[0][0] for r in rows), rel=1e-15)
 
 
-@given(st.floats(min_value=-30, max_value=30, allow_nan=False))
-def test_cdf_complement_identity(x):
-    a = normal_cdf(x) + normal_cdf(-x)
-    assert abs(a - 1.0) < 1e-14
+@given(st.floats(min_value=-300, max_value=300), st.sampled_from([0.0, 1.0]))
+def test_cdf_complement_identity(x, z):
+    """(eta, z) and (-eta, 1 - z) give the same loglik and weight and
+    opposite scores: Phi(-eta) = 1 - Phi(eta)."""
+    ll, u, w = row_parts(x, z)
+    ll_m, u_m, w_m = row_parts(-x, 1.0 - z)
+    assert ll[0] == ll_m[0] and w[0] == w_m[0] and u[0] == -u_m[0]
 
 
-@given(st.floats(min_value=-35, max_value=35), st.floats(min_value=-35, max_value=35))
+@given(st.floats(min_value=-300, max_value=300), st.floats(min_value=-300, max_value=300))
 def test_cdf_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
-    assert normal_cdf(lo) <= normal_cdf(hi)
+    ll1, ll0 = row_parts([lo, hi])[0], row_parts([lo, hi], 0.0)[0]
+    assert ll1[0] <= ll1[1] and ll0[0] >= ll0[1]
 
 
 def test_extreme_arguments_saturate():
-    assert normal_cdf(50.0) == 1.0
-    assert normal_cdf(-50.0) == 0.0
-    assert np.isfinite(normal_log_cdf(np.array([-400.0]))[0])
+    assert row_parts(50.0)[0][0] == 0.0 and row_parts(-50.0, 0.0)[0][0] == 0.0
+    for z in (0.0, 1.0):
+        ll, u, w = row_parts([-400.0, 400.0], z)
+        assert np.isfinite(ll).all() and np.isfinite(u).all() and np.isfinite(w).all()
 
 
 # RESET's F has df1 = q in 1-3 and df2 = n - k - q, from the smallest samples

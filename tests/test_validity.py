@@ -58,6 +58,26 @@ def test_partition_validation():
         OutcomeSetPartition((2.0, 1.0))
 
 
+def test_decile_labels_print_six_significant_digits():
+    """Decile cuts of a continuous outcome print with 6 significant digits,
+    not as 17-digit reprs, while cut_points keep every bit; a cut within
+    1e-7 of its neighbour takes the digits that tell the two apart."""
+    y = np.random.default_rng(5).normal(size=2000)
+    p = OutcomeSetPartition.from_deciles(y)
+    cuts = p.cut_points
+    assert cuts == tuple(np.quantile(y, np.linspace(0.0, 1.0, 11))[:-1]) + (
+        np.nextafter(y.max(), np.inf),)
+    labels = [p._label(a, b) for a, b in zip(*np.triu_indices(len(cuts), 1))]
+    assert labels == [f"[{a:.6g}, {b:.6g})" for a, b, _ in candidate_sets(p)]
+    close = OutcomeSetPartition((1.0, 1.0000001, 1.5000000002, 2.0))
+    assert close._label(0, 1) == "[1, 1.0000001)"
+    assert close._label(2, 3) == "[1.5, 2)"
+    # a grid extended to cover max y = 2 ends at nextafter(2), whose
+    # neighbour 1 is far off: it still prints apart from 2, which it holds
+    grid = OutcomeSetPartition((-1.0, 0.0, 1.0)).ensure_covers(np.array([-1.0, 2.0]))
+    assert grid._label(2, 3) == "[1, 2.0000000000000004)"
+
+
 def test_partition_candidates_all_pairs():
     p = OutcomeSetPartition((0.0, 1.0, 2.0))
     cands = list(candidate_sets(p))
@@ -66,9 +86,9 @@ def test_partition_candidates_all_pairs():
 
 
 def test_partition_labels_tell_apart_the_top_cut():
-    """The top cut of a support partition, nextafter(max y), prints as its
-    repr, since its :g form reads back as max y: the set that holds y = 2
-    is not labelled like [1, 2), and no two candidate sets share a label."""
+    """The top cut of a support partition, nextafter(max y), prints with 17
+    significant digits, since at fewer it reads as max y: the set that holds
+    y = 2 is not labelled like [1, 2), and no two candidate sets share a label."""
     p = OutcomeSetPartition.from_support(np.array([-1.0, 0.0, 1.0, 2.0]))
     top = repr(float(np.nextafter(2.0, np.inf)))
     assert top == "2.0000000000000004"

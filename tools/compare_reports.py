@@ -15,6 +15,8 @@ and prints one line per result:
 * repr(to_dict()) of ipw_late for the three links (fitted on the
   covariates and on the cells, delta and bootstrap SEs), of both reset
   tests, and the cell statistics table as text and JSON;
+* the repr of fit_cell_propensity's coefficients, as a list of floats,
+  and its loglik, for the three links;
 * DGPSpec.from_json on good and bad spec files;
 * the stdout, stderr and exit code of `ivhet` run in process for every
   subcommand, in text and with --json, and of each --help; the data
@@ -110,6 +112,9 @@ for seed, n, cells, discrete_y in [(1, 400, 3, True), (2, 1500, 8, False),
             ds, ivhet.fit_binary_index(ds.z, cont, link=link)).to_dict())
         show(f"{tag} ipw cells {link}", lambda: ivhet.ipw_late(
             ds, ivhet.fit_cell_propensity(ct, link), trim=(0.05, 0.95)).to_dict())
+        show(f"{tag} cell fit {link}", lambda: (
+            lambda pf: (pf.coefficients.tolist(), pf.loglik))(
+                ivhet.fit_cell_propensity(ct, link)))
     show(f"{tag} ipw bootstrap", lambda: ivhet.ipw_late(
         ds, ivhet.fit_binary_index(ds.z, cont), se="bootstrap", reps=8,
         seed=seed).to_dict())
