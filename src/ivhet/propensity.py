@@ -46,8 +46,8 @@ from .errors import (
     TrimError,
 )
 from .regression import (
-    DEFAULT_TRIM, _check_bootstrap, _cluster_codes, _influence_se, _solve_ols,
-    screen_columns)
+    DEFAULT_TRIM, _check_bootstrap, _cluster_codes, _columns, _influence_se,
+    _solve_ols, screen_columns)
 from .tables import record
 
 LINKS = ("logit", "probit", "linear")
@@ -82,7 +82,8 @@ def _wsum(v: np.ndarray, m) -> float:
 
 
 def _logistic(eta: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-eta))
+    with np.errstate(over="ignore"):   # exp(-eta) = inf below eta ~ -709 gives p = 0
+        return 1.0 / (1.0 + np.exp(-eta))
 
 
 def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None):
@@ -140,9 +141,7 @@ def fit_binary_index(
     if link not in LINKS:
         raise DomainError(f"unknown link '{link}'; choose from {LINKS}")
     z = np.asarray(z, dtype=np.float64).ravel()
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] != z.shape[0]:
-        X = X.T
+    X = _columns(X)
     if X.shape[0] != z.shape[0]:
         raise DomainError("design and response have different lengths")
     if z.shape[0] == 0:

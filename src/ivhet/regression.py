@@ -149,17 +149,6 @@ def _influence_se(infl: np.ndarray, cluster) -> float:
     return float(np.sqrt(factor * float(meat[0, 0]))) / n
 
 
-def _sandwich(design: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray,
-              se_type: str, cluster, df_resid: int) -> np.ndarray:
-    """Covariance of the coefficients for the kept columns."""
-    if se_type == "classical":
-        if df_resid <= 0:
-            raise DomainError("no residual degrees of freedom for classical se")
-        return float(resid @ resid) / df_resid * xtx_inv
-    meat, factor = _meat(design * resid[:, None], se_type, cluster, df_resid)
-    return factor * xtx_inv @ meat @ xtx_inv
-
-
 def _solve_ols(y: np.ndarray, Xk: np.ndarray):
     """Coefficients and (X'X)^-1 for a full-rank design via thin QR. R is
     upper triangular, so LAPACK's LU solves take no pivot and back-substitute."""
@@ -170,22 +159,40 @@ def _solve_ols(y: np.ndarray, Xk: np.ndarray):
     return coef, xtx_inv
 
 
-def _embed(values: np.ndarray, kept: list[int], k: int) -> np.ndarray:
-    out = np.zeros(k)
-    out[kept] = values
-    return out
-
-
-def _embed_matrix(vk: np.ndarray, kept: list[int], k: int) -> np.ndarray:
-    out = np.zeros((k, k))
-    out[np.ix_(kept, kept)] = vk
-    return out
-
-
 def _columns(a) -> np.ndarray:
     """float64, and a 1-D array becomes one column."""
     a = np.asarray(a, dtype=np.float64)
     return a[:, None] if a.ndim == 1 else a
+
+
+def _fit(y, design, regressors, kept, k, se_type, cluster, endog_index=None):
+    """The fit of y on a full-rank design, reported on k original columns.
+
+    Residuals are y minus regressors times the coefficients: the design
+    itself for OLS, the structural [X_exog, d] for 2SLS, whose sandwich uses
+    the projected design. kept gives each design column's original column;
+    the others are listed in dropped with zero entries.
+    """
+    coef, xtx_inv = _solve_ols(y, design)
+    fitted = regressors @ coef
+    resid = y - fitted
+    rank = design.shape[1]
+    df_resid = y.shape[0] - rank
+    if se_type == "classical":
+        if df_resid <= 0:
+            raise DomainError("no residual degrees of freedom for classical se")
+        vcov_k = float(resid @ resid) / df_resid * xtx_inv
+    else:
+        meat, factor = _meat(design * resid[:, None], se_type, cluster, df_resid)
+        vcov_k = factor * xtx_inv @ meat @ xtx_inv
+    coefficients, vcov = np.zeros(k), np.zeros((k, k))
+    coefficients[kept] = coef
+    vcov[np.ix_(kept, kept)] = vcov_k
+    return RegressionFit(
+        coefficients=coefficients, fitted=fitted, residuals=resid, vcov=vcov,
+        df_resid=df_resid, rank=rank, se_type=se_type,
+        dropped=tuple(sorted(set(range(k)).difference(kept))),
+        endog_index=endog_index)
 
 
 def ols(y, X, se_type: str = "hc1", cluster=None) -> RegressionFit:
@@ -203,35 +210,18 @@ def ols(y, X, se_type: str = "hc1", cluster=None) -> RegressionFit:
     if not kept:
         raise RankError("all design columns are collinear or zero")
     Xk = X[:, kept]
-    coef_k, xtx_inv = _solve_ols(y, Xk)
-    fitted = Xk @ coef_k
-    resid = y - fitted
-    rank = len(kept)
-    df_resid = n - rank
-    vcov_k = _sandwich(Xk, resid, xtx_inv, se_type, cluster, df_resid)
-
-    dropped = tuple(j for j in range(k) if j not in set(kept))
-    return RegressionFit(
-        coefficients=_embed(coef_k, kept, k),
-        fitted=fitted,
-        residuals=resid,
-        vcov=_embed_matrix(vcov_k, kept, k),
-        df_resid=df_resid,
-        rank=rank,
-        se_type=se_type,
-        dropped=dropped,
-    )
+    return _fit(y, Xk, Xk, kept, k, se_type, cluster)
 
 
 def tsls(y, X_exog, d_endog, Z_inst, se_type: str = "hc1", cluster=None) -> RegressionFit:
     """2SLS of y on [X_exog, d_endog] with instruments [X_exog, Z_inst].
 
     One endogenous regressor, one or more excluded instruments. The
-    coefficient vector covers the kept exogenous columns followed by the
-    endogenous coefficient in the last position (endog_index). Residuals
-    are structural, y minus the original regressors times the estimate, and
-    the sandwich uses the projected design, so the reported covariance is
-    the usual 2SLS one.
+    coefficient vector covers the exogenous columns, zero where the screen
+    drops one, followed by the endogenous coefficient in the last position
+    (endog_index). Residuals are structural, y minus the original
+    regressors times the estimate, and the sandwich uses the projected
+    design, so the reported covariance is the usual 2SLS one.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     d = np.asarray(d_endog, dtype=np.float64).ravel()
@@ -245,7 +235,7 @@ def tsls(y, X_exog, d_endog, Z_inst, se_type: str = "hc1", cluster=None) -> Regr
 
     kept_x, _ = screen_columns(X_exog)
     Xe = X_exog[:, kept_x]
-    k_exog_all = X_exog.shape[1]
+    k_exog = X_exog.shape[1]
 
     # first stage on the full instrument set
     Zfull = np.column_stack([Xe, Z_inst])
@@ -262,29 +252,8 @@ def tsls(y, X_exog, d_endog, Z_inst, se_type: str = "hc1", cluster=None) -> Regr
             "projected treatment is collinear with the exogenous columns "
             "(zero first stage)"
         )
-    coef, xtx_inv = _solve_ols(y, design)
-    structural = np.column_stack([Xe, d])
-    fitted = structural @ coef
-    resid = y - fitted
-    rank = design.shape[1]
-    df_resid = n - rank
-    vcov = _sandwich(design, resid, xtx_inv, se_type, cluster, df_resid)
-
-    # re-embed the exogenous block so callers can index by original column
-    k_total = k_exog_all + 1
-    kept_full = kept_x + [k_exog_all]
-    dropped = tuple(j for j in range(k_exog_all) if j not in set(kept_x))
-    return RegressionFit(
-        coefficients=_embed(coef, kept_full, k_total),
-        fitted=fitted,
-        residuals=resid,
-        vcov=_embed_matrix(vcov, kept_full, k_total),
-        df_resid=df_resid,
-        rank=rank,
-        se_type=se_type,
-        dropped=dropped,
-        endog_index=k_total - 1,
-    )
+    return _fit(y, design, np.column_stack([Xe, d]), kept_x + [k_exog],
+                k_exog + 1, se_type, cluster, endog_index=k_exog)
 
 
 def hat_diagonals(X) -> np.ndarray:

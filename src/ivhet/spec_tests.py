@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SeparationError
-from .regression import ols
+from .regression import _columns, ols
 from .tables import record
 
 _SPAN_TOL = 1e-8
@@ -154,13 +154,6 @@ def _check_powers(powers) -> tuple[int, ...]:
     return powers
 
 
-def _standardize(v: np.ndarray) -> np.ndarray | None:
-    s = v.std()
-    if s == 0.0 or not np.isfinite(s):
-        return None
-    return (v - v.mean()) / s
-
-
 def _residualize(cols: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Project the columns off the span of X, keep the ones with signal left."""
     coef, _, _, _ = np.linalg.lstsq(X, cols, rcond=None)
@@ -169,6 +162,15 @@ def _residualize(cols: np.ndarray, X: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(resid, axis=0)
     keep = norms > _SPAN_TOL * np.maximum(norms0, 1.0)
     return resid[:, keep]
+
+
+def _added_powers(v: np.ndarray, powers, X: np.ndarray) -> np.ndarray | None:
+    """The powers of standardized v, residualized on X; None if v is constant."""
+    s = v.std()
+    if s == 0.0 or not np.isfinite(s):
+        return None
+    vhat = (v - v.mean()) / s
+    return _residualize(np.column_stack([vhat**p for p in powers]), X)
 
 
 def _trivial(test: str, note: str) -> TestReport:
@@ -191,16 +193,14 @@ def reset_linear(
     """
     powers = _check_powers(powers)
     y = np.asarray(y, dtype=np.float64).ravel()
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _columns(X)
     if X.shape[0] != y.shape[0]:
         raise DomainError("design and response have different lengths")
 
     base = ols(y, X, se_type="hc0")
-    vhat = _standardize(base.fitted)
-    if vhat is None:
+    added = _added_powers(base.fitted, powers, X)
+    if added is None:
         return _trivial("reset_linear", "fitted values are constant")
-    added = np.column_stack([vhat**p for p in powers])
-    added = _residualize(added, X)
     if added.shape[1] == 0:
         return _trivial("reset_linear", "fitted-value powers add no direction "
                                         "outside the design span")
@@ -244,11 +244,9 @@ def reset_binary_index(
     if link not in ("logit", "probit"):
         raise DomainError("reset_binary_index supports logit and probit links")
     base = fit_binary_index(z, X, link=link)
-    vhat = _standardize(base.index)
-    if vhat is None:
+    added = _added_powers(base.index, powers, base._design)
+    if added is None:
         return _trivial("reset_binary_index", "fitted index is constant")
-    added = np.column_stack([vhat**p for p in powers])
-    added = _residualize(added, base._design)
     note = "index powers add no direction outside the design span"
     if added.shape[1] == 0:
         return _trivial("reset_binary_index", note)

@@ -674,20 +674,36 @@ def test_ipw_bootstrap_rejects_bad_reps_and_seed(kwargs, message):
         ipw_late(ds, pf, se="bootstrap", **kwargs)
 
 
+def _far_start_sample():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=200)
+    return (x + rng.normal(size=200) > 0).astype(float), x
+
+
+def _fit_from_far_start(z, x):
+    with pytest.raises(ConvergenceError,
+                       match=r"logit fit stalled after 1 iterations .* max score 107"):
+        fit_binary_index(z, x, start=np.array([50.0, 0.0]))
+
+
 def test_fit_started_far_on_one_side_stalls():
     """Started at an intercept of 50, every row's logistic p rounds to 1.0,
     so each information p(1 - p) sits at the 1e-12 floor and the Newton step
     is ~1e12 long: 30 halvings still overshoot, no trial step is uphill, and
     the score is far above 10x its gate, a ConvergenceError. From zeros the
     same fit converges."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=200)
-    z = (x + rng.normal(size=200) > 0).astype(float)
+    z, x = _far_start_sample()
     assert fit_binary_index(z, x).converged
-    # the rejected trial steps put eta past -709, where exp(-eta) overflows
-    with np.errstate(over="ignore"), pytest.raises(
-            ConvergenceError, match=r"logit fit stalled after 1 iterations .* max score 107"):
-        fit_binary_index(z, x, start=np.array([50.0, 0.0]))
+    _fit_from_far_start(z, x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_logistic_underflow_raises_no_warning():
+    """exp(-eta) overflows to inf below eta ~ -709, which gives the right
+    p = 0 and no RuntimeWarning, also in the far-started fit whose rejected
+    trial steps go there."""
+    assert propensity._logistic(np.array([-800.0]))[0] == 0.0
+    _fit_from_far_start(*_far_start_sample())
 
 
 @pytest.mark.parametrize("link", ["logit", "probit", "linear"])
@@ -997,6 +1013,9 @@ def test_fit_and_ipw_input_checks():
     z, X = _sample(2, n=200)
     with pytest.raises(DomainError, match="design and response have different lengths"):
         fit_binary_index(z, X[:150])
+    # a (k, n) design is an error, not read as its transpose
+    with pytest.raises(DomainError, match="design and response have different lengths"):
+        fit_binary_index(z, X.T)
     ds = _bootstrap_design(0, "overlap", False)
     pf = fit_binary_index(ds.z, ds.x, link="logit")
     with pytest.raises(DomainError, match="propensity fit and dataset have different lengths"):

@@ -6,8 +6,11 @@ from ivhet import (
     EmptyDataError,
     IdentificationError,
     RankError,
+    fit_binary_index,
     hat_diagonals,
     ols,
+    reset_binary_index,
+    reset_linear,
     tsls,
 )
 from ivhet.regression import _meat, screen_columns
@@ -238,6 +241,33 @@ def test_tsls_zero_first_stage():
         tsls(y, Xe, d, z, se_type="hc0")
 
 
+@pytest.mark.parametrize("se_type", ["classical", "hc0", "hc1", "cluster"])
+def test_tsls_embeds_a_dropped_exogenous_column(se_type):
+    """With X_exog = [1, a, 2a] the screen drops column 2: its coefficient and
+    its row and column of vcov are zero, the endogenous coefficient stays
+    last, and every kept entry is the [1, a] fit's, bit for bit."""
+    rng = np.random.default_rng(24)
+    n = 80
+    a = rng.normal(size=n)
+    z = rng.integers(0, 2, size=n).astype(float)
+    d = (0.8 * z + rng.normal(size=n) > 0.5).astype(float)
+    y = 1.0 + 0.5 * a + 2.0 * d + rng.normal(size=n)
+    cluster = np.arange(n) % 9
+    fit = tsls(y, np.column_stack([np.ones(n), a, 2 * a]), d, z,
+               se_type=se_type, cluster=cluster)
+    ref = tsls(y, np.column_stack([np.ones(n), a]), d, z,
+               se_type=se_type, cluster=cluster)
+    assert fit.dropped == (2,)
+    assert fit.endog_index == 3
+    assert fit.coefficients[2] == 0.0
+    assert not fit.vcov[2].any() and not fit.vcov[:, 2].any()
+    keep = [0, 1, 3]
+    assert np.array_equal(fit.coefficients[keep], ref.coefficients)
+    assert np.array_equal(fit.vcov[np.ix_(keep, keep)], ref.vcov)
+    assert np.array_equal(fit.residuals, ref.residuals)
+    assert (fit.df_resid, fit.rank) == (ref.df_resid, ref.rank)
+
+
 def test_hat_diagonals_match_dense():
     rng = np.random.default_rng(30)
     X = np.column_stack([np.ones(50), rng.normal(size=(50, 3))])
@@ -310,8 +340,8 @@ def _one_column_design(seed=3, n=50):
 
 
 def test_one_dimensional_designs_are_one_column():
-    """ols, tsls (both X_exog and Z_inst) and hat_diagonals read a 1-D
-    array as the single column it holds."""
+    """ols, tsls (both X_exog and Z_inst), hat_diagonals, fit_binary_index
+    and both RESET tests read a 1-D array as the single column it holds."""
     y, d, z, x = _one_column_design()
     fits = [(ols(y, x), ols(y, x[:, None])),
             (tsls(y, np.ones(y.size), d, z), tsls(y, np.ones((y.size, 1)), d, z[:, None]))]
@@ -319,6 +349,12 @@ def test_one_dimensional_designs_are_one_column():
         assert np.array_equal(one.coefficients, two.coefficients)
         assert np.array_equal(one.vcov, two.vcov)
     assert np.array_equal(hat_diagonals(x), hat_diagonals(x[:, None]))
+    one, two = fit_binary_index(z, x), fit_binary_index(z, x[:, None])
+    assert np.array_equal(one.coefficients, two.coefficients)
+    assert np.array_equal(one.index, two.index)
+    assert reset_linear(y, x).to_dict() == reset_linear(y, x[:, None]).to_dict()
+    assert (reset_binary_index(z, x).to_dict()
+            == reset_binary_index(z, x[:, None]).to_dict())
 
 
 @pytest.mark.parametrize("call, error, message", [

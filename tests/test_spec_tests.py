@@ -229,6 +229,9 @@ def test_reset_input_checks():
     with pytest.raises(DomainError, match="design and response have different lengths"):
         reset_linear(y[:-1], X)
     z, Xz = _index_sample(4)
+    for call in (lambda: reset_linear(y, X.T), lambda: reset_binary_index(z, Xz.T)):
+        with pytest.raises(DomainError, match="design and response have different lengths"):
+            call()
     with pytest.raises(DomainError, match="reset_binary_index supports logit and probit"):
         reset_binary_index(z, Xz, link="linear")
 

@@ -17,6 +17,10 @@ and prints one line per result:
   tests, and the cell statistics table as text and JSON;
 * the repr of fit_cell_propensity's coefficients, as a list of floats,
   and its loglik, for the three links;
+* the repr of every RegressionFit field (arrays as lists of floats) of
+  ols and tsls under the four SE types, on a design with a zero column,
+  one with a collinear pair, a 1-D design and an all-zero design, and of
+  tsls on a design that raises each of its two IdentificationErrors;
 * DGPSpec.from_json on good and bad spec files;
 * the stdout, stderr and exit code of `ivhet` run in process for every
   subcommand, in text and with --json, and of each --help; the data
@@ -118,6 +122,29 @@ for seed, n, cells, discrete_y in [(1, 400, 3, True), (2, 1500, 8, False),
     show(f"{tag} ipw bootstrap", lambda: ivhet.ipw_late(
         ds, ivhet.fit_binary_index(ds.z, cont), se="bootstrap", reps=8,
         seed=seed).to_dict())
+
+def fields(fit):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(fit).items()}
+
+rng = np.random.default_rng(11)
+n = 60
+a, b = rng.normal(size=n), rng.normal(size=n)
+zi = np.repeat([0.0, 1.0], n // 2)
+d = (0.8 * zi + rng.normal(size=n) > 0.5).astype(float)
+y = 1.0 + 0.5 * a + 2.0 * d + rng.normal(size=n)
+ones, cl = np.ones(n), np.arange(n) % 7
+DENSE = {"zero column": (np.column_stack([ones, np.zeros(n), a]), d, zi),
+         "collinear pair": (np.column_stack([ones, a, 2 * a, b]), d, zi),
+         "one-d": (a, d, zi),
+         "all zero": (np.zeros((n, 2)), d, zi),
+         "no instrument": (np.column_stack([ones, a]), d, 3 * a),
+         "zero first stage": (ones, np.tile([0.0, 1.0], n // 2), zi)}
+for name, (X, dd, zz) in DENSE.items():
+    for se in SE:
+        show(f"ols {name} {se}", lambda: fields(ivhet.ols(y, X, se_type=se, cluster=cl)))
+        show(f"tsls {name} {se}", lambda: fields(
+            ivhet.tsls(y, X, dd, zz, se_type=se, cluster=cl)))
 
 for name in sorted(p for p in os.listdir(workdir) if p.endswith(".json")):
     show(f"spec {name}", lambda: ivhet.DGPSpec.from_json(f"{workdir}/{name}"))
