@@ -6,8 +6,10 @@ square-root-weighted design rather than forming the normal equations
 X'WX, whose condition number is the square of the design's: a screened
 design with nearly collinear columns still gets an accurate step. The
 probit log-CDFs of a row come from one normal tail t = Phi(-|eta|), as log t
-and log1p(-t), with log_ndtr for log t from |eta| = 37 on, where t underflows;
-the Mills ratios follow in logs, so extreme indexes do not produce 0/0.
+and log1p(-t), with log t taken in closed form from |eta| = 37 on, where t
+underflows; the Mills ratios follow in logs, so extreme indexes do not
+produce 0/0. Phi is _ndtr, the cephes arithmetic of scipy.special.ndtr in
+numpy and equal to it bit for bit, so no probit fit imports scipy.
 
 ipw_late is the Hajek (self-normalized) version of the abadie-style
 kappa estimand: each of the four arm means E[y|z], E[d|z] is a weighted
@@ -28,6 +30,7 @@ table: every link's MLE is the cell's z = 1 share q_j, at the float boundary
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -57,6 +60,33 @@ _MAX_ABS_COEF = 30.0
 _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times this
 _LL_RTOL = 1e-10
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+# cephes ndtr.c (Moshier), as in scipy.special.ndtr: erf(x) = x T(x^2)/U(x^2)
+# for |x| < 1; erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and
+# exp(-x^2) R(x)/S(x) from 8 on, 0 once x^2 > MAXLOG. U, Q and S are monic.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
 
 
 @dataclass(frozen=True)
@@ -95,32 +125,85 @@ def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None):
     return ll, u, w
 
 
+def _polevl(x: np.ndarray, c: tuple) -> np.ndarray:
+    """c[0] x^N + ... + c[N] by Horner's rule in cephes' polevl order; with
+    c[0] = 1 it is p1evl, which starts from x + c[1]."""
+    if c[0] == 1.0:
+        acc = x + c[1]
+    else:
+        acc = x * c[0]
+        acc += c[1]
+    for v in c[2:]:
+        acc *= x
+        acc += v
+    return acc
+
+
+def _ndtr(eta: np.ndarray) -> np.ndarray:
+    """Phi(eta) bit for bit as scipy.special.ndtr: cephes' ndtr, erf and erfc
+    with the same coefficients, branch edges and order of operations.
+
+    Every row gets 0.5 + 0.5 erf(x), x = eta/sqrt(2), from the erf rational;
+    where cephes takes 0.5 erfc(|x|) = 0.5 (1 - erf(|x|)) instead (1/sqrt(2)
+    <= |x| < 1), 1 - erf(|x|) is exact, so the double is the same. Rows with
+    |x| >= 1 are then recomputed from erfc = exp(-x^2) p(|x|)/q(|x|), 0 past
+    x^2 = MAXLOG, with the C library's exp (math.exp, row by row): numpy's
+    AVX-512 exp differs from it by up to 4 ulp on about 2% of these rows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):   # erf terms of huge |x|
+        x = eta * _SQRT1_2
+        xx = x * x
+        x *= _polevl(xx, _ERF_T)
+        x /= _polevl(xx, _ERF_U)
+        x *= 0.5
+        x += 0.5
+        tail = np.flatnonzero(xx >= 1.0)
+        if tail.size == 0:
+            return x
+        e, v = eta[tail], xx[tail]
+        r = np.abs(e) * _SQRT1_2
+        deep = v >= 64.0   # erfc's R/S from |x| = 8 on, P/Q below
+        p = np.where(deep, _polevl(r, _ERFC_R), _polevl(r, _ERFC_P))
+        q = np.where(deep, _polevl(r, _ERFC_S), _polevl(r, _ERFC_Q))
+        y = np.fromiter(map(math.exp, np.negative(v).tolist()), np.float64, v.size)
+        y *= p
+        y /= q
+    y[v > _MAXLOG] = 0.0
+    y *= 0.5
+    x[tail] = np.where(e > 0.0, 1.0 - y, y)
+    return x
+
+
 def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
     # Each row is worked on the sides of t = Phi(-|eta|), whose log-CDFs are
     # log t (small) and log1p(-t) (large): zs = 1 marks z on the small side,
     # and the score flips sign where eta > 0. Buffers are reused through out=.
-    from scipy.special import log_ndtr, ndtr   # here, so logit fits load no scipy
-    a = np.negative(np.abs(eta))
-    log_s = ndtr(a)
+    a = np.abs(eta)
+    np.negative(a, out=a)
+    log_s = _ndtr(a)
     log_l = np.log1p(np.negative(log_s))
-    far = a <= -37.0
-    np.log(log_s, out=log_s, where=~far)
-    log_s[far] = log_ndtr(a[far])
-    pos = eta > 0.0
-    zs = np.abs(z - pos)
+    with np.errstate(divide="ignore"):   # t = 0 past |eta| ~ 37.7, replaced below
+        np.log(log_s, out=log_s)
+    far = np.flatnonzero(a <= -37.0)
+    if far.size:   # log t as scipy's log_ndtr: log(erfcx(x)/2) - x^2, erfcx = R/S
+        x = a[far] * -_SQRT1_2
+        r = np.minimum(x, 1e50)   # R/S overflow past it, and x^2 hides the change
+        log_s[far] = np.log(0.5 * _polevl(r, _ERFC_R) / _polevl(r, _ERFC_S)) - x * x
+    pos = (eta > 0.0).astype(np.float64)
+    zs = np.abs(np.subtract(z, pos, out=a), out=a)
     zl = np.subtract(1.0, zs)
     ll = _wsum(zs * log_s + np.multiply(zl, log_l, out=zl), m)
     # Mills ratios phi/Phi and phi/(1-Phi) in logs; log phi is taken in closed
     # form because phi itself loses bits below 1e-308 and is 0 past |eta| ~ 38.5
-    log_phi = np.multiply(a, a, out=a)
+    log_phi = np.multiply(eta, eta, out=zl)
     log_phi *= -0.5
     log_phi -= _LOG_SQRT_2PI
     mills_s = np.exp(np.subtract(log_phi, log_s, out=log_s), out=log_s)
     mills_l = np.exp(np.subtract(log_phi, log_l, out=log_l), out=log_l)
     u = zs * mills_s
     u -= np.multiply(np.subtract(1.0, zs, out=zl), mills_l, out=zl)
-    u *= np.subtract(1.0, np.multiply(2.0, pos, out=zs), out=zs)
-    return ll, u, np.multiply(mills_s, mills_l, out=log_phi)
+    u *= np.subtract(1.0, np.multiply(2.0, pos, out=pos), out=pos)
+    return ll, u, np.multiply(mills_s, mills_l, out=zs)
 
 
 def _needs_intercept(X: np.ndarray) -> bool:
@@ -246,8 +329,7 @@ def _fit_screened(z, X, link, start, m, intercept_added=False):
     if link == "logit":
         phat = _logistic(eta)
     else:
-        from scipy.special import ndtr
-        phat = ndtr(eta)
+        phat = _ndtr(eta)
     phat = np.maximum(phat, np.finfo(np.float64).tiny)    # no cap: 1 - tiny == 1
     return PropensityFit(
         link=link, coefficients=beta, index=eta, phat=phat,

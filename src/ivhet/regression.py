@@ -160,9 +160,14 @@ def _solve_ols(y: np.ndarray, Xk: np.ndarray):
 
 
 def _columns(a) -> np.ndarray:
-    """float64, and a 1-D array becomes one column."""
+    """float64, and a 1-D array becomes one column; other than 2-D, a
+    DomainError."""
     a = np.asarray(a, dtype=np.float64)
-    return a[:, None] if a.ndim == 1 else a
+    if a.ndim == 1:
+        return a[:, None]
+    if a.ndim != 2:
+        raise DomainError(f"a design must be 1-D or 2-D, got {a.ndim}-D")
+    return a
 
 
 def _fit(y, design, regressors, kept, k, se_type, cluster, endog_index=None):

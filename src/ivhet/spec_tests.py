@@ -15,10 +15,10 @@ explicit: when every added column lies in the span of the design, there
 is nothing to test and the report says so with a p-value of 1.
 
 The p-values come from f_sf and chi2_sf in the standard library's math,
-since importing scipy.special for one p-value would add about 0.11 s to a
-CLI run. f_sf is the regularized incomplete beta I_x(a, b) on the side of
-the mean where the tail is small, as the continued fraction of DiDonato &
-Morris (1992, BFRAC) evaluated by Lentz's method. The CF's coefficients
+as the package imports no scipy (scipy.special alone would add about
+0.11 s to a CLI run). f_sf is the regularized incomplete beta I_x(a, b) on
+the side of the mean where the tail is small, as the continued fraction of
+DiDonato & Morris (1992, BFRAC) evaluated by Lentz's method. The CF's coefficients
 take x, 1 - x and a - (a + b) x, each formed without a subtraction that
 cancels: near x = 1, 1 - x comes from df2 / (df2 + df1 F). log B(a, b)
 takes log Gamma(s + p) - log Gamma(s) from Stirling's series at large s,
@@ -239,7 +239,7 @@ def reset_binary_index(
     started at the base solution, and compares twice the log likelihood
     gain to a chi-squared with one degree of freedom per surviving column.
     """
-    from .propensity import fit_binary_index  # here, so reset_linear loads no scipy
+    from .propensity import fit_binary_index  # here, so reset_linear loads no propensity
     powers = _check_powers(powers)
     if link not in ("logit", "probit"):
         raise DomainError("reset_binary_index supports logit and probit links")

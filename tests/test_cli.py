@@ -524,10 +524,9 @@ def _modules_after(runs):
 
 def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv):
     """The import budget of a CLI process: `import ivhet` loads no submodule,
-    simulate and the outcome reset no scipy, a saturated estimate neither dgp
-    nor validity, and with --link probit no scipy either, the outcome reset
-    neither propensity nor validity, a linear estimate and the assignment
-    reset no validity, and no subcommand scipy.linalg or ivhet.special."""
+    no subcommand any scipy module or ivhet.special, a saturated estimate
+    neither dgp nor validity, the outcome reset neither propensity nor
+    validity, and a linear estimate and the assignment reset no validity."""
     assert _modules_after([]) == {"ivhet"}
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC))
@@ -548,14 +547,48 @@ def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv)
     assert not loaded & {"ivhet.propensity", "ivhet.validity"}, loaded
     loaded = _modules_after([["estimate", *cells, "--saturated", "no", "--link", "probit"],
                              ["reset", *data, "--link", "probit"]])
-    assert "scipy.special" in loaded and "ivhet.validity" not in loaded, loaded
+    assert not {m for m in loaded if m.startswith("scipy")}, loaded
+    assert "ivhet.validity" not in loaded, loaded
     runs = [["estimate", *cells, "--link", "probit"],
             ["estimate", *cells, "--saturated", "no", "--link", "probit"],
             ["weights", *cells], ["manyiv", *cells], ["validity", *cells, "--reps", "9"],
             ["reset", *data], ["reset", *data, "--link", "probit"], simulate]
     loaded = _modules_after(runs)
-    assert "scipy.special" in loaded and "scipy.linalg" not in loaded, loaded
+    assert not {m for m in loaded if m.startswith("scipy")}, loaded
     assert "ivhet.special" not in loaded, loaded
+
+
+def test_probit_steps_load_no_scipy(tmp_path):
+    """A linear `estimate --link probit`, the assignment reset with
+    --link probit, a probit fit_binary_index and a bootstrap ipw_late, all in
+    one fresh process, load no scipy module."""
+    rng = np.random.default_rng(8)
+    n = 400
+    x1, x2 = rng.normal(size=n), rng.uniform(-1.0, 1.0, size=n)
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.4 - 0.8 * x1 + x2))).astype(int)
+    d = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
+    y = d + 0.5 * x1 + rng.normal(size=n)
+    csv = tmp_path / "linear.csv"
+    csv.write_text("y,d,z,x1,x2\n" + "".join(
+        f"{a!r},{b},{c},{e!r},{f!r}\n" for a, b, c, e, f in
+        zip(y.tolist(), d.tolist(), z.tolist(), x1.tolist(), x2.tolist())))
+    data = ["--input", str(csv), "-y", "y", "-d", "d", "-z", "z", "-x", "x1,x2",
+            "--json"]
+    runs = [["estimate", *data, "--link", "probit"],
+            ["reset", *data, "--equation", "assignment", "--link", "probit"]]
+    code = (f"import sys\nimport numpy as np\nimport ivhet\nfrom ivhet.cli import main\n"
+            f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+            f"a = np.loadtxt({str(csv)!r}, delimiter=',', skiprows=1)\n"
+            "ds = ivhet.Dataset(y=a[:, 0], d=a[:, 1].astype(int), z=a[:, 2].astype(int),\n"
+            "                   x=a[:, 3:])\n"
+            "pf = ivhet.fit_binary_index(ds.z, ds.x, link='probit')\n"
+            "ivhet.ipw_late(ds, pf, se='bootstrap', reps=5, seed=1)\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"command"') == len(runs)
 
 
 def test_manyiv_reports_leverage_errors(trial_csv, capsys):

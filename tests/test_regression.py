@@ -371,3 +371,19 @@ def test_one_dimensional_designs_are_one_column():
 def test_fit_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call(*_one_column_design())
+
+
+@pytest.mark.parametrize("shape", [(), (50, 1, 1)], ids=["0-D", "3-D"])
+@pytest.mark.parametrize("call", [
+    lambda y, d, z, X: ols(y, X),
+    lambda y, d, z, X: tsls(y, X, d, z),
+    lambda y, d, z, X: tsls(y, np.ones(y.size), d, X),
+    lambda y, d, z, X: fit_binary_index(z, X),
+    lambda y, d, z, X: reset_linear(y, X),
+    lambda y, d, z, X: reset_binary_index(z, X),
+], ids=["ols", "tsls X_exog", "tsls Z_inst", "fit_binary_index", "reset_linear",
+        "reset_binary_index"])
+def test_design_neither_1d_nor_2d_is_a_domain_error(call, shape):
+    y, d, z, _ = _one_column_design()
+    with pytest.raises(DomainError, match="a design must be 1-D or 2-D"):
+        call(y, d, z, np.full(shape, 2.0))

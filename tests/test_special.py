@@ -1,13 +1,15 @@
-"""The probit kernel's normal CDF terms from scipy.special, the AS241 normal
-quantile of the noise draws, and the F and chi-squared tails of RESET."""
+"""The probit kernel's normal CDF and log-CDF terms, held to scipy.special,
+the AS241 normal quantile of the noise draws, and the F and chi-squared
+tails of RESET."""
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
 
 from ivhet.dgp import normal_quantile
-from ivhet.propensity import _probit_parts
+from ivhet.propensity import _ndtr, _probit_parts
 from ivhet.spec_tests import chi2_sf, f_sf
 
 GRID = np.concatenate([
@@ -31,6 +33,27 @@ def test_normal_cdf_matches_scipy():
         ref = scipy.stats.norm.logcdf(sign * GRID)
         got = row_parts(GRID, z)[0]
         assert (np.abs(got - ref) <= 1e-12 * np.abs(ref)).all()
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    """_ndtr is scipy.special.ndtr's cephes arithmetic in numpy, with the C
+    library's exp on the erfc rows: equal to ndtr on a dense grid over
+    [-40, 40], at +-0, on both sides of each branch edge (|eta| = 1 and
+    sqrt(2), where |x| = |eta|/sqrt(2) crosses 1/sqrt(2) and 1; 8 sqrt(2), where
+    erfc's rational changes; 37 and sqrt(2 MAXLOG), where the tail turns 0), at
+    +-1e3 and +-inf, across the subnormal tail, and NaN at NaN."""
+    rng = np.random.default_rng(5)
+    edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 37.0,
+                      np.sqrt(2.0 * 7.09782712893383996843e2)])
+    near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    eta = np.concatenate([
+        np.linspace(-40.0, 40.0, 800_001), rng.uniform(-40.0, 40.0, 200_000),
+        rng.uniform(-2.0, 2.0, 200_000), rng.uniform(-38.5, -37.0, 20_000),
+        near, -near, [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf]])
+    got = _ndtr(eta)
+    assert np.array_equal(got, scipy.special.ndtr(eta))
+    assert ((got > 0.0) & (got < np.finfo(float).tiny)).sum() > 1000   # subnormal
+    assert np.isnan(_ndtr(np.array([np.nan]))).all()
 
 
 def test_normal_quantile_matches_the_stdlib():
@@ -70,6 +93,15 @@ def test_normal_log_cdf_right_tail():
     rel = np.abs(got[ok] - ref[ok]) / np.abs(ref[ok])
     assert rel.max() < 1e-10
     assert (np.abs(got[~ok]) <= 1e-300).all()
+
+
+def test_far_tail_loglik_at_huge_indexes():
+    """Past |eta| ~ 1e51 the far tail's R and S overflow; log Phi(eta) is then
+    -eta^2/2 to the last bit, as scipy's log_ndtr gives it."""
+    eta = -np.array([1e40, 1e52, 1e62, 1e100, 1e150])
+    with np.errstate(over="ignore", invalid="ignore"):   # u and w overflow here
+        got = row_parts(eta)[0]
+    np.testing.assert_array_equal(got, scipy.special.log_ndtr(eta))
 
 
 def test_scalar_and_array_paths_agree():

@@ -17,6 +17,10 @@ and prints one line per result:
   tests, and the cell statistics table as text and JSON;
 * the repr of fit_cell_propensity's coefficients, as a list of floats,
   and its loglik, for the three links;
+* the probit kernel on a grid: _probit_parts' loglik, score and weight
+  (as lists of floats) over [-40, 40] and its branch edges for z = 1, 0
+  and alternating, and the phat of probit fits whose index runs past
+  +-sqrt(2) and +-8 sqrt(2);
 * the repr of every RegressionFit field (arrays as lists of floats) of
   ols and tsls under the four SE types, on a design with a zero column,
   one with a collinear pair, a 1-D design and an all-zero design, and of
@@ -122,6 +126,22 @@ for seed, n, cells, discrete_y in [(1, 400, 3, True), (2, 1500, 8, False),
     show(f"{tag} ipw bootstrap", lambda: ivhet.ipw_late(
         ds, ivhet.fit_binary_index(ds.z, cont), se="bootstrap", reps=8,
         seed=seed).to_dict())
+
+from ivhet.propensity import _probit_parts
+r2 = np.sqrt(2.0)
+grid = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-0.0, 1e3, -1e3],
+                       *([e, -e, np.nextafter(e, 0.0), -np.nextafter(e, 0.0)]
+                         for e in (1.0, r2, 8.0 * r2, 37.0))])
+for zname, zg in (("ones", np.ones(grid.size)), ("zeros", np.zeros(grid.size)),
+                  ("alternating", (np.arange(grid.size) % 2).astype(float))):
+    show(f"probit parts {zname}", lambda: (lambda ll, u, w: (ll, u.tolist(), w.tolist()))(
+        *_probit_parts(grid, zg)))
+for seed, slope in ((1, 0.5), (2, 2.0), (3, 6.0)):
+    rng = np.random.default_rng(seed)
+    xp = rng.normal(size=(800, 2))
+    zp = (0.3 + slope * xp[:, 0] - 0.5 * xp[:, 1] + rng.normal(size=800) > 0).astype(float)
+    show(f"probit phat slope {slope}", lambda: ivhet.fit_binary_index(
+        zp, xp, link="probit").phat.tolist())
 
 def fields(fit):
     return {k: v.tolist() if isinstance(v, np.ndarray) else v
