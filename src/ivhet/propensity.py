@@ -30,7 +30,6 @@ table: every link's MLE is the cell's z = 1 share q_j, at the float boundary
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -60,6 +59,7 @@ _MAX_ABS_COEF = 30.0
 _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times this
 _LL_RTOL = 1e-10
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_BLOCK = 1 << 15    # rows per block of _ndtr: its Horner passes stay in cache
 
 # cephes ndtr.c (Moshier), as in scipy.special.ndtr: erf(x) = x T(x^2)/U(x^2)
 # for |x| < 1; erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and
@@ -126,13 +126,10 @@ def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None):
 
 
 def _polevl(x: np.ndarray, c: tuple) -> np.ndarray:
-    """c[0] x^N + ... + c[N] by Horner's rule in cephes' polevl order; with
-    c[0] = 1 it is p1evl, which starts from x + c[1]."""
-    if c[0] == 1.0:
-        acc = x + c[1]
-    else:
-        acc = x * c[0]
-        acc += c[1]
+    """c[0] x^N + ... + c[N] by Horner's rule in cephes' polevl order; for a
+    monic table 1.0 * x is x, so this is also p1evl."""
+    acc = x * c[0]
+    acc += c[1]
     for v in c[2:]:
         acc *= x
         acc += v
@@ -146,32 +143,54 @@ def _ndtr(eta: np.ndarray) -> np.ndarray:
     Every row gets 0.5 + 0.5 erf(x), x = eta/sqrt(2), from the erf rational;
     where cephes takes 0.5 erfc(|x|) = 0.5 (1 - erf(|x|)) instead (1/sqrt(2)
     <= |x| < 1), 1 - erf(|x|) is exact, so the double is the same. Rows with
-    |x| >= 1 are then recomputed from erfc = exp(-x^2) p(|x|)/q(|x|), 0 past
-    x^2 = MAXLOG, with the C library's exp (math.exp, row by row): numpy's
-    AVX-512 exp differs from it by up to 4 ulp on about 2% of these rows.
+    |x| >= 1 are then recomputed from erfc (_half_erfc).
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # erf terms of huge |x|
-        x = eta * _SQRT1_2
-        xx = x * x
-        x *= _polevl(xx, _ERF_T)
-        x /= _polevl(xx, _ERF_U)
-        x *= 0.5
-        x += 0.5
+    x = np.empty_like(eta)
+    for i in range(0, eta.size, _BLOCK):
+        e, xb = eta[i:i + _BLOCK], x[i:i + _BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):   # erf terms of huge |x|
+            np.multiply(e, _SQRT1_2, out=xb)
+            xx = xb * xb
+            xb *= _polevl(xx, _ERF_T)
+            xb /= _polevl(xx, _ERF_U)
+        xb *= 0.5
+        xb += 0.5
         tail = np.flatnonzero(xx >= 1.0)
-        if tail.size == 0:
-            return x
-        e, v = eta[tail], xx[tail]
-        r = np.abs(e) * _SQRT1_2
-        deep = v >= 64.0   # erfc's R/S from |x| = 8 on, P/Q below
-        p = np.where(deep, _polevl(r, _ERFC_R), _polevl(r, _ERFC_P))
-        q = np.where(deep, _polevl(r, _ERFC_S), _polevl(r, _ERFC_Q))
-        y = np.fromiter(map(math.exp, np.negative(v).tolist()), np.float64, v.size)
-        y *= p
-        y /= q
+        if tail.size:
+            et = e[tail]
+            r = np.abs(et)
+            r *= _SQRT1_2
+            y = _half_erfc(r, xx[tail])
+            xb[tail] = np.subtract(1.0, y, out=y, where=et > 0.0)
+    return x
+
+
+def _half_erfc(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """0.5 erfc(r) for r >= 1, v = r^2, as cephes: exp(-v) P(r)/Q(r) below
+    r = 8, exp(-v) R(r)/S(r) from 8 on, and 0 past v = MAXLOG. P/Q runs on
+    every row and R/S only on the few past 8, which then take its value.
+
+    exp(-v) must be the C library's, as in cephes: numpy's float64 exp is its
+    own SIMD routine and differs from it by up to 4 ulp on a few percent of
+    rows. It is the real part of numpy's complex exp(-v + 0i), which C99
+    defines as exp(-v) + 0i; that costs about 11 ns a row, math.exp called
+    row by row about 90 (x86-64 with AVX-512).
+    """
+    c = np.zeros(v.size, np.complex128)
+    np.negative(v, out=c.real)
+    y = np.exp(c, out=c).real
+    deep = np.flatnonzero(r >= 8.0)
+    y_deep, r_deep = y[deep], r[deep]
+    with np.errstate(over="ignore", invalid="ignore"):   # r = inf gives inf/inf
+        y *= _polevl(r, _ERFC_P)
+        y /= _polevl(r, _ERFC_Q)
+        if deep.size:
+            y_deep *= _polevl(r_deep, _ERFC_R)
+            y_deep /= _polevl(r_deep, _ERFC_S)
+            y[deep] = y_deep
     y[v > _MAXLOG] = 0.0
     y *= 0.5
-    x[tail] = np.where(e > 0.0, 1.0 - y, y)
-    return x
+    return y
 
 
 def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):

@@ -558,29 +558,16 @@ def test_each_process_imports_only_what_its_subcommand_runs(tmp_path, trial_csv)
     assert "ivhet.special" not in loaded, loaded
 
 
-def test_probit_steps_load_no_scipy(tmp_path):
-    """A linear `estimate --link probit`, the assignment reset with
-    --link probit, a probit fit_binary_index and a bootstrap ipw_late, all in
-    one fresh process, load no scipy module."""
-    rng = np.random.default_rng(8)
-    n = 400
-    x1, x2 = rng.normal(size=n), rng.uniform(-1.0, 1.0, size=n)
-    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.4 - 0.8 * x1 + x2))).astype(int)
-    d = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
-    y = d + 0.5 * x1 + rng.normal(size=n)
-    csv = tmp_path / "linear.csv"
-    csv.write_text("y,d,z,x1,x2\n" + "".join(
-        f"{a!r},{b},{c},{e!r},{f!r}\n" for a, b, c, e, f in
-        zip(y.tolist(), d.tolist(), z.tolist(), x1.tolist(), x2.tolist())))
-    data = ["--input", str(csv), "-y", "y", "-d", "d", "-z", "z", "-x", "x1,x2",
-            "--json"]
-    runs = [["estimate", *data, "--link", "probit"],
-            ["reset", *data, "--equation", "assignment", "--link", "probit"]]
-    code = (f"import sys\nimport numpy as np\nimport ivhet\nfrom ivhet.cli import main\n"
-            f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
-            f"a = np.loadtxt({str(csv)!r}, delimiter=',', skiprows=1)\n"
-            "ds = ivhet.Dataset(y=a[:, 0], d=a[:, 1].astype(int), z=a[:, 2].astype(int),\n"
-            "                   x=a[:, 3:])\n"
+def test_probit_fit_and_bootstrap_load_no_scipy():
+    """A probit fit_binary_index and a bootstrap ipw_late, which refits the
+    probit in every resample, load no scipy module in a fresh process; the
+    probit CLI steps are checked in the import-budget test above."""
+    code = ("import sys\nimport numpy as np\nimport ivhet\n"
+            "rng = np.random.default_rng(8)\n"
+            "x = np.column_stack([rng.normal(size=400), rng.uniform(-1, 1, 400)])\n"
+            "z = (rng.random(400) < 1 / (1 + np.exp(-0.4 - 0.8 * x[:, 0] + x[:, 1]))).astype(int)\n"
+            "d = (rng.random(400) < 0.2 + 0.5 * z).astype(int)\n"
+            "ds = ivhet.Dataset(y=d + 0.5 * x[:, 0] + rng.normal(size=400), d=d, z=z, x=x)\n"
             "pf = ivhet.fit_binary_index(ds.z, ds.x, link='probit')\n"
             "ivhet.ipw_late(ds, pf, se='bootstrap', reps=5, seed=1)\n"
             "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
@@ -588,7 +575,6 @@ def test_probit_steps_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count('"command"') == len(runs)
 
 
 def test_manyiv_reports_leverage_errors(trial_csv, capsys):
