@@ -11,13 +11,15 @@ ratios tau_j:
 with Var(Z | cell) = q_j (1 - q_j). The identities are algebraic, not
 asymptotic, and the tests hold them to 1e-8.
 
-Because of this, no estimator here builds a cell-dummy design or passes
-over the rows: the estimates are closed forms in per-cell counts and
-means, and the SEs in the (z, cell, d) bin statistics, since on a bin the
-instrument is constant and each score is y less a constant. Only a cluster
-SE gathers the scores back to the rows. The dense QR/2SLS path in
-regression serves linear-control mode and the tests, which also keep the
-row-by-row SE formulas as the reference.
+All three are one IV of Y on D and cell intercepts, `_centered_iv`, with
+an instrument constant on each (z, cell, d) bin: z, pi_j z, and for the
+LATE w = z/q_j - (1-z)/(1-q_j), centered within cells already; the LATE's
+influence SE adds each cell's reduced-form residual once to the score. So
+no estimator builds a cell-dummy design or passes over the rows: on a bin
+each score is y less a constant, and estimates and SEs are closed forms in
+the bin statistics. Only a cluster SE gathers scores back to the rows. The
+dense QR/2SLS path in regression serves linear-control mode and the tests,
+which also keep the row-by-row formulas as the reference.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _score_var(ct: CellTable, bins, mu, gamma, se_type: str, df: int) -> float:
     return factor * float(meat[0, 0])
 
 
-def _centered_iv(ct: CellTable, g, se_type: str):
+def _centered_iv(ct: CellTable, g, se_type: str, influence: bool = False):
     """(beta, se) of Y on D and cell intercepts over the retained rows,
     instrumented by the cell intercepts and g, one value per retained
     (z, cell, d) bin.
@@ -143,9 +145,17 @@ def _centered_iv(ct: CellTable, g, se_type: str):
     beta = sum g y / sum g d with structural residual
     e = y - ybar_cell - beta (d - dbar_cell), and the SE is the 2SLS
     sandwich element for beta with J + 1 parameters in the df factors.
+
+    With influence, g is the LATE's w and the SE its influence SE (hc0
+    unless cluster, df = m - 1). The score g e holds the cell's
+    reduced-form residual r_j = sum_{b in j} n_b g_b e_b / n_j a total of
+    g (z - q_j) times and the influence value once, so it gains
+    (1 - g (z - q_j)) r_j.
     """
     ds = ct.source
     _check_se_args(se_type, ds.cluster, ds.n)
+    if influence and se_type != "cluster":
+        se_type = "hc0"
     bins = n, dev, _ = _bins(ct)
     g = _cell_centered(n, g)
     dc = _cell_centered(n, _D)
@@ -159,21 +169,27 @@ def _centered_iv(ct: CellTable, g, se_type: str):
     ybar = dev + _Z * ct.dy_j[ct.retained][:, None]
     beta = float(np.sum(n * g * ybar)) / gd
     e = _cell_centered(n, ybar) - beta * dc         # each bin's mean residual
-    df = int(n.sum()) - n.shape[1] - 1
+    m = int(n.sum())
+    df = m - 1 if influence else m - n.shape[1] - 1
     if se_type == "classical":
         if df <= 0:
             raise DomainError("no residual degrees of freedom for classical se")
         var = _score_var(ct, bins, e, 1.0, "hc0", df) / df * float(np.sum(n * g * g))
     else:
-        var = _score_var(ct, bins, g * e, g, se_type, df)
+        score = g * e
+        if influence:
+            r = (n * score).sum(axis=(0, 2)) / n.sum(axis=(0, 2))
+            score += (1.0 - g * (_Z - ct.q_j[ct.retained][:, None])) * r[:, None]
+        var = _score_var(ct, bins, score, g, se_type, df)
     return beta, float(np.sqrt(var)) / abs(gd)
 
 
-def _iv_report(ct: CellTable, estimand: str, g, se: str,
-               metadata: dict) -> EstimateReport:
-    beta, se_value = _centered_iv(ct, g, se)
+def _iv_report(ct: CellTable, estimand: str, g, se: str, metadata: dict,
+               influence: bool = False) -> EstimateReport:
+    beta, se_value = _centered_iv(ct, g, se, influence)
     return EstimateReport(
-        estimand=estimand, estimate=beta, se=se_value, se_type=se,
+        estimand=estimand, estimate=beta, se=se_value,
+        se_type="influence" if influence and se != "cluster" else se,
         n_used=int(ct.n_j[ct.retained].sum()), cells_used=int(ct.retained.sum()),
         metadata=metadata,
     )
@@ -201,45 +217,14 @@ def estimate_beta_late_saturated(ct: CellTable, se_type: str | None = None) -> E
     """Share-weighted Wald ratio over non-degenerate cells.
 
     The point estimate is sum_j p_j (ybar_1j - ybar_0j) over
-    sum_j p_j (dbar_1j - dbar_0j). The standard error comes from the
-    influence function of this ratio, treating cell shares and instrument
-    arm shares as estimated. A cluster se sums the influence values within
-    clusters first; any other se type gives the plain influence SE.
+    sum_j p_j (dbar_1j - dbar_0j), the IV with instrument
+    w = z/q_j - (1-z)/(1-q_j), which is centered within each cell. The
+    standard error comes from the influence function of this ratio,
+    treating cell shares and instrument arm shares as estimated. A cluster
+    se sums the influence values within clusters first; any other se type
+    gives the plain influence SE.
     """
-    se = _resolve_se(se_type, ct.source.cluster)
-    _check_se_args(se, ct.source.cluster, ct.source.n)
-    mask = ct.retained
-    num = float(np.sum(ct.p_j[mask] * ct.dy_j[mask]))
-    den = float(np.sum(ct.p_j[mask] * ct.pi_j[mask]))
-    if den == 0.0:
-        raise IdentificationError("aggregate first stage is exactly zero")
-    beta = num / den
-
-    # rescale shares to the retained subsample so the moments average to
-    # the estimate over exactly the rows used
-    p_scale = ct.p_j[mask].sum()
-    num_s = num / p_scale
-    den_s = den / p_scale
-
-    # a row's influence value is (psi_num - beta psi_den) / den_s with
-    # psi_num = w (y - ybar_zj) + dy_j - num_s, w = z/q_j - (1-z)/(1-q_j), and
-    # psi_den likewise in d: on each bin, mu + gamma (y - ybar_bin)
-    bins = n, dev, _ = _bins(ct)
-    q = ct.q_j[mask]
-    w = np.stack([-1.0 / (1.0 - q), 1.0 / q])[..., None]
-    arm_d = np.stack([ct.mean_d0_j[mask], ct.mean_d1_j[mask]])[..., None]
-    psi_num = w * dev + (ct.dy_j[mask] - num_s)[:, None]
-    psi_den = w * (_D - arm_d) + (ct.pi_j[mask] - den_s)[:, None]
-    m = int(n.sum())
-    var = _score_var(ct, bins, (psi_num - beta * psi_den) / den_s, w / den_s,
-                     se if se == "cluster" else "hc0", m - 1)
-
-    return EstimateReport(
-        estimand="beta_late_saturated",
-        estimate=beta,
-        se=float(np.sqrt(var)) / m,
-        se_type=se if se == "cluster" else "influence",
-        n_used=m,
-        cells_used=int(mask.sum()),
-        metadata={"estimator": "saturated_wald_ratio"},
-    )
+    q = ct.q_j[ct.retained][:, None]
+    return _iv_report(ct, "beta_late_saturated", _Z / q - (1.0 - _Z) / (1.0 - q),
+                      _resolve_se(se_type, ct.source.cluster),
+                      {"estimator": "saturated_wald_ratio"}, influence=True)

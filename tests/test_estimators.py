@@ -178,9 +178,9 @@ def test_zero_aggregate_first_stage_raises():
     z = np.array([1, 1, 1, 1, 0, 0, 0, 0] * 2)
     x = np.array([0.0] * 8 + [1.0] * 8)
     ct = build_cells(Dataset(y=y, d=d, z=z, x=x), min_arm_size=1)
-    with pytest.raises(IdentificationError):
+    with pytest.raises(IdentificationError, match="zero first stage"):
         estimate_beta_late_saturated(ct)
-    with pytest.raises(IdentificationError):
+    with pytest.raises(IdentificationError, match="zero first stage"):
         estimate_beta_iv(ct)
     # squared first stages do not cancel, so the interacted IV is defined
     assert np.isfinite(estimate_beta_ai(ct).estimate)

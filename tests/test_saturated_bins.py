@@ -126,11 +126,11 @@ def test_bin_closed_forms_match_row_formulas(kind, labels):
 
 
 def test_bin_closed_forms_stay_accurate_far_from_zero():
-    """With y = 1e6 + (a unit-scale outcome), the 2SLS and jackknife SEs
-    and estimates equal the row formulas on y - 1e6, an exact shift, to
-    1e-12, and the saturated LATE's SE equals its row formula on the same
-    y: the bin sums are taken about means, so nothing of size 1e6 cancels.
-    The centered sums of squares match those of the shifted data."""
+    """With y = 1e6 + (a unit-scale outcome), every saturated estimator's
+    estimate and SE, the saturated LATE and cluster SEs included, equals
+    its row formula on y - 1e6, an exact shift, to 1e-12: the bin sums are
+    taken about means, so nothing of size 1e6 cancels. The centered sums
+    of squares match those of the shifted data."""
     rng = np.random.default_rng(77)
     checked = 0
     for labels in (None, "gapped"):
@@ -151,8 +151,8 @@ def test_bin_closed_forms_stay_accurate_far_from_zero():
                     if name in ("jive", "ujive") and se == "classical":
                         continue
                     got = _outcome(fn, ct, se)
-                    ref = ct if name == "beta_late_saturated" else ct_small
-                    want = _outcome(row_saturated, ref, ORACLE_NAME.get(name, name), se)
+                    want = _outcome(row_saturated, ct_small, ORACLE_NAME.get(name, name),
+                                    se)
                     assert _close(got, want), (name, se, got, want)
                     checked += 1
     assert checked >= 40

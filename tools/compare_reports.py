@@ -36,7 +36,10 @@ and prints one line per result:
 
 An error a call raises is printed in place of its result. The two dumps
 are then compared line by line: the tool prints `identical` and exits 0,
-or prints every line that differs, from both sides, and exits 1.
+or prints every line that differs, from both sides, and exits 1. It then
+adds one summary line: how many lines differ, how many of them differ in
+anything besides their numbers (non-numeric), and the largest relative
+difference between numbers at the same positions of the other pairs.
 Every child runs single-threaded BLAS.
 """
 
@@ -45,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -353,6 +357,21 @@ def dump(src: Path, workdir: Path) -> list[str]:
     return proc.stdout.splitlines()
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_difference(la: str, lb: str) -> float | None:
+    """The largest |x - y| / max(|x|, |y|) over the numbers at the same
+    positions of two lines, or None when they differ in anything else."""
+    if NUMBER.split(la) != NUMBER.split(lb):
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, NUMBER.findall(la)), map(float, NUMBER.findall(lb))):
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, action="append", required=True,
@@ -364,15 +383,22 @@ def main(argv=None) -> int:
         workdir = Path(tmp).resolve()
         write_inputs(workdir)
         a, b = (dump(src, workdir) for src in args.src)
-    same = len(a) == len(b)
+    differing, non_numeric, worst = 0, 0, 0.0
     for i, (la, lb) in enumerate(zip(a, b), start=1):
         if la != lb:
-            same = False
-            print(f"line {i} differs:\n{args.src[0]}: {la}\n{args.src[1]}: {lb}")
+            differing += 1
+            rel = numeric_difference(la, lb)
+            non_numeric += rel is None
+            worst = max(worst, rel or 0.0)
+            kind = " (non-numeric)" if rel is None else ""
+            print(f"line {i} differs{kind}:\n{args.src[0]}: {la}\n{args.src[1]}: {lb}")
     if len(a) != len(b):
-        print(f"line {min(len(a), len(b)) + 1} differs: {args.src[0]} has "
-              f"{len(a)} lines, {args.src[1]} {len(b)}")
-    if not same:
+        differing, non_numeric = differing + 1, non_numeric + 1
+        print(f"line {min(len(a), len(b)) + 1} differs (non-numeric): {args.src[0]} "
+              f"has {len(a)} lines, {args.src[1]} {len(b)}")
+    if differing:
+        print(f"{differing} lines differ, {non_numeric} non-numeric; largest relative "
+              f"difference between numbers at the same positions: {worst:.2g}")
         return 1
     print("identical")
     return 0
