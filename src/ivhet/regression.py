@@ -7,6 +7,9 @@ remains. Dropped columns keep a zero coefficient and a zero row/column in
 the covariance, and their indices are reported, so nothing disappears
 silently. The screen prefers earlier columns on ties, which makes results
 independent of how a caller happens to have ordered redundant columns.
+A caller that needs only the kept columns (_kept_columns) first asks the
+k x k Gram, which settles a clearly full-rank design without the n x k
+basis; any other design goes through the screen itself.
 
 _meat is the one place in the package that computes a robust or cluster
 meat and its small-sample factor (MacKinnon, Nielsen & Webb 2023; Cameron
@@ -23,6 +26,7 @@ from .errors import (
     ConfigError, DomainError, EmptyDataError, IdentificationError, RankError)
 
 PIVOT_RTOL = 1e-10
+_GRAM_MARGIN = 1e-6   # smallest eigenvalue of the unit-diagonal Gram that keeps all
 
 SE_TYPES = ("classical", "hc0", "hc1", "cluster")
 
@@ -77,6 +81,44 @@ def screen_columns(X: np.ndarray):
             np.divide(v, norm_v, out=basis[:, len(kept)])
             kept.append(j)
     return kept, basis[:, :len(kept)]
+
+
+def _gram_keeps_all(G: np.ndarray, n: int) -> bool:
+    """True when screen_columns certainly keeps every column of an n-row
+    design whose computed k x k Gram is G; False leaves it to the screen.
+
+    Let C be the Gram scaled to a unit diagonal. Squared, the share of
+    column j's norm that the screen finds outside the earlier columns is the
+    Cholesky pivot ratio L_jj^2 / G_jj = 1 / (C_j^-1)_jj of the leading j x j
+    block, which is at least the smallest eigenvalue of C_j and so of C
+    (interlacing). Rounding moves each entry of the computed C by at most
+    about (n + 3) u, since sum_r |x_ri x_rj| <= |x_i| |x_j| (and a row
+    weight adds one rounding), and so its smallest eigenvalue by at most
+    k (n + 3) u (Weyl), kept here below a tenth of _GRAM_MARGIN; eigvalsh
+    adds O(k u). A computed eigenvalue of at least _GRAM_MARGIN = 1e-6 thus
+    leaves every share above 9e-4, which the screen, whose residual is
+    accurate to about k u of the column's norm, cannot read as below
+    PIVOT_RTOL = 1e-10. A pivot ratio alone has no such bound: its rounding
+    grows with the condition of the earlier columns. A Gram whose squares
+    may underflow (a diagonal entry below 1e-200) or overflow goes to the
+    screen too.
+    """
+    k = G.shape[0]
+    if k == 0 or 10.0 * k * (n + 3) * np.finfo(np.float64).eps > _GRAM_MARGIN:
+        return False
+    diag = np.diag(G)
+    if not (np.isfinite(G).all() and diag.min() > 1e-200):
+        return False
+    s = 1.0 / np.sqrt(diag)
+    return bool(np.linalg.eigvalsh(G * s * s[:, None])[0] >= _GRAM_MARGIN)
+
+
+def _kept_columns(X: np.ndarray) -> list[int]:
+    """screen_columns(X)'s kept list, without its basis when the Gram decides."""
+    X = np.asarray(X, dtype=np.float64)
+    if _gram_keeps_all(X.T @ X, X.shape[0]):
+        return list(range(X.shape[1]))
+    return screen_columns(X)[0]
 
 
 def _check_se_args(se_type: str, cluster, n: int):
@@ -211,7 +253,7 @@ def ols(y, X, se_type: str = "hc1", cluster=None) -> RegressionFit:
         raise DomainError("y and X disagree on the number of rows")
     cluster = _check_se_args(se_type, cluster, n)
 
-    kept, _ = screen_columns(X)
+    kept = _kept_columns(X)
     if not kept:
         raise RankError("all design columns are collinear or zero")
     Xk = X[:, kept]
@@ -238,20 +280,20 @@ def tsls(y, X_exog, d_endog, Z_inst, se_type: str = "hc1", cluster=None) -> Regr
         raise DomainError("rows of y, X_exog, d_endog and Z_inst disagree")
     cluster = _check_se_args(se_type, cluster, n)
 
-    kept_x, _ = screen_columns(X_exog)
+    kept_x = _kept_columns(X_exog)
     Xe = X_exog[:, kept_x]
     k_exog = X_exog.shape[1]
 
     # first stage on the full instrument set
     Zfull = np.column_stack([Xe, Z_inst])
-    kept_z, _ = screen_columns(Zfull)
+    kept_z = _kept_columns(Zfull)
     if len(kept_z) <= len(kept_x):
         raise IdentificationError("no instrument survives the collinearity screen")
     fs_coef, _ = _solve_ols(d, Zfull[:, kept_z])
     dhat = Zfull[:, kept_z] @ fs_coef
 
     design = np.column_stack([Xe, dhat])
-    kept2, _ = screen_columns(design)
+    kept2 = _kept_columns(design)
     if kept2 != list(range(design.shape[1])):
         raise IdentificationError(
             "projected treatment is collinear with the exogenous columns "

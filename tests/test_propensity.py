@@ -1039,3 +1039,52 @@ def test_bootstrap_with_fewer_than_two_completed_resamples_raises(monkeypatch):
                                                   "resamples; no variance"):
         ipw_late(ds, pf, se="bootstrap", reps=7, seed=0)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_bootstrap_start_state_is_the_refits_own_evaluation(link, clustered,
+                                                            monkeypatch):
+    """Each full-rank resample gathers its Newton state at the full-sample
+    coefficients from one full-sample evaluation; the state equals, bit for
+    bit, the refit's own evaluation there: loglik, m u, X'(m u) and the
+    floored m w. Some resamples have rows whose index X beta rounds
+    differently from the full-sample product's, and those get evaluated
+    afresh. The estimates equal those of refits that evaluate their start
+    themselves."""
+    ds = _controls_dataset(clustered, n=6_000)
+    pf = fit_binary_index(ds.z, ds.x, link=link)
+    parts = _logit_parts if link == "logit" else _probit_parts
+    fit, checked = propensity._fit_screened, []
+
+    def own_start(*args):
+        z, X, _, start, m = args[:5]
+        state = args[6]
+        ll, u, w = parts(X @ start, z, m)
+        u, w = m * u, m * np.maximum(w, 1e-12)
+        assert state[0] == ll
+        for got, want in zip(state[1:], (u, X.T @ u, w)):
+            assert np.array_equal(got, want)
+        checked.append(state)
+        return fit(*args[:6], None, *args[7:])
+
+    monkeypatch.setattr(propensity, "_worker_count", lambda: 1)
+    want, want_by = _bootstrap_estimates(ds, pf, 0.01, 0.99, 24, 5)
+    monkeypatch.setattr(propensity, "_fit_screened", own_start)
+    got, got_by = _bootstrap_estimates(ds, pf, 0.01, 0.99, 24, 5)
+    assert len(checked) == 24 and all(state is not None for state in checked)
+    assert got == want and got_by == want_by == {}
+    # the resamples whose products differ in some row, as the bootstrap draws them
+    X_full, b = pf._design, pf.coefficients
+    eta_full, differ = X_full @ b, 0
+    for child in np.random.SeedSequence(5).spawn(24):
+        rng = np.random.default_rng(child)
+        if clustered:
+            _, codes = np.unique(ds.cluster, return_inverse=True)
+            g = codes.max() + 1
+            m = np.bincount(rng.integers(0, g, size=g), minlength=g)[codes]
+        else:
+            m = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+        rows = np.flatnonzero(m)
+        differ += (np.asfortranarray(X_full[rows]) @ b != eta_full[rows]).any()
+    assert differ > 0

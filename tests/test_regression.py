@@ -13,7 +13,7 @@ from ivhet import (
     reset_linear,
     tsls,
 )
-from ivhet.regression import _meat, screen_columns
+from ivhet.regression import _gram_keeps_all, _kept_columns, _meat, screen_columns
 
 from oracles import (
     dense_hat,
@@ -330,6 +330,61 @@ def test_screen_columns_matches_stacked_basis():
         if gap in (0.0, 1.0):
             np.testing.assert_allclose(Q, Q_ref, rtol=0, atol=1e-12)
     assert collinear > 50
+
+
+
+def _edge_pair(rng, X, share):
+    """X with a later column rebuilt as a multiple of an earlier one plus a
+    direction orthogonal to every other column, scaled so that the share of
+    its norm left outside the earlier columns is share."""
+    n, k = X.shape
+    i, j = sorted(rng.choice(k, 2, replace=False))
+    others = np.delete(X, j, axis=1)
+    e = rng.normal(size=n)
+    e -= others @ np.linalg.lstsq(others, e, rcond=None)[0]
+    base = X[:, i] * rng.choice([1.0, -2.5])
+    X[:, j] = base + share * np.linalg.norm(base) * e / np.linalg.norm(e)
+    return X
+
+
+def test_gram_screen_keeps_what_the_screen_keeps():
+    """_kept_columns keeps screen_columns' list on random designs with
+    columns on scales 1e-3 to 1e3, zero columns, exact duplicates and
+    near-collinear pairs whose left-over share sits at 3e-11 or 3e-10, on
+    either side of the 1e-10 edge, each also as a sqrt(m)-weighted bootstrap
+    resample with its Gram taken as X'(m X). The Gram decides a design only
+    when the screen keeps every column, and both the Gram's decision and
+    the fallback to the screen run."""
+    rng = np.random.default_rng(2031)
+    decided = fallback = 0
+    edge = {3e-11: 0, 3e-10: 0}
+    for _ in range(300):
+        n, k = int(rng.integers(12, 400)), int(rng.integers(1, 8))
+        X = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+        kind = rng.integers(5)
+        if k >= 2 and kind == 0:
+            i, j = rng.choice(k, 2, replace=False)
+            X[:, j] = X[:, i]
+        elif k >= 2 and kind in (1, 2):
+            share = 3e-11 if kind == 1 else 3e-10
+            X = _edge_pair(rng, X, share)
+        elif kind == 3:
+            X[:, rng.integers(k)] = 0.0
+        m = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        Xm = X * np.sqrt(m)[:, None]
+        for design, gram in ((X, X.T @ X), (Xm, X.T @ (X * m[:, None]))):
+            want = screen_columns(design)[0]
+            assert _kept_columns(design) == want
+            if _gram_keeps_all(gram, n):
+                decided += 1
+                assert want == list(range(k))
+            else:
+                fallback += 1
+        if k >= 2 and kind in (1, 2):
+            edge[share] += screen_columns(X)[0] == list(range(k))
+    assert decided > 100 and fallback > 100
+    # the 3e-10 pairs stay, the 3e-11 pairs go
+    assert edge[3e-11] == 0 and edge[3e-10] > 20
 
 
 def _one_column_design(seed=3, n=50):

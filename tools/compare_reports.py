@@ -17,6 +17,10 @@ and prints one line per result:
   tests, and the cell statistics table as text and JSON;
 * the repr of fit_cell_propensity's coefficients, as a list of floats,
   and its loglik, for the three links;
+* the per-resample output of the IPW bootstrap, _bootstrap_estimates: the
+  estimates as a list of floats and the failures by class in first-failure
+  order, for the three links, with and without clusters, on designs whose
+  resamples trim, separate and lose rank;
 * the probit kernel on a grid: _probit_parts' loglik, score and weight
   (as lists of floats) over [-40, 40] and its branch edges for z = 1, 0
   and alternating, and the phat of probit fits whose index runs past
@@ -146,6 +150,44 @@ for seed, slope in ((1, 0.5), (2, 2.0), (3, 6.0)):
     zp = (0.3 + slope * xp[:, 0] - 0.5 * xp[:, 1] + rng.normal(size=800) > 0).astype(float)
     show(f"probit phat slope {slope}", lambda: ivhet.fit_binary_index(
         zp, xp, link="probit").phat.tolist())
+
+from ivhet.propensity import _bootstrap_estimates
+
+def boot_design(seed, n, kind, clustered):
+    # "overlap": z follows a logistic index in x; "separated": z = (x > 0)
+    # but for the four rows nearest 0. A binary covariate that is 1 on two
+    # rows makes resamples without them lose rank.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    if kind == "overlap":
+        z = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.2 + 1.5 * x)))).astype(int)
+    else:
+        z = (x > 0).astype(int)
+        near = np.argsort(np.abs(x))[:4]
+        z[near] = 1 - z[near]
+    rare = np.zeros(n)
+    rare[rng.choice(n, 2, replace=False)] = 1.0
+    d = (rng.random(n) < 0.2 + 0.6 * z).astype(int)
+    return ivhet.Dataset(y=1.0 + 2.0 * d + x + rng.normal(size=n), d=d, z=z,
+                         x=np.column_stack([x, rare]),
+                         cluster=rng.permutation(n) % (n // 3) if clustered else None)
+
+def boot(ds, link, window, reps, seed):
+    pf = ivhet.fit_binary_index(ds.z, ds.x, link=link)
+    if window == "narrow":
+        lo, hi = np.sort(pf.phat)[ds.n // 2 - 1: ds.n // 2 + 1] + [-1e-9, 1e-9]
+    else:
+        lo, hi = window
+    ests, failed_by = _bootstrap_estimates(ds, pf, lo, hi, reps, seed)
+    return ests, list(failed_by.items())
+
+for seed, n, kind in [(1, 120, "overlap"), (2, 60, "separated"), (3, 3001, "overlap")]:
+    for clustered in (False, True):
+        ds = boot_design(seed, n, kind, clustered)
+        for link in ("logit", "probit", "linear"):
+            for window in ((0.05, 0.95), (0.0, 1.0), "narrow"):
+                show(f"bootstrap {kind} n={n} {'cluster' if clustered else 'plain'} "
+                     f"{link} {window}", lambda: boot(ds, link, window, 30, seed))
 
 def fields(fit):
     return {k: v.tolist() if isinstance(v, np.ndarray) else v
