@@ -35,8 +35,9 @@ regression). Each block works in one set of row-length arrays
 column with np.take, the index, two Newton states taken by turns for the
 accepted step and the line search's candidate, the kernels' own rows
 (written through out=) and the Hajek ratio's gathers. A Newton step then
-allocates no row-length array but lstsq's own copies. Full-sample fits make
-their arrays as before.
+allocates no row-length float array but lstsq's own copies (the kernels'
+boolean masks and tail rows aside). Full-sample fits make their arrays as
+before.
 
 fit_cell_propensity is that fit on saturated cell dummies, from the cell
 table: every link's MLE is the cell's z = 1 share q_j, at the float boundary
