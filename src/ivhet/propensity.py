@@ -24,20 +24,13 @@ in a forked child (_in_blocks); each resample draws from its own
 SeedSequence child, so the report matches one process bit for bit.
 
 A refit repeats no work of the sample's. The link's per-row loglik terms,
-scores and floored weights at the full-sample coefficients are evaluated
-once per bootstrap, before any fork, and a resample that keeps every column
-gathers its Newton start from them; rows whose index BLAS rounds otherwise
-in the resample are evaluated afresh, so the start is the refit's own bit
-for bit. The rank screen asks the k x k Gram of sqrt(m) X first and runs
-screen_columns only when the Gram cannot settle it (_gram_keeps_all in
-regression). Each block works in one set of row-length arrays
-(_work_arrays) cut to each resample's rows: the design, gathered column by
-column with np.take, the index, two Newton states taken by turns for the
-accepted step and the line search's candidate, the kernels' own rows
-(written through out=) and the Hajek ratio's gathers. A Newton step then
-allocates no row-length float array but lstsq's own copies (the kernels'
-boolean masks and tail rows aside). Full-sample fits make their arrays as
-before.
+scores and weights at the full-sample coefficients are evaluated once per
+bootstrap, before any fork, and a resample that keeps every column gathers
+its Newton start from them with np.take; rows whose index BLAS rounds
+otherwise in the resample are evaluated afresh, so the start is the refit's
+own bit for bit. The rank screen asks the k x k Gram of sqrt(m) X first and
+runs screen_columns only when the Gram cannot settle it (_gram_keeps_all in
+regression).
 
 fit_cell_propensity is that fit on saturated cell dummies, from the cell
 table: every link's MLE is the cell's z = 1 share q_j, at the float boundary
@@ -49,7 +42,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +69,6 @@ _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times th
 _LL_RTOL = 1e-10
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _BLOCK = 1 << 15    # rows per block of _ndtr: its Horner passes stay in cache
-_KERNEL_ROWS = 7    # row-length arrays a link kernel works in
 
 # cephes ndtr.c (Moshier), as in scipy.special.ndtr: erf(x) = x T(x^2)/U(x^2)
 # for |x| < 1; erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and
@@ -129,39 +120,28 @@ def _wsum(v: np.ndarray, m) -> float:
     return float(np.sum(v)) if m is None else float(m @ v)
 
 
-def _logistic(eta: np.ndarray, out=None) -> np.ndarray:
+def _logistic(eta: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):   # exp(-eta) = inf below eta ~ -709 gives p = 0
-        p = np.negative(eta, out=out)
-        np.exp(p, out=p)
-        p += 1.0
-        return np.divide(1.0, p, out=p)
+        return 1.0 / (1.0 + np.exp(-eta))
 
 
-def _logit_terms(eta: np.ndarray, z: np.ndarray, out=None):
+def _logit_terms(eta: np.ndarray, z: np.ndarray):
     """Per-row loglik terms, scores z - p and informations p(1 - p) of the
-    logit link, in the rows of out (_KERNEL_ROWS x eta.size) when given."""
-    if out is None:
-        out = np.empty((_KERNEL_ROWS, eta.size))
-    p, terms, u, w = out[:4]
+    logit link."""
     # log p = -log(1 + e^-eta), log 1-p = -log(1 + e^eta)
-    _logistic(eta, p)
-    np.multiply(z, eta, out=terms)
-    terms -= np.logaddexp(0.0, eta, out=w)
-    np.subtract(z, p, out=u)
-    np.subtract(1.0, p, out=w)
-    w *= p
-    return terms, u, w
+    p = _logistic(eta)
+    return z * eta - np.logaddexp(0.0, eta), z - p, p * (1.0 - p)
 
 
-def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None, out=None):
-    terms, u, w = _logit_terms(eta, z, out)
+def _logit_parts(eta: np.ndarray, z: np.ndarray, m=None):
+    terms, u, w = _logit_terms(eta, z)
     return _wsum(terms, m), u, w
 
 
-def _polevl(x: np.ndarray, c: tuple, out=None) -> np.ndarray:
+def _polevl(x: np.ndarray, c: tuple) -> np.ndarray:
     """c[0] x^N + ... + c[N] by Horner's rule in cephes' polevl order; for a
     monic table 1.0 * x is x, so this is also p1evl."""
-    acc = np.multiply(x, c[0], out=out)
+    acc = x * c[0]
     acc += c[1]
     for v in c[2:]:
         acc *= x
@@ -169,28 +149,23 @@ def _polevl(x: np.ndarray, c: tuple, out=None) -> np.ndarray:
     return acc
 
 
-def _ndtr(eta: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _ndtr(eta: np.ndarray) -> np.ndarray:
     """Phi(eta) bit for bit as scipy.special.ndtr: cephes' ndtr, erf and erfc
     with the same coefficients, branch edges and order of operations.
 
     Every row gets 0.5 + 0.5 erf(x), x = eta/sqrt(2), from the erf rational;
     where cephes takes 0.5 erfc(|x|) = 0.5 (1 - erf(|x|)) instead (1/sqrt(2)
     <= |x| < 1), 1 - erf(|x|) is exact, so the double is the same. Rows with
-    |x| >= 1 are then recomputed from erfc (_half_erfc). The result goes to
-    out and a block's x^2 and rationals to the three rows of tmp, each of at
-    least min(eta.size, _BLOCK) entries, when they are given.
+    |x| >= 1 are then recomputed from erfc (_half_erfc).
     """
-    x = np.empty_like(eta) if out is None else out
-    if tmp is None:
-        tmp = np.empty((3, min(eta.size, _BLOCK)))
+    x = np.empty_like(eta)
     for i in range(0, eta.size, _BLOCK):
         e, xb = eta[i:i + _BLOCK], x[i:i + _BLOCK]
-        xx, num, den = (t[:e.size] for t in tmp)
         with np.errstate(over="ignore", invalid="ignore"):   # erf terms of huge |x|
             np.multiply(e, _SQRT1_2, out=xb)
-            np.multiply(xb, xb, out=xx)
-            xb *= _polevl(xx, _ERF_T, num)
-            xb /= _polevl(xx, _ERF_U, den)
+            xx = xb * xb
+            xb *= _polevl(xx, _ERF_T)
+            xb /= _polevl(xx, _ERF_U)
         xb *= 0.5
         xb += 0.5
         tail = np.flatnonzero(xx >= 1.0)
@@ -231,18 +206,15 @@ def _half_erfc(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y
 
 
-def _probit_terms(eta: np.ndarray, z: np.ndarray, out=None):
-    """Per-row loglik terms, scores and informations of the probit link, in
-    the rows of out (_KERNEL_ROWS x eta.size) when given."""
+def _probit_terms(eta: np.ndarray, z: np.ndarray):
+    """Per-row loglik terms, scores and informations of the probit link."""
     # Each row is worked on the sides of t = Phi(-|eta|), whose log-CDFs are
     # log t (small) and log1p(-t) (large): zs = 1 marks z on the small side,
-    # and the score flips sign where eta > 0.
-    if out is None:
-        out = np.empty((_KERNEL_ROWS, eta.size))
-    a, log_s, log_l, zl, pos, u, terms = out[:7]
-    np.negative(np.abs(eta, out=a), out=a)
-    _ndtr(a, log_s, (log_l, zl, pos))
-    np.log1p(np.negative(log_s, out=log_l), out=log_l)
+    # and the score flips sign where eta > 0. Buffers are reused through out=.
+    a = np.abs(eta)
+    np.negative(a, out=a)
+    log_s = _ndtr(a)
+    log_l = np.log1p(np.negative(log_s))
     with np.errstate(divide="ignore"):   # t = 0 past |eta| ~ 37.7, replaced below
         np.log(log_s, out=log_s)
     far = np.flatnonzero(a <= -37.0)
@@ -250,11 +222,10 @@ def _probit_terms(eta: np.ndarray, z: np.ndarray, out=None):
         x = a[far] * -_SQRT1_2
         r = np.minimum(x, 1e50)   # R/S overflow past it, and x^2 hides the change
         log_s[far] = np.log(0.5 * _polevl(r, _ERFC_R) / _polevl(r, _ERFC_S)) - x * x
-    np.greater(eta, 0.0, out=pos)
+    pos = (eta > 0.0).astype(np.float64)
     zs = np.abs(np.subtract(z, pos, out=a), out=a)
-    np.subtract(1.0, zs, out=zl)
-    np.multiply(zs, log_s, out=terms)
-    terms += np.multiply(zl, log_l, out=zl)
+    zl = np.subtract(1.0, zs)
+    terms = zs * log_s + np.multiply(zl, log_l, out=zl)
     # Mills ratios phi/Phi and phi/(1-Phi) in logs; log phi is taken in closed
     # form because phi itself loses bits below 1e-308 and is 0 past |eta| ~ 38.5
     log_phi = np.multiply(eta, eta, out=zl)
@@ -262,14 +233,14 @@ def _probit_terms(eta: np.ndarray, z: np.ndarray, out=None):
     log_phi -= _LOG_SQRT_2PI
     mills_s = np.exp(np.subtract(log_phi, log_s, out=log_s), out=log_s)
     mills_l = np.exp(np.subtract(log_phi, log_l, out=log_l), out=log_l)
-    np.multiply(zs, mills_s, out=u)
+    u = zs * mills_s
     u -= np.multiply(np.subtract(1.0, zs, out=zl), mills_l, out=zl)
     u *= np.subtract(1.0, np.multiply(2.0, pos, out=pos), out=pos)
     return terms, u, np.multiply(mills_s, mills_l, out=zs)
 
 
-def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None, out=None):
-    terms, u, w = _probit_terms(eta, z, out)
+def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
+    terms, u, w = _probit_terms(eta, z)
     return _wsum(terms, m), u, w
 
 
@@ -307,19 +278,11 @@ def fit_binary_index(
     return _fit_screened(z, X[:, kept], link, start, None, intercept_added)
 
 
-def _fit_screened(z, X, link, start, m, intercept_added=False, state=None,
-                  work=None):
+def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
     """The fit on a full-rank design, each row counted m times (once when m
     is None): weighted least squares for the linear link, else damped Newton.
-
-    A bootstrap refit passes state, the Newton state at start (loglik, m u,
-    X'(m u) and the floored m w, its arrays in work's first slot), and work,
-    its block's _Rows cut to X's rows. Every row-length array of the Newton
-    loop is then one of work's, the returned phat and index too (valid until
-    the block's next fit), and the kernel works in work's kernel rows. A fit
-    without work makes its own arrays and calls the kernel as
-    kernel(eta, z, m).
-    """
+    state, when given, is the Newton state at start (loglik, m u, X'(m u)
+    and the floored m w), which a bootstrap refit gathers."""
     n = X.shape[0] if m is None else float(m.sum())  # rows with multiplicity
     if link == "linear":
         s = np.ones(X.shape[0]) if m is None else np.sqrt(m)
@@ -340,26 +303,16 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None,
         beta = start.astype(np.float64).copy()
     else:
         beta = np.zeros(k)
-    if work is None:
-        xw = eta_out = kernel = None
-        slots = ((None, None), (None, None))
-    else:
-        xw = work.xw if X.shape == work.X.shape else None
-        eta_out, kernel, slots = work.eta, work.kernel, work.slots
 
-    def step_parts(b, slot):
-        eta = np.matmul(X, b, out=eta_out)
-        ll, u, w = parts(eta, z, m) if kernel is None else parts(eta, z, m, out=kernel)
+    def step_parts(b):
+        ll, u, w = parts(X @ b, z, m)
         # Newton's X'u and X'WX, with the information floored row by row
-        w = np.maximum(w, 1e-12, out=slot[1])
+        w = np.maximum(w, 1e-12)
         if m is not None:
-            u = np.multiply(m, u, out=slot[0])
-            w *= m
+            u, w = m * u, m * w
         return ll, u, X.T @ u, w
 
-    # the accepted state is in slots[cur], a line-search candidate in the other
-    cur = 0
-    ll, u, score, w = step_parts(beta, slots[0]) if state is None else state
+    ll, u, score, w = step_parts(beta) if state is None else state
     ll_path = [ll]
     converged = False
     it = 0
@@ -372,19 +325,16 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None,
             converged = True
             it -= 1
             break
-        sw = np.sqrt(w, out=None if kernel is None else kernel[0])
+        sw = np.sqrt(w)
         # Newton step: (X'WX) delta = X'u, solved as lstsq on the weighted design
-        delta = np.linalg.lstsq(
-            np.multiply(X, sw[:, None], out=xw),
-            np.divide(u, sw, out=None if kernel is None else kernel[1]), rcond=None)[0]
+        delta = np.linalg.lstsq(X * sw[:, None], u / sw, rcond=None)[0]
         step = 1.0
         improved = False
         for _ in range(30):
             cand = beta + step * delta
-            ll_new, u_new, score_new, w_new = step_parts(cand, slots[1 - cur])
+            ll_new, u_new, score_new, w_new = step_parts(cand)
             if ll_new > ll - ll_noise:
                 beta, ll, u, score, w = cand, ll_new, u_new, score_new, w_new
-                cur = 1 - cur
                 improved = True
                 break
             step *= 0.5
@@ -415,13 +365,12 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None,
             f"(last loglik {ll:.6g})"
         )
 
-    eta = np.matmul(X, beta, out=eta_out)
-    if kernel is None:
-        phat = _logistic(eta) if link == "logit" else _ndtr(eta)
+    eta = X @ beta
+    if link == "logit":
+        phat = _logistic(eta)
     else:
-        phat = (_logistic(eta, kernel[0]) if link == "logit"
-                else _ndtr(eta, kernel[0], kernel[1:4]))
-    np.maximum(phat, np.finfo(np.float64).tiny, out=phat)   # no cap: 1 - tiny == 1
+        phat = _ndtr(eta)
+    phat = np.maximum(phat, np.finfo(np.float64).tiny)    # no cap: 1 - tiny == 1
     return PropensityFit(
         link=link, coefficients=beta, index=eta, phat=phat,
         converged=True, iterations=it, loglik=ll,
@@ -466,16 +415,13 @@ class IPWReport:
         return {"estimand": "beta_late_ipw", **record(self, "metadata")}
 
 
-def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None, work=None):
+def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None):
     """The trimmed Hajek ratio, each row counted m times, with the kept-row
     mask, the arm means (y_z1, y_z0, d_z1, d_z0) and the kept rows' y, d and
     arm weights. phat and m are given at rows (every row when None); y, d and
-    z are read there. work, a block's _Rows cut to the rows, takes the
-    gathers; d and z are then float."""
+    z are read there."""
     keep = (phat >= lo) & (phat <= hi)
-    kept = int(np.count_nonzero(keep))
-    out = [None] * 8 if work is None else [v[:kept] for v in work.ratio]
-    m, phat = np.compress(keep, m, out=out[0]), np.compress(keep, phat, out=out[1])
+    m, phat = m[keep], phat[keep]
     if m.sum() < 2:
         raise TrimError(f"trimming to [{lo:g}, {hi:g}] keeps {m.sum():g} of "
                         f"{keep.size} rows; widen the window or inspect the "
@@ -486,18 +432,17 @@ def _ipw_ratio(y, d, z, phat, m, lo, hi, rows=None, work=None):
             "a fitted propensity is exactly 0 or 1 on an untrimmed row; the "
             "design separates the instrument there, so narrow the trim window"
         )
-    at = (np.flatnonzero(keep) if rows is None
-          else np.compress(keep, rows, out=None if work is None else work.idx[:kept]))
-    y, d, z = (np.take(v, at, out=o, mode="clip") for v, o in zip((y, d, z), out[2:5]))
-    w1 = np.multiply(m, z, out=out[5])
-    w1 /= phat
-    w0 = np.multiply(m, np.subtract(1.0, z, out=out[6]), out=out[6])
-    w0 /= np.subtract(1.0, phat, out=phat)
+    at = keep if rows is None else rows[keep]
+    y, d, z = y[at], d[at], z[at]
+    w1 = m * z / phat
+    w0 = m * (1.0 - z) / (1.0 - phat)
     s1, s0 = w1.sum(), w0.sum()
     if s1 <= 0 or s0 <= 0:
         raise IdentificationError("an instrument arm is empty after trimming")
-    my1, my0, md1, md0 = (float(np.sum(np.multiply(wt, v, out=out[7])) / sw)
-                          for wt, v, sw in ((w1, y, s1), (w0, y, s0), (w1, d, s1), (w0, d, s0)))
+    my1 = float(np.sum(w1 * y) / s1)
+    my0 = float(np.sum(w0 * y) / s0)
+    md1 = float(np.sum(w1 * d) / s1)
+    md0 = float(np.sum(w0 * d) / s0)
     den = md1 - md0
     if den == 0.0 or not np.isfinite(den):
         raise IdentificationError("reweighted first stage is zero; the IPW "
@@ -582,16 +527,16 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
     which has the Gram of its copied rows, so it keeps the columns those rows
     would keep; one that loses a column no longer matches the start and is
     fitted from zeros. One that keeps them all gathers its Newton state at
-    the start from the link's per-row loglik terms, scores and floored
-    weights at the full-sample index, evaluated once here for every block.
+    the start from the link's per-row loglik terms, scores and weights at
+    the full-sample index, evaluated once here for every block.
 
     Resample r draws from the r-th child of SeedSequence(seed), whichever
     process runs it (see _in_blocks), so the estimates, their order and the
     first-failure order of failed_by do not depend on the number of CPUs.
     """
     X_full = pf._design
-    n, k = X_full.shape
-    z, d = ds.z.astype(np.float64), ds.d.astype(np.float64)
+    k = X_full.shape[1]
+    z = ds.z.astype(np.float64)
     if ds.cluster is not None:
         n_groups, codes = _cluster_codes(ds.cluster)
     if pf.link != "linear":
@@ -599,18 +544,16 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         eta_full = X_full @ pf.coefficients
         terms, u_full, w_full = terms_at(eta_full, z)
 
-    def start_state(rows, X, zr, mb, wk):
+    def start_state(rows, X, zr, mb):
         """The refit's Newton state at pf.coefficients, gathered: (loglik,
-        m u, X'(m u), floored m w), the arrays in wk's first slot. BLAS may
-        round a row of X beta differently from the same row of the
-        full-sample product (its remainder loop takes the last rows of
-        either), so such rows are evaluated afresh, and the state is the
-        refit's own evaluation bit for bit."""
-        eta = np.matmul(X, pf.coefficients, out=wk.eta)
-        off = np.flatnonzero(eta != np.take(eta_full, rows, out=wk.kernel[1], mode="clip"))
-        (u, w), t = wk.slots[0], wk.kernel[1]
-        for full, part in zip((terms, u_full, w_full), (t, u, w)):
-            np.take(full, rows, out=part, mode="clip")
+        m u, X'(m u), floored m w). BLAS may round a row of X beta
+        differently from the same row of the full-sample product (its
+        remainder loop takes the last rows of either), so such rows are
+        evaluated afresh, and the state is the refit's own evaluation bit
+        for bit."""
+        eta = X @ pf.coefficients
+        off = np.flatnonzero(eta != np.take(eta_full, rows))
+        t, u, w = (np.take(v, rows) for v in (terms, u_full, w_full))
         if off.size:
             t[off], u[off], w[off] = terms_at(eta[off], zr[off])
         np.maximum(w, 1e-12, out=w)
@@ -618,7 +561,7 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         w *= mb
         return float(mb @ t), u, X.T @ u, w
 
-    def resample(child, work):
+    def resample(child):
         """The resample's estimate, or the class name of its failure."""
         rng = np.random.default_rng(child)
         if ds.cluster is not None:
@@ -627,30 +570,26 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         else:
             m = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
         rows = np.flatnonzero(m)
-        wk = work(rows.size)
-        mb, X, zr = wk.m, wk.X, wk.z
-        np.copyto(mb, np.take(m, rows, out=wk.idx, mode="clip"))
-        for j in range(k):
-            np.take(X_full[:, j], rows, out=X[:, j], mode="clip")
-        np.take(z, rows, out=zr, mode="clip")
+        mb = np.take(m, rows).astype(np.float64)
+        # column-major, as the copied rows' X[:, kept] is: BLAS rounds a
+        # row-major design's products differently
+        X = np.take(X_full.T, rows, axis=1).T
+        zr = np.take(z, rows)
         try:
             # sqrt(m) X has the Gram X'(m X); the screen itself reads a
             # row-major sqrt(m) X, as it did the copied rows
-            if not _gram_keeps_all(X.T @ np.multiply(X, mb[:, None], out=wk.xw), rows.size):
+            if not _gram_keeps_all(X.T @ (X * mb[:, None]), rows.size):
                 X = X[:, screen_columns(np.multiply(X, np.sqrt(mb)[:, None], order="C"))[0]]
             full_rank = X.shape[1] == k and pf.link != "linear"
-            state = start_state(rows, X, zr, mb, wk) if full_rank else None
-            pf_b = _fit_screened(zr, X, pf.link, pf.coefficients, mb, False, state, wk)
-            return _ipw_ratio(ds.y, d, z, pf_b.phat, mb, lo, hi, rows, wk)[0]
+            state = start_state(rows, X, zr, mb) if full_rank else None
+            pf_b = _fit_screened(zr, X, pf.link, pf.coefficients, mb, False, state)
+            return _ipw_ratio(ds.y, ds.d, z, pf_b.phat, mb, lo, hi, rows)[0]
         except (ConvergenceError, SeparationError, TrimError,
                 IdentificationError, DomainError) as exc:
             return type(exc).__name__
 
-    def block(children):
-        work = _work_arrays(n, k)
-        return [resample(c, work) for c in children]
-
-    outcomes = _in_blocks(block, np.random.SeedSequence(seed).spawn(reps))
+    outcomes = _in_blocks(lambda block: [resample(c) for c in block],
+                          np.random.SeedSequence(seed).spawn(reps))
     ests = []
     failed_by: dict[str, int] = {}
     for out in outcomes:
@@ -659,39 +598,6 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         else:
             ests.append(out)
     return ests, failed_by
-
-
-class _Rows(NamedTuple):
-    """One resample's views of its block's work arrays, r rows long."""
-
-    X: np.ndarray        # (r, k) design, column-major
-    xw: np.ndarray       # (r, k) weighted design: m X for the Gram, then sqrt(w) X per step
-    m: np.ndarray
-    z: np.ndarray
-    eta: np.ndarray      # the index, X beta
-    kernel: np.ndarray   # (_KERNEL_ROWS, r) the kernel's; also sqrt(w), u/sqrt(w), phat
-    slots: tuple         # two (m u, m w) pairs: the accepted state and the candidate
-    ratio: np.ndarray    # (8, r) the Hajek ratio's gathers; kernel rows 1-6 and slot 0
-    idx: np.ndarray      # (r,) int: the kept rows' indexes, or m before its float copy
-
-
-def _work_arrays(n: int, k: int):
-    """One set of work arrays for fits of up to n rows and k columns, as a
-    function of r that returns their first r rows as _Rows. The design is
-    column-major, as X[:, kept] is, so BLAS takes the same path as on a
-    copied resample. Pages past a block's largest resample stay untouched."""
-    X, xw = np.empty((2, n * k))
-    rows = np.empty((3 + _KERNEL_ROWS + 4, n))
-    idx = np.empty(n, np.intp)
-
-    def cut(r: int) -> _Rows:
-        m, z, eta = rows[:3, :r]
-        kernel = rows[3:3 + _KERNEL_ROWS, :r]
-        u0, w0, u1, w1 = rows[3 + _KERNEL_ROWS:, :r]
-        return _Rows(X[:r * k].reshape(k, r).T, xw[:r * k].reshape(k, r).T, m, z, eta,
-                     kernel, ((u0, w0), (u1, w1)), rows[4:12, :r], idx[:r])
-
-    return cut
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")

@@ -332,7 +332,6 @@ def test_screen_columns_matches_stacked_basis():
     assert collinear > 50
 
 
-
 def _edge_pair(rng, X, share):
     """X with a later column rebuilt as a multiple of an earlier one plus a
     direction orthogonal to every other column, scaled so that the share of
