@@ -569,7 +569,7 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
             m = np.bincount(pick, minlength=n_groups)[codes]
         else:
             m = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
-        rows = np.flatnonzero(m)
+        rows = np.flatnonzero(m != 0)   # a bool scan: nonzero on int64 m is ~5x slower
         mb = np.take(m, rows).astype(np.float64)
         # column-major, as the copied rows' X[:, kept] is: BLAS rounds a
         # row-major design's products differently
