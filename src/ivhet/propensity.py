@@ -1,10 +1,11 @@
 """Binary index models for the instrument propensity, and the IPW LATE.
 
 fit_binary_index runs a damped Newton iteration expressed as iteratively
-reweighted least squares, solving each step as a lstsq problem on the
-square-root-weighted design rather than forming the normal equations
-X'WX, whose condition number is the square of the design's: a screened
-design with nearly collinear columns still gets an accurate step. The
+reweighted least squares (_newton_step). A step is solved from the k x k
+normal equations X'WX when _gram_keeps_all certifies their Gram well
+conditioned, and as lstsq on the square-root-weighted design otherwise:
+X'WX squares the design's condition number, so a screened design with
+nearly collinear columns still gets an accurate step. The
 probit log-CDFs of a row come from one normal tail t = Phi(-|eta|), as log t
 and log1p(-t), with log t taken in closed form from |eta| = 37 on, where t
 underflows; the Mills ratios follow in logs, so extreme indexes do not
@@ -325,9 +326,7 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
             converged = True
             it -= 1
             break
-        sw = np.sqrt(w)
-        # Newton step: (X'WX) delta = X'u, solved as lstsq on the weighted design
-        delta = np.linalg.lstsq(X * sw[:, None], u / sw, rcond=None)[0]
+        delta = _newton_step(X, u, score, w)
         step = 1.0
         improved = False
         for _ in range(30):
@@ -376,6 +375,21 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
         converged=True, iterations=it, loglik=ll,
         intercept_added=intercept_added, phat_in_unit=True, _design=X,
     )
+
+
+def _newton_step(X, u, score, w):
+    """The Newton step delta of (X'WX) delta = X'u = score, W = diag(w).
+
+    When _gram_keeps_all certifies the k x k Gram G = X'WX, delta is solved
+    from G scaled to a unit diagonal; else it is lstsq on the weighted design
+    sqrt(W) X, whose condition number is the square root of G's, so a nearly
+    collinear design still gets an accurate step."""
+    G = X.T @ (X * w[:, None])
+    if _gram_keeps_all(G, X.shape[0]):
+        s = 1.0 / np.sqrt(np.diag(G))
+        return s * np.linalg.solve(G * s * s[:, None], s * score)
+    sw = np.sqrt(w)
+    return np.linalg.lstsq(X * sw[:, None], u / sw, rcond=None)[0]
 
 
 def fit_cell_propensity(ct: CellTable, link: str = "logit") -> PropensityFit:

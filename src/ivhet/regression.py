@@ -102,6 +102,17 @@ def _gram_keeps_all(G: np.ndarray, n: int) -> bool:
     grows with the condition of the earlier columns. A Gram whose squares
     may underflow (a diagonal entry below 1e-200) or overflow goes to the
     screen too.
+
+    propensity._newton_step also uses it to solve a Newton step from the
+    weighted Gram X'WX in place of lstsq on sqrt(W) X. The same bound gives
+    the step's accuracy: the rounding E of the computed C has norm at most
+    k (n + 3) u, at most a tenth of its smallest eigenvalue, so the step
+    solved from C has a relative error of at most |C^-1| |E| / (1 - |C^-1|
+    |E|) <= 1/9, and about cond(C) (n + 3) u for rounding that does not all
+    align (the normal-equation bound, Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, section 20.4); the k x k solve adds O(k u cond(C)).
+    The next iteration corrects such an inexact step: the score that decides
+    convergence is formed the same way whichever way the step was solved.
     """
     k = G.shape[0]
     if k == 0 or 10.0 * k * (n + 3) * np.finfo(np.float64).eps > _GRAM_MARGIN:

@@ -166,8 +166,8 @@ def _residualize(cols: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _added_powers(v: np.ndarray, powers, X: np.ndarray) -> np.ndarray | None:
     """The powers of standardized v, residualized on X; None if v is constant."""
-    s = v.std()
-    if s == 0.0 or not np.isfinite(s):
+    s = v.std()   # the mean of equal values may round, so std may read 1e-17
+    if not np.isfinite(s) or v.min() == v.max():
         return None
     vhat = (v - v.mean()) / s
     return _residualize(np.column_stack([vhat**p for p in powers]), X)

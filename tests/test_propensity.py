@@ -722,6 +722,68 @@ def test_numerically_singular_gram_gives_typed_error(link):
         fit_binary_index(z, X, link=link)
 
 
+def _count_solves(monkeypatch):
+    """Counts of np.linalg.lstsq and np.linalg.solve calls from here on."""
+    calls = {"lstsq": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_newton_steps_leave_lstsq_to_an_uncertified_gram(link, monkeypatch):
+    """Every Newton step of the linear_controls-like fit is solved from its
+    3 x 3 Gram, with no lstsq call; every step of the nearly collinear pair,
+    whose Gram _gram_keeps_all cannot certify, is lstsq on the weighted
+    design. _fit_screened is called directly: fit_binary_index also asks
+    lstsq whether the design spans the intercept."""
+    ds = _controls_dataset()
+    designs = {"controls": (ds.z, ds.x), "ill_conditioned": _ill_conditioned_design(1e-7)}
+    for name, (z, X) in designs.items():
+        X = np.column_stack([np.ones(z.shape[0]), X])
+        calls = _count_solves(monkeypatch)
+        fit = propensity._fit_screened(z.astype(float), X, link, None, None)
+        monkeypatch.undo()
+        assert fit.iterations > 0, name
+        if name == "controls":
+            assert calls == {"lstsq": 0, "solve": fit.iterations}
+        else:
+            assert calls == {"lstsq": fit.iterations, "solve": 0}
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_weighted_gram_step_matches_lstsq_step(link, clustered, monkeypatch):
+    """On one multiplicity-weighted bootstrap resample of the
+    linear_controls-like design, at the full-sample coefficients (where each
+    refit starts), the step solved from the Gram X'(m w X) equals lstsq on
+    sqrt(m w) X to 1e-12 relative in norm."""
+    ds = _controls_dataset(clustered)
+    pf = fit_binary_index(ds.z, ds.x, link=link)
+    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+    if clustered:
+        _, codes = np.unique(ds.cluster, return_inverse=True)
+        g = codes.max() + 1
+        m = np.bincount(rng.integers(0, g, size=g), minlength=g)[codes]
+    else:
+        m = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+    rows = np.flatnonzero(m)
+    mb, X, z = m[rows].astype(float), pf._design[rows], ds.z[rows].astype(float)
+    parts = _logit_parts if link == "logit" else _probit_parts
+    _, u, w = parts(X @ pf.coefficients, z, mb)
+    u, w = mb * u, mb * np.maximum(w, 1e-12)
+    calls = _count_solves(monkeypatch)
+    got = propensity._newton_step(X, u, X.T @ u, w)
+    monkeypatch.undo()
+    assert calls == {"lstsq": 0, "solve": 1}
+    sw = np.sqrt(w)
+    want = np.linalg.lstsq(X * sw[:, None], u / sw, rcond=None)[0]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("link", ["logit", "probit", "linear"])
 @pytest.mark.parametrize("kind", ["thin", "clustered", "single", "separated"])
 def test_cell_propensity_matches_dense_dummy_fit(kind, link):

@@ -110,6 +110,23 @@ def test_linear_trivial_when_fitted_constant():
     assert rep.p_value == 1.0
 
 
+def test_intercept_only_design_reports_a_constant_fit():
+    """With the intercept as the only column the fitted values (or index)
+    are one repeated double, but their mean may round, so their std once
+    read about 1e-17 and the report fell through to 'no direction outside
+    the design span' on about a third of these samples."""
+    n = 200
+    for n1 in range(1, n, 9):
+        z = (np.arange(n) < n1).astype(float)
+        for link in ("logit", "probit"):
+            rep = reset_binary_index(z, np.zeros((n, 1)), link=link)
+            assert rep.method == {"note": "fitted index is constant"}, (n1, link)
+    rng = np.random.default_rng(5)
+    for shift in range(20):
+        rep = reset_linear(rng.normal(size=n) + shift, np.ones((n, 1)))
+        assert rep.method == {"note": "fitted values are constant"}, shift
+
+
 @pytest.mark.parametrize("se_type", ["hc1", "cluster"])
 def test_linear_trivial_when_design_fits_exactly(se_type):
     """y is a column of the design, so the base residuals are rounding
