@@ -7,7 +7,7 @@ Run from the root of a checkout. A child process builds the linear_controls
 CSV from --seed with perfbench/workloads.py, imported as it is, into a
 temporary directory, and exits. Then, for --pairs rounds and in each of two
 modes, one fresh process per --src loads the CSV, fits the probit
-propensity and times --calls runs of
+propensity and times three runs (CALLS) of
 `ipw_late(ds, pf, se="bootstrap", reps=50, seed=0)`, the benchmark pass's
 bootstrap; the checkouts take turns at going first from one round to the
 next. The modes are:
@@ -39,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPS = 50
+CALLS = 3   # timed bootstrap calls per process
 
 BUILD_CHILD = r"""
 import json, sys
@@ -89,10 +90,10 @@ def build_input(seed: int, workdir: Path) -> dict:
     return json.loads(out.stdout)
 
 
-def time_calls(src: str, mode: str, inp: dict, calls: int) -> list:
+def time_calls(src: str, mode: str, inp: dict) -> list:
     """One fresh process: the wall seconds of each bootstrap call."""
     proc = subprocess.run([sys.executable, "-c", TIME_CHILD, inp["csv"],
-                           json.dumps(inp["columns"]), str(calls), str(REPS)],
+                           json.dumps(inp["columns"]), str(CALLS), str(REPS)],
                           cwd=ROOT, env=_env(MODES[mode], src),
                           capture_output=True, text=True)
     if proc.returncode:
@@ -124,10 +125,9 @@ def main(argv=None) -> int:
                     help="a checkout's src directory; give it twice")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=8, help="rounds per mode")
-    ap.add_argument("--calls", type=int, default=3, help="timed calls per process")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.calls < 1:
-        ap.error("--pairs and --calls must be at least 1")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     srcs = [str(Path(s).resolve()) for s in args.src]
     for src in srcs:
         subprocess.run([sys.executable, "-m", "compileall", "-q", f"{src}/ivhet"],
@@ -139,9 +139,9 @@ def main(argv=None) -> int:
             order = srcs[r % len(srcs):] + srcs[:r % len(srcs)]
             for mode in MODES:
                 for src in order:
-                    samples[mode][src].append(time_calls(src, mode, inp, args.calls))
+                    samples[mode][src].append(time_calls(src, mode, inp))
     report(samples)
-    print(json.dumps({"seed": args.seed, "reps": REPS, "calls": args.calls,
+    print(json.dumps({"seed": args.seed, "reps": REPS, "calls": CALLS,
                       "samples": samples}))
     return 0
 
