@@ -259,7 +259,10 @@ def fit_binary_index(
     link: str = "logit",
     start: np.ndarray | None = None,
 ) -> PropensityFit:
-    """Fit P(z=1|x) = G(x'b) by maximum likelihood (or OLS for linear G)."""
+    """Fit P(z=1|x) = G(x'b) by maximum likelihood (or OLS for linear G).
+
+    An intercept is added unless the least-squares projection of a ones
+    column on span X is allclose to it at atol=1e-8 (_needs_intercept)."""
     if link not in LINKS:
         raise DomainError(f"unknown link '{link}'; choose from {LINKS}")
     z = np.asarray(z, dtype=np.float64).ravel()
@@ -282,8 +285,8 @@ def fit_binary_index(
 def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
     """The fit on a full-rank design, each row counted m times (once when m
     is None): weighted least squares for the linear link, else damped Newton.
-    state, when given, is the Newton state at start (loglik, m u, X'(m u)
-    and the floored m w), which a bootstrap refit gathers."""
+    state, when given, is the link's output at start (X start, loglik, u and
+    w), which a bootstrap refit gathers."""
     n = X.shape[0] if m is None else float(m.sum())  # rows with multiplicity
     if link == "linear":
         s = np.ones(X.shape[0]) if m is None else np.sqrt(m)
@@ -304,16 +307,10 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
         beta = start.astype(np.float64).copy()
     else:
         beta = np.zeros(k)
-
-    def step_parts(b):
-        ll, u, w = parts(X @ b, z, m)
-        # Newton's X'u and X'WX, with the information floored row by row
-        w = np.maximum(w, 1e-12)
-        if m is not None:
-            u, w = m * u, m * w
-        return ll, u, X.T @ u, w
-
-    ll, u, score, w = step_parts(beta) if state is None else state
+    if state is None:
+        eta = X @ beta
+        state = (eta, *parts(eta, z, m))
+    eta, ll, u, w = state
     ll_path = [ll]
     converged = False
     it = 0
@@ -322,6 +319,13 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
     score_gate = _SCORE_TOL * n
     ll_noise = 1e-12 * (1.0 + abs(ll))
     for it in range(1, _MAX_ITER + 1):
+        # Newton's X'(m u) and X'WX, with the information floored row by row;
+        # in place, since each evaluation's u and w are the loop's own
+        np.maximum(w, 1e-12, out=w)
+        if m is not None:
+            u *= m
+            w *= m
+        score = X.T @ u
         if np.max(np.abs(score)) < score_gate:
             converged = True
             it -= 1
@@ -331,9 +335,10 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
         improved = False
         for _ in range(30):
             cand = beta + step * delta
-            ll_new, u_new, score_new, w_new = step_parts(cand)
+            eta_new = X @ cand
+            ll_new, u_new, w_new = parts(eta_new, z, m)
             if ll_new > ll - ll_noise:
-                beta, ll, u, score, w = cand, ll_new, u_new, score_new, w_new
+                beta, eta, ll, u, w = cand, eta_new, ll_new, u_new, w_new
                 improved = True
                 break
             step *= 0.5
@@ -364,7 +369,6 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
             f"(last loglik {ll:.6g})"
         )
 
-    eta = X @ beta
     if link == "logit":
         phat = _logistic(eta)
     else:
@@ -559,21 +563,17 @@ def _bootstrap_estimates(ds: Dataset, pf: PropensityFit, lo: float, hi: float,
         terms, u_full, w_full = terms_at(eta_full, z)
 
     def start_state(rows, X, zr, mb):
-        """The refit's Newton state at pf.coefficients, gathered: (loglik,
-        m u, X'(m u), floored m w). BLAS may round a row of X beta
-        differently from the same row of the full-sample product (its
-        remainder loop takes the last rows of either), so such rows are
-        evaluated afresh, and the state is the refit's own evaluation bit
-        for bit."""
+        """The refit's link output at pf.coefficients, gathered: (X beta,
+        loglik, u, w). BLAS may round a row of X beta differently from the
+        same row of the full-sample product (its remainder loop takes the
+        last rows of either), so such rows are evaluated afresh, and the
+        state is the refit's own evaluation bit for bit."""
         eta = X @ pf.coefficients
         off = np.flatnonzero(eta != np.take(eta_full, rows))
         t, u, w = (np.take(v, rows) for v in (terms, u_full, w_full))
         if off.size:
             t[off], u[off], w[off] = terms_at(eta[off], zr[off])
-        np.maximum(w, 1e-12, out=w)
-        u *= mb
-        w *= mb
-        return float(mb @ t), u, X.T @ u, w
+        return eta, float(mb @ t), u, w
 
     def resample(child):
         """The resample's estimate, or the class name of its failure."""

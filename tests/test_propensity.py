@@ -233,6 +233,23 @@ def test_intercept_added_when_missing():
 
 
 @pytest.mark.parametrize("link", ["logit", "probit", "linear"])
+def test_intercept_added_unless_the_ones_lie_in_the_design_span(link):
+    """The rule: an intercept is added unless lstsq's projection of a ones
+    column on span X is allclose to it at atol=1e-8. Cell dummies summing
+    to ones and a covariate offset by 1e6 span it, a plain covariate does
+    not; the offset design converges as given, where an added intercept
+    would make it near collinear."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=600)
+    z = (rng.random(600) < 1.0 / (1.0 + np.exp(-0.4 - x))).astype(float)
+    dummies = (np.arange(600) % 5 == np.arange(5)[:, None]).T.astype(float)
+    assert not fit_binary_index(z, dummies, link=link).intercept_added
+    offset = fit_binary_index(z, x + 1e6, link=link)
+    assert not offset.intercept_added and offset.converged
+    assert fit_binary_index(z, x, link=link).intercept_added
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "linear"])
 def test_design_with_no_columns_fits_the_intercept_alone(link):
     z = (np.random.default_rng(8).random(300) < 0.35).astype(float)
     fit = fit_binary_index(z, np.empty((300, 0)), link=link)
@@ -1109,11 +1126,10 @@ def test_bootstrap_start_state_is_the_refits_own_evaluation(link, clustered,
                                                             monkeypatch):
     """Each full-rank resample gathers its Newton state at the full-sample
     coefficients from one full-sample evaluation; the state equals, bit for
-    bit, the refit's own evaluation there: loglik, m u, X'(m u) and the
-    floored m w. Some resamples have rows whose index X beta rounds
-    differently from the full-sample product's, and those get evaluated
-    afresh. The estimates equal those of refits that evaluate their start
-    themselves."""
+    bit, the refit's own evaluation there: X beta, loglik, u and w. Some
+    resamples have rows whose index X beta rounds differently from the
+    full-sample product's, and those get evaluated afresh. The estimates
+    equal those of refits that evaluate their start themselves."""
     ds = _controls_dataset(clustered, n=6_000)
     pf = fit_binary_index(ds.z, ds.x, link=link)
     parts = _logit_parts if link == "logit" else _probit_parts
@@ -1122,10 +1138,11 @@ def test_bootstrap_start_state_is_the_refits_own_evaluation(link, clustered,
     def own_start(*args):
         z, X, _, start, m = args[:5]
         state = args[6]
-        ll, u, w = parts(X @ start, z, m)
-        u, w = m * u, m * np.maximum(w, 1e-12)
-        assert state[0] == ll
-        for got, want in zip(state[1:], (u, X.T @ u, w)):
+        eta = X @ start
+        ll, u, w = parts(eta, z, m)
+        got_eta, got_ll, got_u, got_w = state
+        assert got_ll == ll
+        for got, want in ((got_eta, eta), (got_u, u), (got_w, w)):
             assert np.array_equal(got, want)
         checked.append(state)
         return fit(*args[:6], None, *args[7:])

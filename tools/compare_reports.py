@@ -17,14 +17,19 @@ and prints one line per result:
   tests, and the cell statistics table as text and JSON;
 * the repr of fit_cell_propensity's coefficients, as a list of floats,
   and its loglik, for the three links;
+* each fit_binary_index fit's coefficients, iterations, loglik,
+  intercept_added and phat, for the three links, on the covariates and the
+  cells of every design, on three designs whose probit index runs past
+  +-sqrt(2) and +-8 sqrt(2), and on edge designs: cell dummies that span
+  the intercept, a covariate offset by 1e6, and a column within 1e-9 of
+  the ones;
 * the per-resample output of the IPW bootstrap, _bootstrap_estimates: the
   estimates as a list of floats and the failures by class in first-failure
   order, for the three links, with and without clusters, on designs whose
   resamples trim, separate and lose rank;
 * the probit kernel on a grid: _probit_parts' loglik, score and weight
   (as lists of floats) over [-40, 40] and its branch edges for z = 1, 0
-  and alternating, and the phat of probit fits whose index runs past
-  +-sqrt(2) and +-8 sqrt(2);
+  and alternating;
 * the repr of every RegressionFit field (arrays as lists of floats) of
   ols and tsls under the four SE types, on a design with a zero column,
   one with a collinear pair, a 1-D design and an all-zero design, and of
@@ -88,6 +93,11 @@ def design(seed, n, cells, discrete_y):
     return ivhet.Dataset(y=y, d=d.astype(np.int64), z=z, x=cell.astype(float),
                          cluster=rng.integers(0, 30, size=n))
 
+def fit(z, X, link):
+    pf = ivhet.fit_binary_index(z, X, link=link)
+    return (pf.coefficients.tolist(), pf.iterations, pf.loglik,
+            pf.intercept_added, pf.phat.tolist())
+
 SE = ("hc0", "hc1", "classical", "cluster")
 SATURATED = (ivhet.estimate_beta_late_saturated, ivhet.estimate_beta_iv,
              ivhet.estimate_beta_ai, ivhet.many_tsls, ivhet.jive, ivhet.ujive)
@@ -124,6 +134,8 @@ for seed, n, cells, discrete_y in [(1, 400, 3, True), (2, 1500, 8, False),
              lambda: ivhet.reset_binary_index(ds.z, ds.x, link=link).to_dict())
     cont = np.column_stack([ds.x[:, 0], np.sin(np.arange(ds.n))])
     for link in ("logit", "probit", "linear"):
+        for xname, xf in (("cells", ds.x), ("covariates", cont)):
+            show(f"{tag} fit {xname} {link}", lambda: fit(ds.z, xf, link))
         show(f"{tag} ipw {link}", lambda: ivhet.ipw_late(
             ds, ivhet.fit_binary_index(ds.z, cont, link=link)).to_dict())
         show(f"{tag} ipw cells {link}", lambda: ivhet.ipw_late(
@@ -148,8 +160,18 @@ for seed, slope in ((1, 0.5), (2, 2.0), (3, 6.0)):
     rng = np.random.default_rng(seed)
     xp = rng.normal(size=(800, 2))
     zp = (0.3 + slope * xp[:, 0] - 0.5 * xp[:, 1] + rng.normal(size=800) > 0).astype(float)
-    show(f"probit phat slope {slope}", lambda: ivhet.fit_binary_index(
-        zp, xp, link="probit").phat.tolist())
+    for link in ("logit", "probit", "linear"):
+        show(f"fit slope {slope} {link}", lambda: fit(zp, xp, link))
+
+rng = np.random.default_rng(7)
+xe = rng.normal(size=600)
+ze = (rng.random(600) < 1.0 / (1.0 + np.exp(-0.4 - xe))).astype(float)
+EDGE = {"cell dummies": (np.arange(600) % 5 == np.arange(5)[:, None]).T.astype(float),
+        "offset 1e6": xe + 1e6,
+        "near ones": np.column_stack([1.0 + 1e-9 * rng.normal(size=600), xe])}
+for name, xf in EDGE.items():
+    for link in ("logit", "probit", "linear"):
+        show(f"fit {name} {link}", lambda: fit(ze, xf, link))
 
 from ivhet.propensity import _bootstrap_estimates
 
