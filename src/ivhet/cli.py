@@ -100,7 +100,7 @@ def _cells(args, ds: Dataset, warnings: list) -> CellTable | None:
 
 
 def _design_with_intercept(ds: Dataset) -> np.ndarray:
-    return np.column_stack([np.ones(ds.n), ds.x]) if ds.k else np.ones((ds.n, 1))
+    return np.column_stack([np.ones(ds.n), ds.x])
 
 
 def _parse_trim(text: str) -> tuple[float, float]:
@@ -212,8 +212,7 @@ def _cmd_reset(args, ds, ct, warnings):
                            cluster=ds.cluster)
     else:
         link = args.link or "logit"
-        rep = reset_binary_index(ds.z, ds.x if ds.k else np.ones((ds.n, 1)),
-                                 link=link, powers=args.powers)
+        rep = reset_binary_index(ds.z, ds.x, link=link, powers=args.powers)
     d = rep.to_dict()
     text = format_table(
         ["test", "statistic", "df", "p"],
@@ -418,12 +417,9 @@ def main(argv=None) -> int:
             if "saturated" in args:
                 ct = _cells(args, ds, warnings)
         results, text = args.func(args, ds, ct, warnings)
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     _emit(args, {"command": args.command, "config_echo": echo, "results": results,
                  "warnings": warnings, "version": __version__}, text)
     return 0

@@ -36,6 +36,8 @@ regression).
 fit_cell_propensity is that fit on saturated cell dummies, from the cell
 table: every link's MLE is the cell's z = 1 share q_j, at the float boundary
 (where IRLS heads) for a cell with an empty arm. It keeps no design to refit.
+Its probit coefficients are normal_quantile(q_j), Wichura's AS241 in numpy,
+with which dgp also draws its normal noise.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ _MAX_ABS_COEF = 30.0
 _SCORE_TOL = 1e-8  # per observation: the gate on the summed score is n times this
 _LL_RTOL = 1e-10
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-_BLOCK = 1 << 15    # rows per block of _ndtr: its Horner passes stay in cache
+_BLOCK = 1 << 15    # rows per block of _ndtr and normal_quantile: Horner stays in cache
 
 # cephes ndtr.c (Moshier), as in scipy.special.ndtr: erf(x) = x T(x^2)/U(x^2)
 # for |x| < 1; erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and
@@ -207,6 +209,49 @@ def _half_erfc(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y
 
 
+# Wichura's AS241 coefficients as in the standard library's NormalDist.inv_cdf,
+# highest power first: a numerator and a denominator for |p - 1/2| <= 0.425,
+# then for the tails with r = sqrt(-log(min(p, 1 - p))) <= 5, and beyond.
+_AS241 = (
+    (2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+     13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665),
+    (5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+     5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0),
+    (0.0007745450142783414, 0.022723844989269184, 0.2417807251774506,
+     1.2704582524523684, 3.6478483247632045, 5.769497221460691, 4.630337846156546,
+     1.4234371107496835),
+    (1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457,
+     0.14810397642748008, 0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0),
+    (2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784,
+     0.026532189526576124, 0.29656057182850487, 1.7848265399172913, 5.463784911164114,
+     6.657904643501103),
+    (2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05,
+     0.0007868691311456133, 0.014875361290850615, 0.1369298809227358,
+     0.599832206555888, 1.0),
+)
+
+
+def normal_quantile(p) -> np.ndarray:
+    """Phi^-1(p) for p in (0, 1), elementwise: AS241 in inv_cdf's order of
+    operations, so it matches NormalDist().inv_cdf but for a few ulp in a
+    few tail values, where numpy's log differs from the C library's."""
+    p = np.asarray(p, dtype=np.float64).ravel()
+    x = np.empty_like(p)
+    for i in range(0, p.size, _BLOCK):
+        pb = p[i:i + _BLOCK]
+        q = pb - 0.5
+        r = 0.180625 - q * q
+        xb = _polevl(r, _AS241[0]) * q / _polevl(r, _AS241[1])
+        tail = np.flatnonzero(np.abs(q) > 0.425)
+        r = np.sqrt(-np.log(np.minimum(pb[tail], 1.0 - pb[tail])))
+        for sel, shift, k in ((r <= 5.0, 1.6, 2), (r > 5.0, 5.0, 4)):
+            s = r[sel] - shift
+            r[sel] = _polevl(s, _AS241[k]) / _polevl(s, _AS241[k + 1])
+        xb[tail] = np.where(q[tail] < 0.0, -r, r)
+        x[i:i + _BLOCK] = xb
+    return x
+
+
 def _probit_terms(eta: np.ndarray, z: np.ndarray):
     """Per-row loglik terms, scores and informations of the probit link."""
     # Each row is worked on the sides of t = Phi(-|eta|), whose log-CDFs are
@@ -246,8 +291,6 @@ def _probit_parts(eta: np.ndarray, z: np.ndarray, m=None):
 
 
 def _needs_intercept(X: np.ndarray) -> bool:
-    if X.size == 0:
-        return True
     ones = np.ones(X.shape[0])
     coef, _, _, _ = np.linalg.lstsq(X, ones, rcond=None)
     return not np.allclose(X @ coef, ones, atol=1e-8)
@@ -276,7 +319,7 @@ def fit_binary_index(
 
     intercept_added = _needs_intercept(X)
     if intercept_added:
-        X = np.column_stack([np.ones(z.shape[0]), X]) if X.size else np.ones((z.shape[0], 1))
+        X = np.column_stack([np.ones(z.shape[0]), X])
 
     kept = _kept_columns(X)
     return _fit_screened(z, X[:, kept], link, start, None, intercept_added)
@@ -311,14 +354,13 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
         eta = X @ beta
         state = (eta, *parts(eta, z, m))
     eta, ll, u, w = state
-    ll_path = [ll]
     converged = False
     it = 0
     # the score sums over observations, so its tolerance must scale with n;
     # likewise a step is "no worse" only relative to the loglik's own size
     score_gate = _SCORE_TOL * n
-    ll_noise = 1e-12 * (1.0 + abs(ll))
     for it in range(1, _MAX_ITER + 1):
+        ll_prev, ll_noise = ll, 1e-12 * (1.0 + abs(ll))
         # Newton's X'(m u) and X'WX, with the information floored row by row;
         # in place, since each evaluation's u and w are the loop's own
         np.maximum(w, 1e-12, out=w)
@@ -351,16 +393,14 @@ def _fit_screened(z, X, link, start, m, intercept_added=False, state=None):
                 f"{link} fit stalled after {it} iterations "
                 f"(loglik {ll:.6g}, max score {np.max(np.abs(score)):.3g})"
             )
-        ll_noise = 1e-12 * (1.0 + abs(ll))
-        ll_path.append(ll)
-        if np.max(np.abs(beta)) > _MAX_ABS_COEF and ll_path[-1] > ll_path[-2]:
+        if np.max(np.abs(beta)) > _MAX_ABS_COEF and ll > ll_prev:
             j = int(np.argmax(np.abs(beta)))
             raise SeparationError(
                 f"{link} fit is diverging (|coefficient {j}| > {_MAX_ABS_COEF:g} "
                 "with the likelihood still improving); the response is likely "
                 "perfectly separated by the design"
             )
-        if abs(ll_path[-1] - ll_path[-2]) < _LL_RTOL * (abs(ll_path[-2]) + 1e-12):
+        if abs(ll - ll_prev) < _LL_RTOL * (abs(ll_prev) + 1e-12):
             converged = True
             break
     if not converged:
@@ -406,11 +446,7 @@ def fit_cell_propensity(ct: CellTable, link: str = "logit") -> PropensityFit:
         p, coef, ll = np.clip(q, eps, 1.0 - eps), q, float("nan")
     else:
         p = np.clip(q, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
-        if link == "logit":
-            coef = np.log(p / (1.0 - p))
-        else:
-            from statistics import NormalDist    # AS241, as dgp.normal_quantile
-            coef = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+        coef = np.log(p / (1.0 - p)) if link == "logit" else normal_quantile(p)
         ll = float(ct.n1_j @ np.log(q, out=np.zeros_like(q), where=q > 0.0)
                    + ct.n0_j @ np.log1p(-q, out=np.zeros_like(q), where=q < 1.0))
     return PropensityFit(link, coef, coef[a], p[a], converged=True, iterations=0,

@@ -305,9 +305,7 @@ def _multipliers(seed: int, reps: int, counts: np.ndarray, rows: int):
                                       size=(n_draws, np.count_nonzero(large)))
         if small.size:
             bits = np.bitwise_count(raw.random_raw((n_draws, mask.size)) & mask)
-            # a bin of one word sums to its word's popcount
-            ones[:, small] = bits if mask.size == small.size else np.add.reduceat(
-                bits, first, axis=1, dtype=np.int64)
+            ones[:, small] = np.add.reduceat(bits, first, axis=1, dtype=np.int64)
         yield ones
 
 

@@ -12,6 +12,7 @@ from ivhet import (
     ColumnMap,
     Dataset,
     DGPSpec,
+    EstimateReport,
     OutcomeSetPartition,
     bp_test,
     build_cells,
@@ -22,7 +23,10 @@ from ivhet import (
     load_dataset,
     mw_test,
     reference_trial,
+    reset_binary_index,
+    reset_linear,
     tables,
+    tsls,
     validity,
 )
 from ivhet.cli import build_parser, main
@@ -121,6 +125,42 @@ def test_estimate_linear_mode(tmp_path, capsys):
     got = {e["estimand"]: e for e in payload["results"]["estimates"]}
     assert abs(got["beta_iv"]["estimate"] - 1.5) < 0.5
     assert got["beta_late_ipw"]["estimate"] is not None
+
+
+def test_commands_without_covariates_fit_the_ones_design(tmp_path, capsys):
+    """Without -x the design is the intercept alone: the assignment reset,
+    the outcome reset and a linear-mode estimate report what the library
+    reports on an explicit column of ones."""
+    rng = np.random.default_rng(12)
+    n = 300
+    z = (rng.random(n) < 0.4).astype(int)
+    d = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
+    ds = Dataset(y=1.5 * d + rng.normal(size=n), d=d, z=z, x=rng.normal(size=n),
+                 covariate_names=("x",))
+    path = write_csv(tmp_path / "nox.csv", ds)
+    ds = load_dataset(str(path), ColumnMap(outcome="y", treatment="d",
+                                           instrument="z"))
+    assert ds.x.shape == (n, 0)
+    ones = np.ones((n, 1))
+    fit = tsls(ds.y, ones, ds.d.astype(float), ds.z.astype(float), se_type="hc1")
+    beta_iv = EstimateReport(
+        estimand="beta_iv", estimate=float(fit.coefficients[fit.endog_index]),
+        se=float(np.sqrt(fit.vcov[fit.endog_index, fit.endog_index])),
+        se_type=fit.se_type, n_used=n, cells_used=0,
+        metadata={"estimator": "2sls_linear"})
+    ipw = ipw_late(ds, fit_binary_index(ds.z, ones, link="logit"))
+    want = {
+        ("reset", "--equation", "assignment", "--link", "probit"): {
+            "test": reset_binary_index(ds.z, ones, link="probit").to_dict()},
+        ("reset", "--equation", "outcome"): {
+            "test": reset_linear(ds.y, ones, se_type="hc1").to_dict()},
+        ("estimate", "--saturated", "no", "--link", "logit"): {
+            "mode": "linear", "estimates": [beta_iv.to_dict(), ipw.to_dict()]},
+    }
+    for (command, *flags), results in want.items():
+        payload = run_json(capsys, [command, "--input", str(path), "-y", "y",
+                                    "-d", "d", "-z", "z", *flags, "--json"])
+        assert payload["results"] == json.loads(json.dumps(json_safe(results)))
 
 
 def test_missing_roles_exit_2(trial_csv, capsys):

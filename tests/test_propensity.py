@@ -863,6 +863,37 @@ def test_cell_propensity_loglik_counts_empty_arms_as_zero():
     assert fit.coefficients.tolist() == [0.0]
 
 
+def test_probit_cell_fit_takes_the_normal_quantile_of_the_clipped_shares():
+    """The probit coefficients are the AS241 quantile of each cell's z-share,
+    within 4 ulp of NormalDist().inv_cdf, on cells in both tails (shares
+    below 0.075 and above 0.925, where AS241 leaves its central rational)
+    and on empty-arm cells clipped to tiny and nextafter(1, 0); phat is the
+    clipped share itself."""
+    from statistics import NormalDist
+    rng = np.random.default_rng(41)
+    sizes = rng.integers(20, 400, size=60)
+    few = np.maximum(2, (0.075 * sizes).astype(int))
+    ones = np.concatenate([rng.integers(1, few[:20]),
+                           sizes[20:40] - rng.integers(1, few[20:40]),
+                           rng.integers(0, sizes[40:58] + 1), [0, sizes[59]]])
+    cell = np.repeat(np.arange(60), sizes)
+    z = np.concatenate([np.arange(s) < k for s, k in zip(sizes, ones)]).astype(int)
+    d = (rng.random(cell.size) < 0.2 + 0.5 * z).astype(int)
+    ds = Dataset(y=d + rng.normal(size=cell.size), d=d, z=z, x=cell.astype(float),
+                 covariate_names=("c",))
+    ct = build_cells(ds)
+    q = ct.q_j
+    assert ct.n_cells == 60 and (q < 0.075).sum() >= 20 and (q > 0.925).sum() >= 20
+    assert {0.0, 1.0} <= set(q)
+    p = np.clip(q, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    fit = fit_cell_propensity(ct, "probit")
+    want = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+    assert (np.abs(fit.coefficients - want) <= 4 * np.spacing(np.abs(want))).all()
+    np.testing.assert_array_equal(fit.index, fit.coefficients[ct.assignments])
+    np.testing.assert_array_equal(fit.phat, p[ct.assignments])
+    np.testing.assert_array_equal(fit.phat, fit_cell_propensity(ct, "logit").phat)
+
+
 def test_cell_propensity_unknown_link():
     with pytest.raises(DomainError, match="unknown link"):
         fit_cell_propensity(build_cells(cell_ipw_design("single")), "cauchit")

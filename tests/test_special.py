@@ -1,6 +1,6 @@
 """The probit kernel's normal CDF and log-CDF terms, held to scipy.special,
-the AS241 normal quantile of the noise draws, and the F and chi-squared
-tails of RESET."""
+the AS241 normal quantile of the noise draws and the probit cell fit, and
+the F and chi-squared tails of RESET."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from ivhet.dgp import normal_quantile
-from ivhet.propensity import _ndtr, _probit_parts
+from ivhet.propensity import _ndtr, _probit_parts, normal_quantile
 from ivhet.spec_tests import chi2_sf, f_sf
 
 GRID = np.concatenate([

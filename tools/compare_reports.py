@@ -30,6 +30,13 @@ and prints one line per result:
 * the probit kernel on a grid: _probit_parts' loglik, score and weight
   (as lists of floats) over [-40, 40] and its branch edges for z = 1, 0
   and alternating;
+* normal_quantile, as a list of floats, on more than 2**15 values (so
+  more than one block) that take the central branch, both tails on either
+  side of r = 5, the branch edges, tiny and nextafter(1, 0);
+* generate at n = 40,000, two blocks of the quantile: the dataset's y and
+  the latent y1 and y0 as lists of floats;
+* fit_cell_propensity's probit coefficients, phat and loglik on cells
+  whose z-shares lie in both AS241 tails or are 0 or 1;
 * the repr of every RegressionFit field (arrays as lists of floats) of
   ols and tsls under the four SE types, on a design with a zero column,
   one with a collinear pair, a 1-D design and an all-zero design, and of
@@ -156,6 +163,29 @@ for zname, zg in (("ones", np.ones(grid.size)), ("zeros", np.zeros(grid.size)),
                   ("alternating", (np.arange(grid.size) % 2).astype(float))):
     show(f"probit parts {zname}", lambda: (lambda ll, u, w: (ll, u.tolist(), w.tolist()))(
         *_probit_parts(grid, zg)))
+from ivhet.dgp import normal_quantile
+rng = np.random.default_rng(9)
+edges = [0.075, 0.925, np.exp(-25.0), -np.expm1(-25.0), 0.5]
+pq = np.concatenate([rng.random(36_000), 10.0 ** -rng.uniform(0, 300, 2_000),
+                     1.0 - 10.0 ** -rng.uniform(0, 15, 2_000),
+                     [np.finfo(float).tiny, np.nextafter(1.0, 0.0)],
+                     np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+show("normal_quantile", lambda: normal_quantile(pq).tolist())
+gds, glt = ivhet.generate(ivhet.DGPSpec.from_json(f"{workdir}/good.json"), 40_000)
+show("generate 40000", lambda: (gds.y.tolist(), glt.y1.tolist(), glt.y0.tolist()))
+sizes = rng.integers(20, 400, size=40)
+few = np.maximum(2, (0.075 * sizes).astype(int))
+k1 = np.concatenate([rng.integers(1, few[:15]), sizes[15:30] - rng.integers(1, few[15:30]),
+                     rng.integers(0, sizes[30:38] + 1), [0, sizes[39]]])
+tc = np.repeat(np.arange(40), sizes)
+tz = np.concatenate([np.arange(s) < k for s, k in zip(sizes, k1)]).astype(int)
+td = (rng.random(tc.size) < 0.2 + 0.5 * tz).astype(int)
+tct = ivhet.build_cells(ivhet.Dataset(y=td + rng.normal(size=tc.size), d=td, z=tz,
+                                      x=tc.astype(float)))
+show("cell fit tails probit", lambda: (lambda pf: (
+    pf.coefficients.tolist(), pf.phat.tolist(), pf.loglik))(
+        ivhet.fit_cell_propensity(tct, "probit")))
+
 for seed, slope in ((1, 0.5), (2, 2.0), (3, 6.0)):
     rng = np.random.default_rng(seed)
     xp = rng.normal(size=(800, 2))
@@ -284,6 +314,7 @@ estimate --input cells.csv -x x1 --trim 0.01,0.99
 estimate --input linear.csv -x x1,x2
 estimate --input linear.csv -x x1,x2 --cluster g --link probit
 estimate --input linear.csv -x x1,x2 --cluster g --se hc1 --link linear
+estimate --input linear.csv --saturated no --link logit
 estimate --input thin.csv -x x1 --min-arm 5
 estimate --input bad.csv -x x1
 estimate --input missing.csv -x x1
@@ -306,6 +337,8 @@ reset --input linear.csv -x x1,x2 --link probit --powers 2,3,4
 reset --input linear.csv -x x1,x2 --equation outcome --cluster g
 reset --input linear.csv -x x1,x2 --powers 5
 reset --input linear.csv
+reset --input linear.csv --equation assignment --link probit
+reset --input linear.csv --equation outcome
 reset --input missing.csv --powers=
 reset --input cells.csv --config columns.cfg
 reset --input linear.csv -x x1,x2 --link logit --output report.out
